@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from .decomp import co_layered, decompose
-from .enumeration import PatternSet, eventual_polynomial, major_count_series
+from .enumeration import PatternSet, column_counts, major_count_series
 from .errors import InvalidInputError
 from .perms import (
     Perm,
@@ -312,10 +312,15 @@ def degree_report(m: int, patterns: PatternSet, *, n_max: int | None = None,
     if n_max is None:
         if algorithm != "cores":
             raise InvalidInputError("an explicit --max-n is required for the brute path")
-        poly, onset = eventual_polynomial(m, patterns, core_len_limit=core_len_limit)
+        # One walk of the column's signatures gives the onset and the series.
+        counts = column_counts(m, patterns, core_len_limit=core_len_limit,
+                               max_nodes=max_nodes)
+        poly, onset = counts.eventual_polynomial(1, f"m={m} column")
         n_max = max(onset + poly.degree + window + 2, window + 2)
-    series = major_count_series(m, patterns, n_max, algorithm=algorithm,
-                                max_nodes=max_nodes, core_len_limit=core_len_limit)
+        series = counts.series(n_max)
+    else:
+        series = major_count_series(m, patterns, n_max, algorithm=algorithm,
+                                    max_nodes=max_nodes, core_len_limit=core_len_limit)
     detected = detect_degree(series, start_n=1, window=window)
     if detected.inconclusive:
         verdict = Verdict.INCONCLUSIVE

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ from .enumeration import (
     core_set,
     maj_table,
     minimal_avoiding_profiles,
+    parallelism_default,
 )
 from .decomp import format_profile
 from .errors import InvalidInputError, MajpatError, ResourceLimitError, VerificationError
@@ -90,7 +90,8 @@ def cmd_verify_monotonic(config: RunConfig, n: int) -> int:
 
 
 def cmd_cores(config: RunConfig, m: int) -> int:
-    result = core_set(m, config.patterns, core_len_limit=config.core_limit)
+    result = core_set(m, config.patterns, core_len_limit=config.core_limit,
+                      max_nodes=config.max_nodes)
     if config.fmt == "json":
         obj = {
             "schema": 1,
@@ -152,12 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pattern list, e.g. '1324' or '3412,1324' (';'-separated "
                             "when a pattern itself needs commas)")
         p.add_argument("--algorithm", choices=list(algorithms), default=default_alg)
-        p.add_argument("--parallelism", type=int,
-                       default=int(os.environ.get("MAJPAT_PARALLELISM", "1")))
+        p.add_argument("--parallelism", type=int, default=None,
+                       help="worker processes (default MAJPAT_PARALLELISM or 1)")
         p.add_argument("--max-nodes", type=int, default=None,
                        help="search node ceiling (default MAJPAT_MAX_NODES or builtin)")
         p.add_argument("--core-limit", type=int, default=None,
-                       help="hard cap on enumerated core length")
+                       help="opt-in cap on enumerated core length "
+                            "(default MAJPAT_MAX_CORE_LEN or none)")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
 
     p = sub.add_parser("table", help="emit the counts table")
@@ -199,7 +201,7 @@ def run(argv) -> int:
         max_maj=getattr(args, "max_maj", None),
         algorithm=args.algorithm,
         fmt=getattr(args, "format", "csv"),
-        parallelism=args.parallelism,
+        parallelism=args.parallelism if args.parallelism is not None else parallelism_default(),
         window=getattr(args, "window", 3),
         max_nodes=args.max_nodes,
         core_limit=args.core_limit,
@@ -207,6 +209,8 @@ def run(argv) -> int:
     )
     if config.parallelism < 1:
         raise InvalidInputError(f"parallelism must be >= 1, got {config.parallelism}")
+    if config.core_limit is not None and config.core_limit < 0:
+        raise InvalidInputError(f"--core-limit must be non-negative, got {config.core_limit}")
     if args.command == "table":
         if config.max_n < 1:
             raise InvalidInputError(f"--max-n must be >= 1, got {config.max_n}")

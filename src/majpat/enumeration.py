@@ -10,21 +10,29 @@ Two independent computation paths are provided and cross-checked:
   letter) and on a major-index ceiling.
 
 * cores: every permutation with major index m is core gamma + padding
-  profile with maj_plus(gamma) = m, and whether gamma . a avoids the patterns
-  only depends on the profile capped at the longest pattern length K (an
-  occurrence uses at most K letters from any inserted run).  Counting
-  profiles with a fixed cap signature is stars and bars, so each admissible
-  core contributes an exactly computable, eventually polynomial count.
+  profile with maj_plus(gamma) = m.  Appending a letter never lowers
+  len + maj, so the same prefix tree, pruned by containment and by the
+  ceiling len + maj <= m, yields exactly the candidate cores.  Whether
+  gamma . a avoids the patterns only depends on the profile capped at the
+  longest pattern length K (an occurrence uses at most K letters from any
+  inserted run).  An occurrence is a prefix of the pattern embedded in gamma
+  plus an increasing tail taken from the padding, so each core precomputes
+  the gap-interval demands (obstructions) under which gamma . c contains a
+  pattern, and a capped signature c is tested by interval sums.  Counting
+  profiles with a fixed cap signature is stars and bars, so each core's
+  avoiding signatures collapse into one histogram that gives its exact,
+  eventually polynomial count at every length.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .decomp import Profile, compose
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
@@ -35,18 +43,17 @@ from .perms import (
     contains_ending_at_last,
     format_perm,
     magnitude,
-    major_index,
     parse_perm,
     set_magnitude,
+    slope,
     Magnitude,
 )
 from .poly import Polynomial, ZERO
 
 DEFAULT_MAX_NODES = 100_000_000
-DEFAULT_CORE_LEN_LIMIT = 9
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(name: str, fallback: int | None) -> int | None:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -60,8 +67,8 @@ def max_nodes_default() -> int:
     return _env_int("MAJPAT_MAX_NODES", DEFAULT_MAX_NODES)
 
 
-def core_len_limit_default() -> int:
-    return _env_int("MAJPAT_MAX_CORE_LEN", DEFAULT_CORE_LEN_LIMIT)
+def parallelism_default() -> int:
+    return _env_int("MAJPAT_PARALLELISM", 1)
 
 
 @dataclass(frozen=True)
@@ -136,10 +143,17 @@ def _triangle(n: int) -> int:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("limit", "left")
 
     def __init__(self, limit: int | None):
-        self.left = limit if limit is not None else max_nodes_default()
+        self.limit = limit if limit is not None else max_nodes_default()
+        if self.limit < 0:
+            raise InvalidInputError(f"node ceiling must be non-negative, got {self.limit}")
+        self.left = self.limit
+
+    @property
+    def spent(self) -> int:
+        return self.limit - self.left
 
     def spend(self, amount: int = 1) -> None:
         self.left -= amount
@@ -147,6 +161,22 @@ class _Budget:
             raise ResourceLimitError(
                 "search node budget exceeded; raise --max-nodes / MAJPAT_MAX_NODES"
             )
+
+
+def _children(word: Perm, mj: int, maj_cap: int,
+              sigs: tuple[Perm, ...]) -> Iterator[tuple[Perm, int]]:
+    """The avoiding one-letter extensions of an avoiding prefix pattern whose
+    major index stays within maj_cap, each with its major index."""
+    n = len(word)
+    last = word[n - 1] if n else 0
+    for v in range(1, n + 2):
+        child_mj = mj + (n if last >= v else 0)
+        if child_mj > maj_cap:
+            continue
+        child = tuple(x + 1 if x >= v else x for x in word) + (v,)
+        if any(contains_ending_at_last(child, s) for s in sigs):
+            continue
+        yield child, child_mj
 
 
 def _brute_fill(rows, word: Perm, mj: int, max_n: int, maj_cap: int,
@@ -157,14 +187,7 @@ def _brute_fill(rows, word: Perm, mj: int, max_n: int, maj_cap: int,
         rows[n - 1][mj] += 1
     if n == max_n:
         return
-    last = word[n - 1] if n else 0
-    for v in range(1, n + 2):
-        child_mj = mj + (n if last >= v else 0)
-        if child_mj > maj_cap:
-            continue
-        child = tuple(x + 1 if x >= v else x for x in word) + (v,)
-        if any(contains_ending_at_last(child, s) for s in sigs):
-            continue
+    for child, child_mj in _children(word, mj, maj_cap, sigs):
         budget.spend()
         _brute_fill(rows, child, child_mj, max_n, maj_cap, sigs, budget)
 
@@ -179,52 +202,50 @@ def _merge_rows(target: list[list[int]], source: list[list[int]]) -> None:
             row_t[i] += v
 
 
-def _subtree_task(args) -> list[list[int]]:
-    sigs, max_n, maj_cap, max_nodes, seeds = args
+def _subtree_task(args) -> tuple[list[list[int]], int]:
+    sigs, max_n, maj_cap, nodes_left, seeds = args
     rows = _zero_rows(max_n, maj_cap)
-    budget = _Budget(max_nodes)
+    budget = _Budget(nodes_left)
     for word, mj in seeds:
         _brute_fill(rows, word, mj, max_n, maj_cap, sigs, budget)
-    return rows
+    return rows, budget.spent
 
 
 def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int,
                 parallelism: int, max_nodes: int | None) -> list[list[int]]:
     sigs = patterns.patterns
     rows = _zero_rows(max_n, maj_cap)
+    budget = _Budget(max_nodes)
     if parallelism <= 1:
-        _brute_fill(rows, (), 0, max_n, maj_cap, sigs, _Budget(max_nodes))
+        _brute_fill(rows, (), 0, max_n, maj_cap, sigs, budget)
         return rows
 
     # Expand a frontier wide enough to share, record the interior here, and
     # farm the subtrees out; the merge is a cell-wise sum, so the result is
-    # identical for every parallelism degree.
+    # identical for every parallelism degree.  Each worker gets the nodes the
+    # frontier left over and reports what it spent, so the ceiling holds for
+    # the whole walk exactly as on one process.
     frontier: list[tuple[Perm, int]] = [((), 0)]
-    budget = _Budget(max_nodes)
     while len(frontier) < 4 * parallelism and frontier and len(frontier[0][0]) < max_n:
         next_level = []
         for word, mj in frontier:
             n = len(word)
             if n:
                 rows[n - 1][mj] += 1
-            last = word[n - 1] if n else 0
-            for v in range(1, n + 2):
-                child_mj = mj + (n if last >= v else 0)
-                if child_mj > maj_cap:
-                    continue
-                child = tuple(x + 1 if x >= v else x for x in word) + (v,)
-                if any(contains_ending_at_last(child, s) for s in sigs):
-                    continue
+            for child in _children(word, mj, maj_cap, sigs):
                 budget.spend()
-                next_level.append((child, child_mj))
+                next_level.append(child)
         frontier = next_level
     buckets: list[list[tuple[Perm, int]]] = [[] for _ in range(parallelism)]
     for i, seed in enumerate(frontier):
         buckets[i % parallelism].append(seed)
-    tasks = [(sigs, max_n, maj_cap, max_nodes, bucket) for bucket in buckets if bucket]
+    tasks = [(sigs, max_n, maj_cap, budget.left, bucket) for bucket in buckets if bucket]
+    spent = 0
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        for part in pool.map(_subtree_task, tasks):
+        for part, part_spent in pool.map(_subtree_task, tasks):
             _merge_rows(rows, part)
+            spent += part_spent
+    budget.spend(spent)
     return rows
 
 
@@ -235,16 +256,13 @@ def generate_avoiders(n: int, patterns: PatternSet, *,
         raise InvalidInputError(f"length must be non-negative, got {n}")
     sigs = patterns.patterns
     budget = _Budget(max_nodes)
+    maj_cap = _triangle(n)
 
     def rec(word: Perm) -> Iterator[Perm]:
         if len(word) == n:
             yield word
             return
-        m = len(word)
-        for v in range(1, m + 2):
-            child = tuple(x + 1 if x >= v else x for x in word) + (v,)
-            if any(contains_ending_at_last(child, s) for s in sigs):
-                continue
+        for child, _ in _children(word, 0, maj_cap, sigs):
             budget.spend()
             yield from rec(child)
 
@@ -367,103 +385,280 @@ def maj_table(max_n: int, max_maj: int, patterns: PatternSet, *,
 # ---------------------------------------------------------------------------
 # Core path
 
+# A demand (lo, hi, d) asks for c[lo] + ... + c[hi] >= d; an obstruction is a
+# tuple of demands on disjoint gap intervals, sorted by lo.
+Obstruction = tuple[tuple[int, int, int], ...]
 
-def _signature_ways(c: Sequence[int], total: int, cap: int) -> int:
-    """Number of profiles a with min(a_i, cap) = c_i coordinate-wise and |a| = total."""
-    saturated = sum(1 for x in c if x == cap)
-    excess = total - sum(c)
-    if saturated == 0:
-        return 1 if excess == 0 else 0
-    if excess < 0:
-        return 0
-    return comb(excess + saturated - 1, saturated - 1)
+
+@lru_cache(maxsize=256)
+def _pattern_plan(sigma: Perm) -> tuple[tuple[tuple[int, int], ...], tuple[tuple, ...]]:
+    """How to embed sigma's prefixes and read off their tail demands.
+
+    neighbours[j]: the indices among sigma[:j] of the letters just below and
+    just above sigma[j] in value (-1 when there is none).  groups[r]: the
+    demands (below, above, d) of the tail sigma[r:], one per run of tail
+    letters sharing those neighbours in sigma[:r], in increasing value order.
+    """
+    def around(r: int, t: int) -> tuple[int, int]:
+        below = [i for i in range(r) if sigma[i] < t]
+        above = [i for i in range(r) if sigma[i] > t]
+        return (max(below, key=sigma.__getitem__) if below else -1,
+                min(above, key=sigma.__getitem__) if above else -1)
+
+    neighbours = tuple(around(j, sigma[j]) for j in range(len(sigma)))
+    groups = []
+    for r in range(len(sigma) + 1):
+        demand = Counter(around(r, t) for t in sorted(sigma[r:]))
+        groups.append(tuple((below, above, d) for (below, above), d in demand.items()))
+    return neighbours, tuple(groups)
+
+
+def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
+                  max_demand: int) -> list[Obstruction] | None:
+    """The demand sets under which gamma . c contains a pattern, or None when
+    gamma itself contains one.
+
+    An occurrence of sigma in gamma . c is a prefix of sigma embedded in gamma
+    followed by an increasing tail of sigma drawn from the suffix.  A tail
+    letter whose embedded neighbours in value are the core values lo and hi
+    (0 and k + 1 at the ends) lies in one of the gaps lo .. hi - 1; tail
+    letters sharing neighbours form one demand, and the demands of one
+    embedding sit on disjoint intervals.  So gamma . c contains a pattern iff
+    every demand of some obstruction is met.  No demand exceeds the pattern
+    length, which is why the capped signature decides avoidance.
+    Obstructions needing more than max_demand padding letters are left out.
+    """
+    k = len(gamma)
+    found = set()
+    for sigma in sigs:
+        l = len(sigma)
+        first = max(l - slope(sigma), l - max_demand)
+        neighbours, groups = _pattern_plan(sigma)
+        values: list[int] = []
+
+        def embed(r: int, start: int) -> bool:
+            # values holds an embedding of sigma[:r] ending before start;
+            # True once sigma embeds in gamma entirely.
+            if r == l:
+                return True
+            if r >= first:
+                found.add(tuple(
+                    (values[below] if below >= 0 else 0,
+                     (values[above] if above >= 0 else k + 1) - 1, d)
+                    for below, above, d in groups[r]))
+            below, above = neighbours[r]
+            lo = values[below] if below >= 0 else 0
+            hi = values[above] if above >= 0 else k + 1
+            for pos in range(start, k):
+                v = gamma[pos]
+                if lo < v < hi:
+                    values.append(v)
+                    if embed(r + 1, pos + 1):
+                        return True
+                    values.pop()
+            return False
+
+        if embed(0, 0):
+            return None
+    # Keep the minimal obstructions: one whose demands imply another's adds
+    # nothing, since the other is met whenever it is.
+    return sorted(a for a in found if not any(b != a and _implies(a, b) for b in found))
+
+
+def _implies(a: Obstruction, b: Obstruction) -> bool:
+    """Whether meeting every demand of a meets every demand of b."""
+    return all(any(lb <= la and ha <= hb and db <= da for la, ha, da in a)
+               for lb, hb, db in b)
+
+
+def _free_units(gamma: Perm, sigs: tuple[Perm, ...]) -> list[int]:
+    """The coordinates i < gamma_k (i = 0 for the empty core) whose unit
+    profile e_i gives an avoiding gamma . e_i.
+
+    Only single-letter obstructions can be met by a unit profile.
+    """
+    obstructions = _obstructions(gamma, sigs, 1)
+    if obstructions is None:
+        return []
+    top = gamma[-1] if gamma else 1
+    blocked = set()
+    for ((lo, hi, _),) in obstructions:
+        blocked.update(range(lo, hi + 1))
+    return [i for i in range(top) if i not in blocked]
 
 
 def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *,
                          budget_sum: int | None = None,
-                         require_last_descent: bool = True,
                          node_budget: _Budget | None = None) -> Iterator[Profile]:
-    """All cap signatures c (coordinates <= cap) whose composed permutation
-    avoids the patterns, optionally restricted to sum(c) <= budget_sum.
+    """All cap signatures c (coordinates <= cap) of valid decompositions
+    (some c_i > 0 with i < gamma_k, so that k is the last descent) whose
+    composed permutation avoids the patterns, optionally restricted to
+    sum(c) <= budget_sum.
 
-    Avoidance of gamma . a is monotone decreasing in the profile, so once a
-    partial signature composes to a containing permutation, every coordinate
-    increase and every extension is pruned.
+    Coordinates are fixed left to right with the later ones still zero, so
+    the only obstructions a larger c_j can complete are those whose last
+    demand covers j and whose earlier demands already hold; each of them
+    caps c_j just below its threshold.
     """
     cap = patterns.cap
     k = len(gamma)
-    sigs = patterns.patterns
-    if sigs and not avoids(gamma, sigs):
-        return
+    room = cap * (k + 1) if budget_sum is None else budget_sum
+    obstructions = _obstructions(gamma, patterns.patterns, room)
+    if obstructions is None:
+        return iter(())
+    # closing[j]: for the obstructions whose last demand (lo, hi, d) covers
+    # coordinate j, grouped by their earlier demands, the least d per lo.
+    closing: list[dict] = [{} for _ in range(k + 1)]
+    for *earlier, (lo, hi, d) in obstructions:
+        for j in range(lo, hi + 1):
+            least = closing[j].setdefault(tuple(earlier), {})
+            least[lo] = min(d, least.get(lo, d))
+    checks = [[(earlier, tuple(least.items())) for earlier, least in at_j.items()]
+              for at_j in closing]
     gk = gamma[k - 1] if k else 0
     c = [0] * (k + 1)
+    prefix = [0] * (k + 1)  # prefix[j] = c[0] + ... + c[j - 1]
+    found: list[Profile] = []
 
-    def rec(j: int, used: int) -> Iterator[Profile]:
-        if j == k + 1:
-            if not require_last_descent or k == 0 or any(c[i] > 0 for i in range(gk)):
-                yield tuple(c)
+    def rec(j: int) -> None:
+        used = prefix[j]
+        if k and j == gk and not used:
             return
-        limit = cap if budget_sum is None else min(cap, budget_sum - used)
-        for v in range(limit + 1):
-            c[j] = v
-            if v > 0 and sigs:
-                if node_budget is not None:
-                    node_budget.spend()
-                composed = compose(gamma, tuple(c[: j + 1]) + (0,) * (k - j))
-                if not avoids(composed, sigs):
+        if node_budget is not None:
+            node_budget.spend()
+        top = min(cap, room - used)
+        for earlier, least in checks[j]:
+            for l, h, e in earlier:
+                if prefix[h + 1] - prefix[l] < e:
                     break
-            yield from rec(j + 1, used + v)
+            else:
+                for lo, d in least:
+                    top = min(top, d - 1 - used + prefix[lo])
+        if j == k:
+            head = tuple(c[:k])
+            found.extend(head + (v,) for v in range(top + 1))
+            return
+        for v in range(top + 1):
+            c[j] = v
+            prefix[j + 1] = used + v
+            rec(j + 1)
         c[j] = 0
 
-    yield from rec(0, 0)
+    rec(0)
+    return iter(found)
+
+
+class SignatureCounts:
+    """Avoiding cap signatures of one or more cores, collapsed into a
+    histogram h[(k + |c|, s)] where s counts the saturated coordinates.
+
+    A core of length k with signature c stands for C(n - k - |c| + s - 1,
+    s - 1) permutations of length n (stars and bars over the saturated
+    coordinates; exactly one at n = k + |c| when s = 0).  The counts, the
+    eventual polynomial and its onset all come from this one object.  Built
+    with a size budget, the counts are exact only up to that length.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.hist: Counter = Counter()
+        self.bound = 0  # every term is polynomial past this length
+
+    def add_core(self, gamma: Perm, patterns: PatternSet, *,
+                 budget_sum: int | None = None,
+                 node_budget: _Budget | None = None) -> None:
+        k, cap, hist = len(gamma), self.cap, self.hist
+        for c in _avoiding_signatures(gamma, patterns, budget_sum=budget_sum,
+                                      node_budget=node_budget):
+            hist[k + sum(c), c.count(cap)] += 1
+        self.bound = max(self.bound, k + cap * (k + 1))
+
+    def count(self, n: int) -> int:
+        total = 0
+        for (size, s), mult in self.hist.items():
+            excess = n - size
+            if s:
+                if excess >= 0:
+                    total += mult * comb(excess + s - 1, s - 1)
+            elif excess == 0:
+                total += mult
+        return total
+
+    def series(self, n_max: int) -> list[int]:
+        return [self.count(n) for n in range(1, n_max + 1)]
+
+    def eventual_polynomial(self, lowest: int, label: str) -> tuple[Polynomial, int]:
+        """The polynomial the counts follow past the bound, self-checked at
+        bound + 1, with its exact onset (scanned down to lowest)."""
+        poly = ZERO
+        for (size, s), mult in sorted(self.hist.items()):
+            if s:
+                poly = poly + Polynomial.binomial(s - 1, size - (s - 1)).scaled(mult)
+        bound = self.bound
+        if poly(bound + 1) != self.count(bound + 1):
+            raise VerificationError(f"{label} polynomial failed self-check beyond its onset bound")
+        onset = bound + 1
+        for n in range(bound, lowest - 1, -1):
+            if poly(n) == self.count(n):
+                onset = n
+            else:
+                break
+        return poly, onset
 
 
 def count_by_core(gamma: Perm, n: int, patterns: PatternSet, *,
                   max_nodes: int | None = None) -> int:
     """Exact number of avoiders of length n whose core is gamma."""
     k = len(gamma)
-    total = n - k
-    if total < 0:
+    if n < k:
         return 0
-    cap = patterns.cap
-    budget = _Budget(max_nodes)
-    return sum(
-        _signature_ways(c, total, cap)
-        for c in _avoiding_signatures(gamma, patterns, budget_sum=total, node_budget=budget)
-    )
+    counts = SignatureCounts(patterns.cap)
+    counts.add_core(gamma, patterns, budget_sum=n - k, node_budget=_Budget(max_nodes))
+    return counts.count(n)
+
+
+def _core_tree(word: Perm, mj: int, ceiling: int, max_len: int,
+               sigs: tuple[Perm, ...], budget: _Budget) -> Iterator[tuple[Perm, int]]:
+    """The avoiding extensions of word (itself first) with len + maj <= ceiling
+    and length <= max_len, each with its len + maj."""
+    n = len(word)
+    yield word, n + mj
+    if n >= max_len:
+        return
+    for child, child_mj in _children(word, mj, ceiling - n - 1, sigs):
+        budget.spend()
+        yield from _core_tree(child, child_mj, ceiling, max_len, sigs, budget)
+
+
+def _checked_core_len(top: int, limit: int | None) -> None:
+    """Raise unless cores up to length top fit the opt-in cap: the argument,
+    else MAJPAT_MAX_CORE_LEN, else none (the node ceiling bounds the tree)."""
+    if limit is None:
+        limit = _env_int("MAJPAT_MAX_CORE_LEN", None)
+    if limit is not None and limit < 0:
+        raise InvalidInputError(f"core length limit must be non-negative, got {limit}")
+    if limit is not None and top > limit:
+        raise ResourceLimitError(
+            f"core enumeration needs cores up to length {top}, over the configured "
+            f"limit {limit}; raise --core-limit / MAJPAT_MAX_CORE_LEN or restrict "
+            "the core length"
+        )
 
 
 def _core_rows(patterns: PatternSet, max_n: int, maj_cap: int,
                max_nodes: int | None, core_len_limit: int | None) -> list[list[int]]:
-    limit = core_len_limit if core_len_limit is not None else core_len_limit_default()
-    rows = _zero_rows(max_n, maj_cap)
-    cap = patterns.cap
-    budget = _Budget(max_nodes)
-    # Empty core: the identity permutations.
-    for n in range(1, max_n + 1):
-        rows[n - 1][0] += count_by_core((), n, patterns)
     # A core of length k only yields permutations of length >= k + 1.
     top = min(max_n - 1, maj_cap)
-    if top > limit:
-        raise ResourceLimitError(
-            f"core enumeration needs cores up to length {top}, over the configured "
-            f"limit {limit}; raise MAJPAT_MAX_CORE_LEN or use the brute-force path"
-        )
-    for k in range(1, top + 1):
-        for gamma in itertools.permutations(range(1, k + 1)):
-            budget.spend()
-            mp = k + major_index(gamma)
-            if mp > maj_cap:
-                continue
-            sig_list = list(_avoiding_signatures(
-                gamma, patterns, budget_sum=max_n - k, node_budget=budget))
-            if not sig_list:
-                continue
-            for n in range(k + 1, max_n + 1):
-                total = n - k
-                cnt = sum(_signature_ways(c, total, cap) for c in sig_list)
-                if cnt and mp < len(rows[n - 1]):
-                    rows[n - 1][mp] += cnt
+    _checked_core_len(top, core_len_limit)
+    rows = _zero_rows(max_n, maj_cap)
+    budget = _Budget(max_nodes)
+    for gamma, mp in _core_tree((), 0, maj_cap, top, patterns.patterns, budget):
+        k = len(gamma)
+        counts = SignatureCounts(patterns.cap)
+        counts.add_core(gamma, patterns, budget_sum=max_n - k, node_budget=budget)
+        for n in range(k + 1, max_n + 1):
+            if mp < len(rows[n - 1]):
+                rows[n - 1][mp] += counts.count(n)
     return rows
 
 
@@ -474,69 +669,61 @@ class CoreSet:
     m: int
     patterns: PatternSet
     cores: tuple[Perm, ...]
-
-
-def _admissible(gamma: Perm, patterns: PatternSet) -> bool:
-    # The avoiding-profile set is a down-set and any valid profile dominates
-    # some unit profile e_i with i <= gamma_k, so unit profiles decide.
-    sigs = patterns.patterns
-    if not sigs:
-        return True
-    if not avoids(gamma, sigs):
-        return False
-    k = len(gamma)
-    if k == 0:
-        return avoids((1,), sigs)
-    for i in range(gamma[k - 1]):
-        unit = tuple(1 if j == i else 0 for j in range(k + 1))
-        if avoids(compose(gamma, unit), sigs):
-            return True
-    return False
+    nodes: int = 0  # prefix-tree nodes spent finding them
 
 
 def minimal_avoiding_profiles(gamma: Perm, patterns: PatternSet) -> tuple[Profile, ...]:
     """The admissible unit profiles of a core (the minimal avoiding witnesses)."""
     k = len(gamma)
-    if k == 0:
-        return ((1,),) if avoids((1,), patterns.patterns) else ()
-    out = []
-    for i in range(gamma[k - 1]):
-        unit = tuple(1 if j == i else 0 for j in range(k + 1))
-        if avoids(compose(gamma, unit), patterns.patterns):
-            out.append(unit)
-    return tuple(out)
+    return tuple(
+        tuple(1 if j == i else 0 for j in range(k + 1))
+        for i in _free_units(gamma, patterns.patterns)
+    )
 
 
 def core_set(m: int, patterns: PatternSet, *, max_core_len: int | None = None,
-             core_len_limit: int | None = None) -> CoreSet:
+             core_len_limit: int | None = None, max_nodes: int | None = None) -> CoreSet:
     """All cores gamma with maj_plus(gamma) = m admissible for the pattern set.
 
-    max_core_len restricts the candidate core length (cores longer than n - 1
-    are invisible at length n); by default all lengths up to m are enumerated,
-    subject to the configured hard limit.
+    The cores are the nodes of the avoiders' prefix tree pruned at
+    len + maj <= m that have an avoiding unit profile (the avoiding profiles
+    form a down-set, so unit profiles decide).  max_core_len caps the tree
+    depth (cores longer than n - 1 are invisible at length n); core_len_limit
+    (or MAJPAT_MAX_CORE_LEN) is an opt-in hard cap on that depth.
     """
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
-    limit = core_len_limit if core_len_limit is not None else core_len_limit_default()
     top = m if max_core_len is None else min(m, max_core_len)
-    if m == 0:
-        cores = ((),) if _admissible((), patterns) else ()
-        return CoreSet(0, patterns, cores)
-    if top > limit:
-        raise ResourceLimitError(
-            f"core enumeration up to length {top} exceeds the configured limit {limit}; "
-            "raise MAJPAT_MAX_CORE_LEN or restrict max_core_len"
-        )
-    found = []
-    for k in range(1, top + 1):
-        want = m - k
-        if want > _triangle(k):
-            continue
-        for gamma in itertools.permutations(range(1, k + 1)):
-            if major_index(gamma) == want and _admissible(gamma, patterns):
-                found.append(gamma)
+    _checked_core_len(top, core_len_limit)
+    sigs = patterns.patterns
+    budget = _Budget(max_nodes)
+    found = [gamma for gamma, mp in _core_tree((), 0, m, top, sigs, budget)
+             if mp == m and _free_units(gamma, sigs)]
     found.sort(key=lambda g: (len(g), g))
-    return CoreSet(m, patterns, tuple(found))
+    return CoreSet(m, patterns, tuple(found), budget.spent)
+
+
+def column_counts(m: int, patterns: PatternSet, *, n_max: int | None = None,
+                  max_core_len: int | None = None, core_len_limit: int | None = None,
+                  max_nodes: int | None = None) -> SignatureCounts:
+    """The signature counts of every core of the m-column.
+
+    With n_max, only the cores and signatures that reach lengths up to n_max
+    are walked, and the counts are exact up to n_max.  One node ceiling
+    covers the core tree and the signature walks.
+    """
+    top = m if n_max is None else min(m, max(n_max - 1, 0))
+    if max_core_len is not None:
+        top = min(top, max_core_len)
+    cores = core_set(m, patterns, max_core_len=top, core_len_limit=core_len_limit,
+                     max_nodes=max_nodes)
+    budget = _Budget(max_nodes)
+    budget.spend(cores.nodes)
+    counts = SignatureCounts(patterns.cap)
+    for gamma in cores.cores:
+        counts.add_core(gamma, patterns, node_budget=budget,
+                        budget_sum=None if n_max is None else n_max - len(gamma))
+    return counts
 
 
 def core_polynomial(gamma: Perm, patterns: PatternSet) -> tuple[Polynomial, int]:
@@ -547,71 +734,19 @@ def core_polynomial(gamma: Perm, patterns: PatternSet) -> tuple[Polynomial, int]
     saturated coordinate only contribute at the single length k + |c|.  The
     onset returned is minimal for the full sum.
     """
-    cap = patterns.cap
-    k = len(gamma)
-    sig_list = list(_avoiding_signatures(gamma, patterns))
-    poly = ZERO
-    for c in sig_list:
-        s = sum(1 for x in c if x == cap)
-        if s >= 1:
-            poly = poly + Polynomial.binomial(s - 1, k + sum(c) - (s - 1))
-    bound = k + cap * (k + 1)
-
-    def true_count(n: int) -> int:
-        total = n - k
-        if total < 0:
-            return 0
-        return sum(_signature_ways(c, total, cap) for c in sig_list)
-
-    if poly(bound + 1) != true_count(bound + 1):
-        raise VerificationError(
-            f"core polynomial failed self-check beyond its onset bound for {gamma}"
-        )
-    onset = bound + 1
-    for n in range(bound, -1, -1):
-        if poly(n) == true_count(n):
-            onset = n
-        else:
-            break
-    return poly, onset
+    counts = SignatureCounts(patterns.cap)
+    counts.add_core(gamma, patterns)
+    return counts.eventual_polynomial(0, f"core {format_perm(gamma) or '(empty)'}")
 
 
 def eventual_polynomial(m: int, patterns: PatternSet, *,
                         max_core_len: int | None = None,
-                        core_len_limit: int | None = None) -> tuple[Polynomial, int]:
+                        core_len_limit: int | None = None,
+                        max_nodes: int | None = None) -> tuple[Polynomial, int]:
     """The polynomial eventually equal to the m-column, with its exact onset."""
-    cores = core_set(m, patterns, max_core_len=max_core_len,
-                     core_len_limit=core_len_limit).cores
-    cap = patterns.cap
-    poly = ZERO
-    evaluators = []
-    bound = 0
-    for gamma in cores:
-        k = len(gamma)
-        sig_list = list(_avoiding_signatures(gamma, patterns))
-        for c in sig_list:
-            s = sum(1 for x in c if x == cap)
-            if s >= 1:
-                poly = poly + Polynomial.binomial(s - 1, k + sum(c) - (s - 1))
-        evaluators.append((k, sig_list))
-        bound = max(bound, k + cap * (k + 1))
-
-    def true_count(n: int) -> int:
-        total = 0
-        for k, sig_list in evaluators:
-            if n >= k:
-                total += sum(_signature_ways(c, n - k, cap) for c in sig_list)
-        return total
-
-    if poly(bound + 1) != true_count(bound + 1):
-        raise VerificationError(f"column polynomial failed self-check at m={m}")
-    onset = bound + 1
-    for n in range(bound, 0, -1):
-        if poly(n) == true_count(n):
-            onset = n
-        else:
-            break
-    return poly, onset
+    counts = column_counts(m, patterns, max_core_len=max_core_len,
+                           core_len_limit=core_len_limit, max_nodes=max_nodes)
+    return counts.eventual_polynomial(1, f"m={m} column")
 
 
 def major_count_series(m: int, patterns: PatternSet, n_max: int, *,
@@ -622,18 +757,8 @@ def major_count_series(m: int, patterns: PatternSet, n_max: int, *,
     if n_max < 1:
         raise InvalidInputError(f"n_max must be >= 1, got {n_max}")
     if algorithm == "cores":
-        cores = core_set(m, patterns, max_core_len=min(m, max(n_max - 1, 0)),
-                         core_len_limit=core_len_limit).cores
-        cap = patterns.cap
-        budget = _Budget(max_nodes)
-        series = [0] * n_max
-        for gamma in cores:
-            k = len(gamma)
-            sig_list = list(_avoiding_signatures(
-                gamma, patterns, budget_sum=n_max - k, node_budget=budget))
-            for n in range(max(k, 1), n_max + 1):
-                series[n - 1] += sum(_signature_ways(c, n - k, cap) for c in sig_list)
-        return series
+        return column_counts(m, patterns, n_max=n_max, core_len_limit=core_len_limit,
+                             max_nodes=max_nodes).series(n_max)
     if algorithm == "brute":
         table = maj_table(n_max, m, patterns, algorithm="brute", max_nodes=max_nodes)
         return table.column(m)

@@ -51,3 +51,25 @@ def compositions(total, parts):
     for v in range(total + 1):
         for rest in compositions(total - v, parts - 1):
             yield (v,) + rest
+
+
+def oracle_cores(m, patterns):
+    """Cores of avoiders with extended major index m, by scanning all k!
+    permutations of every length k <= m.
+
+    gamma is the core of an avoider iff gamma followed by one new letter from
+    a gap below its last letter avoids: that letter ends gamma's last
+    descent, and every avoider with core gamma contains such a permutation.
+    """
+    found = []
+    for k in range(m + 1):
+        for gamma in itertools.permutations(range(1, k + 1)):
+            if k + oracle_maj(gamma) != m:
+                continue
+            top = gamma[-1] if k else 1
+            for i in range(top):
+                word = tuple(g + 1 if g > i else g for g in gamma) + (i + 1,)
+                if not any(oracle_contains(word, p) for p in patterns):
+                    found.append(gamma)
+                    break
+    return found

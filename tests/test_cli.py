@@ -34,6 +34,33 @@ class TestExitCodes:
         code, _, err = run(capsys, "table", "--max-n", "9", "--max-nodes", "50")
         assert code == 3 and "resource" in err.lower()
 
+    def test_node_ceiling_does_not_depend_on_parallelism(self, capsys):
+        # The full n <= 7 walk spends 1! + ... + 7! = 5913 nodes.
+        for limit, want in (("5913", 0), ("5912", 3)):
+            results = [run(capsys, "table", "--max-n", "7", "--max-nodes", limit,
+                           "--parallelism", p) for p in ("1", "2")]
+            assert [code for code, _, _ in results] == [want, want], limit
+            assert results[0][1] == results[1][1]
+
+    def test_bad_parallelism_env_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAJPAT_PARALLELISM", "x")
+        code, _, err = run(capsys, "table", "--max-n", "3")
+        assert code == 2 and "MAJPAT_PARALLELISM" in err and err.count("\n") == 1
+
+    def test_negative_node_ceiling_is_two(self, capsys, monkeypatch):
+        code, _, err = run(capsys, "table", "--max-n", "3", "--max-nodes", "-5")
+        assert code == 2 and "node ceiling" in err and err.count("\n") == 1
+        monkeypatch.setenv("MAJPAT_MAX_NODES", "-1")
+        code, _, err = run(capsys, "cores", "--maj", "3")
+        assert code == 2 and "node ceiling" in err and err.count("\n") == 1
+
+    def test_negative_core_limit_is_two(self, capsys, monkeypatch):
+        code, _, err = run(capsys, "cores", "--maj", "3", "--core-limit", "-5")
+        assert code == 2 and "--core-limit" in err and err.count("\n") == 1
+        monkeypatch.setenv("MAJPAT_MAX_CORE_LEN", "-1")
+        code, _, err = run(capsys, "cores", "--maj", "3")
+        assert code == 2 and "core length limit" in err and err.count("\n") == 1
+
 
 class TestTable:
     def test_known_cells_csv(self, capsys):
@@ -99,6 +126,11 @@ class TestDegree:
         obj = json.loads(out)
         assert obj["prediction"] == {"kind": "exact", "degree": 2}
         assert obj["detected"]["polynomial"][-1] == [1, 2]
+
+    def test_reaches_maj_ten_by_default(self, capsys):
+        code, out, _ = run(capsys, "degree", "--patterns", "1324", "--maj", "10")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "match"
 
     def test_inconclusive_is_exit_zero(self, capsys):
         code, out, _ = run(capsys, "degree", "--patterns", "1324", "--maj", "3",

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -19,11 +20,14 @@ from majpat.enumeration import (
     major_count_series,
     minimal_avoiding_profiles,
 )
+from majpat.enumeration import _avoiding_signatures, _obstructions
 from majpat.errors import InvalidInputError, ResourceLimitError, VerificationError
-from majpat.perms import avoids, insert, major_index
+from majpat.perms import avoids, contains, insert, major_index
 from majpat.poly import Polynomial
 
-from oracles import oracle_maj, oracle_rows
+from oracles import oracle_cores, oracle_maj, oracle_rows
+
+OBSTRUCTION_SETS = ("1324", "3412;1324", "2134", "321", "1342;2413")
 
 
 class TestPatternSet:
@@ -153,6 +157,13 @@ class TestMajTable:
         parallel = maj_table(7, 21, ps, parallelism=3)
         assert serial.rows == parallel.rows
 
+    def test_node_ceiling_covers_all_workers(self):
+        # The full n <= 7 walk spends 1! + ... + 7! = 5913 nodes.
+        for parallelism in (1, 2):
+            maj_table(7, 21, PatternSet(), parallelism=parallelism, max_nodes=5913)
+            with pytest.raises(ResourceLimitError):
+                maj_table(7, 21, PatternSet(), parallelism=parallelism, max_nodes=5912)
+
     def test_csv_json_round_trip(self):
         t = maj_table(5, 4, PatternSet.of("132"))
         again = MajTable.from_json_obj(json.loads(t.to_json()))
@@ -218,11 +229,62 @@ class TestCores:
         # Restricting the candidate length keeps it feasible.
         assert core_set(12, PatternSet(), max_core_len=4, core_len_limit=5).cores == ()
 
+    def test_tree_cores_match_permutation_scan(self):
+        for text in ("", "1324", "3412;1324", "132;231", "321"):
+            ps = PatternSet.from_text(text)
+            for m in range(0, 8):
+                assert list(core_set(m, ps).cores) == oracle_cores(m, ps.patterns), (text, m)
+
+    def test_core_tree_spends_nodes(self):
+        assert core_set(9, PatternSet.of("1324")).nodes > 0
+        with pytest.raises(ResourceLimitError):
+            core_set(9, PatternSet.of("1324"), max_nodes=10)
+
     def test_minimal_profiles(self):
         ps = PatternSet.of("1324")
         assert minimal_avoiding_profiles((1, 2), ps) == ((1, 0, 0), (0, 1, 0))
         assert minimal_avoiding_profiles((), ps) == ((1,),)
         assert minimal_avoiding_profiles((), PatternSet.of("1")) == ()
+
+
+class TestObstructions:
+    def test_agree_with_compose_and_contains(self):
+        # Random capped signatures on every core of length <= 5.
+        rng = random.Random(5)
+        for text in OBSTRUCTION_SETS:
+            ps = PatternSet.from_text(text)
+            cap = ps.cap
+            for k in range(0, 6):
+                for gamma in itertools.permutations(range(1, k + 1)):
+                    obstructions = _obstructions(gamma, ps.patterns, cap * (k + 1))
+                    if obstructions is None:
+                        assert not avoids(gamma, ps.patterns), (text, gamma)
+                        continue
+                    assert avoids(gamma, ps.patterns), (text, gamma)
+                    for _ in range(12):
+                        c = tuple(rng.randint(0, cap) for _ in range(k + 1))
+                        met = any(all(sum(c[lo:hi + 1]) >= d for lo, hi, d in ob)
+                                  for ob in obstructions)
+                        composed = compose(gamma, c)
+                        want = any(contains(composed, s) for s in ps.patterns)
+                        assert met == want, (text, gamma, c)
+
+    def test_signatures_match_exhaustive_filter(self):
+        for text in ("1324", "3412;1324", "321"):
+            ps = PatternSet.from_text(text)
+            cap = ps.cap
+            for k in range(0, 4):
+                for gamma in itertools.permutations(range(1, k + 1)):
+                    gk = gamma[-1] if k else 0
+                    want = [
+                        c for c in itertools.product(range(cap + 1), repeat=k + 1)
+                        if (k == 0 or any(c[:gk]))
+                        and avoids(compose(gamma, c), ps.patterns)
+                    ]
+                    got = list(_avoiding_signatures(gamma, ps))
+                    assert got == want, (text, gamma)
+                    assert list(_avoiding_signatures(gamma, ps, budget_sum=3)) == \
+                        [c for c in want if sum(c) <= 3]
 
 
 class TestEventualPolynomial:
@@ -247,6 +309,16 @@ class TestEventualPolynomial:
             series = major_count_series(m, ps, onset + 5)
             for n in range(onset, onset + 6):
                 assert p(n) == series[n - 1], (text, m, n)
+
+    def test_polynomial_matches_brute_columns_past_onset(self):
+        for text in ("1324", "3412;1324"):
+            ps = PatternSet.from_text(text)
+            table = maj_table(9, 4, ps)
+            for m in range(0, 5):
+                p, onset = eventual_polynomial(m, ps)
+                assert onset <= 7, (text, m, onset)
+                for n in range(onset, 10):
+                    assert p(n) == table.entry(n, m), (text, m, n)
 
     def test_core_polynomial_identity_core(self):
         # Permutations with core 12 and no patterns: C(n, 2) - 1 from n >= 2.
