@@ -305,7 +305,6 @@ def _witness(m: int, patterns: PatternSet, prediction: DegreePrediction) -> Opti
 
 def degree_report(m: int, patterns: PatternSet, *, n_max: int | None = None,
                   window: int = 3, algorithm: str = "cores",
-                  core_len_limit: int | None = None,
                   max_nodes: int | None = None) -> DegreeReport:
     """Predict the column degree, detect it from exact counts, and compare."""
     prediction = predicted_degree(m, patterns)
@@ -313,14 +312,13 @@ def degree_report(m: int, patterns: PatternSet, *, n_max: int | None = None,
         if algorithm != "cores":
             raise InvalidInputError("an explicit --max-n is required for the brute path")
         # One walk of the column's signatures gives the onset and the series.
-        counts = column_counts(m, patterns, core_len_limit=core_len_limit,
-                               max_nodes=max_nodes)
+        counts = column_counts(m, patterns, max_nodes=max_nodes)
         poly, onset = counts.eventual_polynomial(1, f"m={m} column")
         n_max = max(onset + poly.degree + window + 2, window + 2)
         series = counts.series(n_max)
     else:
         series = major_count_series(m, patterns, n_max, algorithm=algorithm,
-                                    max_nodes=max_nodes, core_len_limit=core_len_limit)
+                                    max_nodes=max_nodes)
     detected = detect_degree(series, start_n=1, window=window)
     if detected.inconclusive:
         verdict = Verdict.INCONCLUSIVE

@@ -2,8 +2,10 @@
 Command-line surface.
 
 Exit codes: 0 success, 1 verification or verdict failure, 2 invalid input,
-3 resource ceiling exceeded.  MAJPAT_MAX_NODES and MAJPAT_PARALLELISM
-override the corresponding defaults.
+3 resource ceiling exceeded.  Each subcommand accepts only the flags it
+reads.  MAJPAT_MAX_NODES sets the default node ceiling, one for the whole
+run, and MAJPAT_PARALLELISM the default --parallelism of the commands that
+take it.
 """
 from __future__ import annotations
 
@@ -42,7 +44,6 @@ class RunConfig:
     parallelism: int = 1
     window: int = 3
     max_nodes: int | None = None
-    core_limit: int | None = None
     output: str | None = None
 
 
@@ -61,7 +62,7 @@ def cmd_table(config: RunConfig) -> int:
     table = maj_table(
         config.max_n, max_maj, config.patterns,
         algorithm=config.algorithm, parallelism=config.parallelism,
-        max_nodes=config.max_nodes, core_len_limit=config.core_limit,
+        max_nodes=config.max_nodes,
     )
     _emit(config, table.to_csv() if config.fmt == "csv" else table.to_json() + "\n")
     return EXIT_OK
@@ -70,8 +71,7 @@ def cmd_table(config: RunConfig) -> int:
 def cmd_degree(config: RunConfig, m: int) -> int:
     report = degree_report(
         m, config.patterns, n_max=config.max_n, window=config.window,
-        algorithm="cores" if config.algorithm == "both" else config.algorithm,
-        core_len_limit=config.core_limit, max_nodes=config.max_nodes,
+        algorithm=config.algorithm, max_nodes=config.max_nodes,
     )
     _emit(config, json.dumps(report.to_json_obj(), indent=2) + "\n")
     return EXIT_FAILED if report.verdict is Verdict.MISMATCH else EXIT_OK
@@ -90,8 +90,7 @@ def cmd_verify_monotonic(config: RunConfig, n: int) -> int:
 
 
 def cmd_cores(config: RunConfig, m: int) -> int:
-    result = core_set(m, config.patterns, core_len_limit=config.core_limit,
-                      max_nodes=config.max_nodes)
+    result = core_set(m, config.patterns, max_nodes=config.max_nodes)
     if config.fmt == "json":
         obj = {
             "schema": 1,
@@ -126,7 +125,7 @@ def cmd_check_oeis(config: RunConfig, path: str, max_n: int) -> int:
     table = maj_table(
         max_n, max_n * (max_n - 1) // 2, PatternSet(),
         algorithm=config.algorithm, parallelism=config.parallelism,
-        max_nodes=config.max_nodes, core_len_limit=config.core_limit,
+        max_nodes=config.max_nodes,
     )
     diff = diff_triangle(table, reference)
     if diff.mismatch is not None:
@@ -148,28 +147,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, algorithms=("brute", "cores", "both"), default_alg="brute"):
-        p.add_argument("--patterns", default="",
-                       help="pattern list, e.g. '1324' or '3412,1324' (';'-separated "
-                            "when a pattern itself needs commas)")
-        p.add_argument("--algorithm", choices=list(algorithms), default=default_alg)
-        p.add_argument("--parallelism", type=int, default=None,
-                       help="worker processes (default MAJPAT_PARALLELISM or 1)")
+    def common(p, *, patterns=True, algorithms=(), parallelism=False):
+        # The first algorithm listed is the default.
+        if patterns:
+            p.add_argument("--patterns", default="",
+                           help="pattern list, e.g. '1324' or '3412,1324' (';'-separated "
+                                "when a pattern itself needs commas)")
+        if algorithms:
+            p.add_argument("--algorithm", choices=list(algorithms), default=algorithms[0])
+        if parallelism:
+            p.add_argument("--parallelism", type=int, default=None,
+                           help="worker processes (default MAJPAT_PARALLELISM or 1)")
         p.add_argument("--max-nodes", type=int, default=None,
-                       help="search node ceiling (default MAJPAT_MAX_NODES or builtin)")
-        p.add_argument("--core-limit", type=int, default=None,
-                       help="opt-in cap on enumerated core length "
-                            "(default MAJPAT_MAX_CORE_LEN or none)")
+                       help="search node ceiling for the whole run "
+                            "(default MAJPAT_MAX_NODES or builtin)")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
 
     p = sub.add_parser("table", help="emit the counts table")
-    common(p)
+    common(p, algorithms=("brute", "cores", "both"), parallelism=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-maj", type=int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("degree", help="predict and detect a column's degree")
-    common(p, algorithms=("cores", "brute"), default_alg="cores")
+    common(p, algorithms=("cores", "brute"))
     p.add_argument("--maj", type=int, required=True)
     p.add_argument("--max-n", type=int, default=None,
                    help="series length for detection (default: past the exact onset)")
@@ -186,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("check-oeis", help="diff the no-pattern table against a local file")
-    common(p)
+    common(p, patterns=False, algorithms=("brute", "cores", "both"), parallelism=True)
     p.add_argument("--file", required=True)
     p.add_argument("--max-n", type=int, required=True)
     return parser
@@ -195,22 +196,20 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    parallelism = getattr(args, "parallelism", 1)
     config = RunConfig(
-        patterns=PatternSet.from_text(args.patterns),
+        patterns=PatternSet.from_text(getattr(args, "patterns", "")),
         max_n=getattr(args, "max_n", None),
         max_maj=getattr(args, "max_maj", None),
-        algorithm=args.algorithm,
+        algorithm=getattr(args, "algorithm", "brute"),
         fmt=getattr(args, "format", "csv"),
-        parallelism=args.parallelism if args.parallelism is not None else parallelism_default(),
+        parallelism=parallelism if parallelism is not None else parallelism_default(),
         window=getattr(args, "window", 3),
         max_nodes=args.max_nodes,
-        core_limit=args.core_limit,
         output=args.output,
     )
     if config.parallelism < 1:
         raise InvalidInputError(f"parallelism must be >= 1, got {config.parallelism}")
-    if config.core_limit is not None and config.core_limit < 0:
-        raise InvalidInputError(f"--core-limit must be non-negative, got {config.core_limit}")
     if args.command == "table":
         if config.max_n < 1:
             raise InvalidInputError(f"--max-n must be >= 1, got {config.max_n}")

@@ -53,7 +53,7 @@ from .poly import Polynomial, ZERO
 DEFAULT_MAX_NODES = 100_000_000
 
 
-def _env_int(name: str, fallback: int | None) -> int | None:
+def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return fallback
@@ -212,10 +212,9 @@ def _subtree_task(args) -> tuple[list[list[int]], int]:
 
 
 def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int,
-                parallelism: int, max_nodes: int | None) -> list[list[int]]:
+                parallelism: int, budget: _Budget) -> list[list[int]]:
     sigs = patterns.patterns
     rows = _zero_rows(max_n, maj_cap)
-    budget = _Budget(max_nodes)
     if parallelism <= 1:
         _brute_fill(rows, (), 0, max_n, maj_cap, sigs, budget)
         return rows
@@ -276,7 +275,7 @@ def count_avoiders(n: int, patterns: PatternSet, *,
         raise InvalidInputError(f"length must be non-negative, got {n}")
     if n == 0:
         return 1
-    rows = _brute_rows(patterns, n, _triangle(n), 1, max_nodes)
+    rows = _brute_rows(patterns, n, _triangle(n), 1, _Budget(max_nodes))
     return sum(rows[n - 1])
 
 
@@ -351,12 +350,12 @@ class MajTable:
 
 def maj_table(max_n: int, max_maj: int, patterns: PatternSet, *,
               algorithm: str = "brute", parallelism: int = 1,
-              max_nodes: int | None = None,
-              core_len_limit: int | None = None) -> MajTable:
+              max_nodes: int | None = None) -> MajTable:
     """Compute the full table of counts for 1 <= n <= max_n, 0 <= m <= max_maj.
 
     algorithm is "brute", "cores", or "both"; both-mode raises
-    VerificationError on the first differing cell.
+    VerificationError on the first differing cell.  One node ceiling covers
+    every walk.
     """
     if max_n < 1:
         raise InvalidInputError(f"max_n must be >= 1, got {max_n}")
@@ -365,11 +364,12 @@ def maj_table(max_n: int, max_maj: int, patterns: PatternSet, *,
     if algorithm not in ("brute", "cores", "both"):
         raise InvalidInputError(f"unknown algorithm {algorithm!r}")
     maj_cap = min(max_maj, _triangle(max_n))
+    budget = _Budget(max_nodes)
     brute = cores = None
     if algorithm in ("brute", "both"):
-        brute = _brute_rows(patterns, max_n, maj_cap, parallelism, max_nodes)
+        brute = _brute_rows(patterns, max_n, maj_cap, parallelism, budget)
     if algorithm in ("cores", "both"):
-        cores = _core_rows(patterns, max_n, maj_cap, max_nodes, core_len_limit)
+        cores = _core_rows(patterns, max_n, maj_cap, budget)
     if algorithm == "both":
         for i, (rb, rc) in enumerate(zip(brute, cores)):
             for m, (vb, vc) in enumerate(zip(rb, rc)):
@@ -469,22 +469,6 @@ def _implies(a: Obstruction, b: Obstruction) -> bool:
     """Whether meeting every demand of a meets every demand of b."""
     return all(any(lb <= la and ha <= hb and db <= da for la, ha, da in a)
                for lb, hb, db in b)
-
-
-def _free_units(gamma: Perm, sigs: tuple[Perm, ...]) -> list[int]:
-    """The coordinates i < gamma_k (i = 0 for the empty core) whose unit
-    profile e_i gives an avoiding gamma . e_i.
-
-    Only single-letter obstructions can be met by a unit profile.
-    """
-    obstructions = _obstructions(gamma, sigs, 1)
-    if obstructions is None:
-        return []
-    top = gamma[-1] if gamma else 1
-    blocked = set()
-    for ((lo, hi, _),) in obstructions:
-        blocked.update(range(lo, hi + 1))
-    return [i for i in range(top) if i not in blocked]
 
 
 def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *,
@@ -630,35 +614,31 @@ def _core_tree(word: Perm, mj: int, ceiling: int, max_len: int,
         yield from _core_tree(child, child_mj, ceiling, max_len, sigs, budget)
 
 
-def _checked_core_len(top: int, limit: int | None) -> None:
-    """Raise unless cores up to length top fit the opt-in cap: the argument,
-    else MAJPAT_MAX_CORE_LEN, else none (the node ceiling bounds the tree)."""
-    if limit is None:
-        limit = _env_int("MAJPAT_MAX_CORE_LEN", None)
-    if limit is not None and limit < 0:
-        raise InvalidInputError(f"core length limit must be non-negative, got {limit}")
-    if limit is not None and top > limit:
-        raise ResourceLimitError(
-            f"core enumeration needs cores up to length {top}, over the configured "
-            f"limit {limit}; raise --core-limit / MAJPAT_MAX_CORE_LEN or restrict "
-            "the core length"
-        )
+def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
+                  max_len: int, n_max: int | None, budget: _Budget) -> None:
+    """Walk the core tree once and add each core of length <= max_len to the
+    signature counts of its column len + maj, for the columns given.
+
+    A core with no avoiding signature adds nothing, so the walk needs no
+    admissibility filter.  With n_max, only the signatures that reach lengths
+    up to n_max are walked.
+    """
+    for gamma, mp in _core_tree((), 0, max(columns), max_len, patterns.patterns, budget):
+        counts = columns.get(mp)
+        if counts is not None:
+            counts.add_core(gamma, patterns, node_budget=budget,
+                            budget_sum=None if n_max is None else n_max - len(gamma))
 
 
 def _core_rows(patterns: PatternSet, max_n: int, maj_cap: int,
-               max_nodes: int | None, core_len_limit: int | None) -> list[list[int]]:
+               budget: _Budget) -> list[list[int]]:
+    columns = {mp: SignatureCounts(patterns.cap) for mp in range(maj_cap + 1)}
     # A core of length k only yields permutations of length >= k + 1.
-    top = min(max_n - 1, maj_cap)
-    _checked_core_len(top, core_len_limit)
+    _fill_columns(columns, patterns, min(max_n - 1, maj_cap), max_n, budget)
     rows = _zero_rows(max_n, maj_cap)
-    budget = _Budget(max_nodes)
-    for gamma, mp in _core_tree((), 0, maj_cap, top, patterns.patterns, budget):
-        k = len(gamma)
-        counts = SignatureCounts(patterns.cap)
-        counts.add_core(gamma, patterns, budget_sum=max_n - k, node_budget=budget)
-        for n in range(k + 1, max_n + 1):
-            if mp < len(rows[n - 1]):
-                rows[n - 1][mp] += counts.count(n)
+    for n, row in enumerate(rows, start=1):
+        for mp in range(len(row)):
+            row[mp] = columns[mp].count(n)
     return rows
 
 
@@ -669,42 +649,36 @@ class CoreSet:
     m: int
     patterns: PatternSet
     cores: tuple[Perm, ...]
-    nodes: int = 0  # prefix-tree nodes spent finding them
 
 
 def minimal_avoiding_profiles(gamma: Perm, patterns: PatternSet) -> tuple[Profile, ...]:
-    """The admissible unit profiles of a core (the minimal avoiding witnesses)."""
-    k = len(gamma)
-    return tuple(
-        tuple(1 if j == i else 0 for j in range(k + 1))
-        for i in _free_units(gamma, patterns.patterns)
-    )
+    """The admissible unit profiles of a core (the minimal avoiding witnesses),
+    e_i before e_j for i < j."""
+    units = [c for c in _avoiding_signatures(gamma, patterns, budget_sum=1) if sum(c) == 1]
+    return tuple(sorted(units, reverse=True))
 
 
 def core_set(m: int, patterns: PatternSet, *, max_core_len: int | None = None,
-             core_len_limit: int | None = None, max_nodes: int | None = None) -> CoreSet:
+             max_nodes: int | None = None) -> CoreSet:
     """All cores gamma with maj_plus(gamma) = m admissible for the pattern set.
 
     The cores are the nodes of the avoiders' prefix tree pruned at
     len + maj <= m that have an avoiding unit profile (the avoiding profiles
     form a down-set, so unit profiles decide).  max_core_len caps the tree
-    depth (cores longer than n - 1 are invisible at length n); core_len_limit
-    (or MAJPAT_MAX_CORE_LEN) is an opt-in hard cap on that depth.
+    depth (cores longer than n - 1 are invisible at length n); the node
+    ceiling bounds the tree.
     """
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
     top = m if max_core_len is None else min(m, max_core_len)
-    _checked_core_len(top, core_len_limit)
-    sigs = patterns.patterns
-    budget = _Budget(max_nodes)
-    found = [gamma for gamma, mp in _core_tree((), 0, m, top, sigs, budget)
-             if mp == m and _free_units(gamma, sigs)]
+    found = [gamma for gamma, mp in _core_tree((), 0, m, top, patterns.patterns,
+                                               _Budget(max_nodes))
+             if mp == m and minimal_avoiding_profiles(gamma, patterns)]
     found.sort(key=lambda g: (len(g), g))
-    return CoreSet(m, patterns, tuple(found), budget.spent)
+    return CoreSet(m, patterns, tuple(found))
 
 
 def column_counts(m: int, patterns: PatternSet, *, n_max: int | None = None,
-                  max_core_len: int | None = None, core_len_limit: int | None = None,
                   max_nodes: int | None = None) -> SignatureCounts:
     """The signature counts of every core of the m-column.
 
@@ -712,17 +686,11 @@ def column_counts(m: int, patterns: PatternSet, *, n_max: int | None = None,
     are walked, and the counts are exact up to n_max.  One node ceiling
     covers the core tree and the signature walks.
     """
+    if m < 0:
+        raise InvalidInputError(f"major index must be non-negative, got {m}")
     top = m if n_max is None else min(m, max(n_max - 1, 0))
-    if max_core_len is not None:
-        top = min(top, max_core_len)
-    cores = core_set(m, patterns, max_core_len=top, core_len_limit=core_len_limit,
-                     max_nodes=max_nodes)
-    budget = _Budget(max_nodes)
-    budget.spend(cores.nodes)
     counts = SignatureCounts(patterns.cap)
-    for gamma in cores.cores:
-        counts.add_core(gamma, patterns, node_budget=budget,
-                        budget_sum=None if n_max is None else n_max - len(gamma))
+    _fill_columns({m: counts}, patterns, top, n_max, _Budget(max_nodes))
     return counts
 
 
@@ -740,25 +708,20 @@ def core_polynomial(gamma: Perm, patterns: PatternSet) -> tuple[Polynomial, int]
 
 
 def eventual_polynomial(m: int, patterns: PatternSet, *,
-                        max_core_len: int | None = None,
-                        core_len_limit: int | None = None,
                         max_nodes: int | None = None) -> tuple[Polynomial, int]:
     """The polynomial eventually equal to the m-column, with its exact onset."""
-    counts = column_counts(m, patterns, max_core_len=max_core_len,
-                           core_len_limit=core_len_limit, max_nodes=max_nodes)
+    counts = column_counts(m, patterns, max_nodes=max_nodes)
     return counts.eventual_polynomial(1, f"m={m} column")
 
 
 def major_count_series(m: int, patterns: PatternSet, n_max: int, *,
                        algorithm: str = "cores",
-                       max_nodes: int | None = None,
-                       core_len_limit: int | None = None) -> list[int]:
+                       max_nodes: int | None = None) -> list[int]:
     """The exact counts for n = 1..n_max at a fixed major index."""
     if n_max < 1:
         raise InvalidInputError(f"n_max must be >= 1, got {n_max}")
     if algorithm == "cores":
-        return column_counts(m, patterns, n_max=n_max, core_len_limit=core_len_limit,
-                             max_nodes=max_nodes).series(n_max)
+        return column_counts(m, patterns, n_max=n_max, max_nodes=max_nodes).series(n_max)
     if algorithm == "brute":
         table = maj_table(n_max, m, patterns, algorithm="brute", max_nodes=max_nodes)
         return table.column(m)

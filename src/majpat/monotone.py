@@ -4,8 +4,9 @@ Constructive monotonicity of fixed-major-index columns for single patterns.
 For a pattern sigma with at least one descent, an explicit injection maps
 each sigma-avoiding permutation of length n with major index m to one of
 length n + 1 with the same major index, by one of three insertions selected
-from tail(sigma) and slope(pi).  The harness re-enumerates both sides and
-checks injectivity, avoidance and major-index preservation directly.
+from tail(sigma) and slope(pi).  The harness enumerates the avoiders of
+length n, checks injectivity, avoidance and major-index preservation
+directly, and counts length n + 1 by the brute-force table.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .enumeration import PatternSet, generate_avoiders
-from .errors import PreconditionError, UnsupportedPatternError
+from .enumeration import PatternSet, _brute_rows, _Budget, generate_avoiders
+from .errors import InvalidInputError, PreconditionError, UnsupportedPatternError
 from .perms import Perm, contains, descents, format_perm, insert, major_index, slope, tail
 
 
@@ -94,31 +95,34 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
 
     For each major index m <= m_max: the image of every avoider must avoid
     sigma, keep its major index, and be distinct from every other image; the
-    column counts at n and n + 1 are recomputed independently and compared.
+    column counts at n + 1 come independently from the brute table and are
+    compared with the counts at n.  One node ceiling covers both walks.
     """
     if not descents(sigma):
         raise UnsupportedPatternError(
             f"pattern {format_perm(sigma)} is increasing; see monotone_injection"
         )
+    if n < 0:
+        raise InvalidInputError(f"length must be non-negative, got {n}")
     limit = m_max if m_max is not None else n * (n - 1) // 2
+    if limit < 0:
+        raise InvalidInputError(f"max_maj must be >= 0, got {limit}")
     single = PatternSet((sigma,))
 
+    budget = _Budget(max_nodes)
+    row_next = _brute_rows(single, n + 1, min(limit, n * (n + 1) // 2), 1, budget)[n]
     by_m: dict[int, list[Perm]] = {}
-    for pi in generate_avoiders(n, single, max_nodes=max_nodes):
+    for pi in generate_avoiders(n, single, max_nodes=budget.left):
         m = major_index(pi)
         if m <= limit:
             by_m.setdefault(m, []).append(pi)
-    counts_next: dict[int, int] = {}
-    for pi in generate_avoiders(n + 1, single, max_nodes=max_nodes):
-        m = major_index(pi)
-        if m <= limit:
-            counts_next[m] = counts_next.get(m, 0) + 1
 
     tally = {tag.value: 0 for tag in InjectionTag}
     counts: dict[int, tuple[int, int]] = {}
     for m in range(limit + 1):
         source = by_m.get(m, [])
-        counts[m] = (len(source), counts_next.get(m, 0))
+        count_next = row_next[m] if m < len(row_next) else 0
+        counts[m] = (len(source), count_next)
         images = set()
         for pi in source:
             image, case = monotone_injection(pi, sigma)
@@ -135,9 +139,9 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
                                           (pi, "image collides with another avoider"),
                                           tally, counts)
             images.add(image)
-        if len(source) > counts_next.get(m, 0):
+        if len(source) > count_next:
             return MonotonicityReport(sigma, n, limit, False,
                                       (source[0] if source else (),
-                                       f"column drops: {len(source)} > {counts_next.get(m, 0)} at m={m}"),
+                                       f"column drops: {len(source)} > {count_next} at m={m}"),
                                       tally, counts)
     return MonotonicityReport(sigma, n, limit, True, None, tally, counts)

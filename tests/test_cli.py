@@ -54,12 +54,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "cores", "--maj", "3")
         assert code == 2 and "node ceiling" in err and err.count("\n") == 1
 
-    def test_negative_core_limit_is_two(self, capsys, monkeypatch):
-        code, _, err = run(capsys, "cores", "--maj", "3", "--core-limit", "-5")
-        assert code == 2 and "--core-limit" in err and err.count("\n") == 1
-        monkeypatch.setenv("MAJPAT_MAX_CORE_LEN", "-1")
-        code, _, err = run(capsys, "cores", "--maj", "3")
-        assert code == 2 and "core length limit" in err and err.count("\n") == 1
+    @pytest.mark.parametrize("argv", [
+        ("table", "--max-n", "6", "--algorithm", "both"),
+        ("verify-monotonic", "--patterns", "2134", "--n", "5"),
+    ])
+    def test_one_node_ceiling_per_run(self, capsys, argv):
+        # Each run's walks spend this many nodes together: brute 873 + cores
+        # 2364 for the table, and for verify-monotonic the brute table at n + 1
+        # plus the avoider stream at n.
+        total = {"table": 3237, "verify-monotonic": 685}[argv[0]]
+        code, _, err = run(capsys, *argv, "--max-nodes", str(total - 1))
+        assert code == 3 and "resource" in err.lower()
+        code, _, _ = run(capsys, *argv, "--max-nodes", str(total))
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ("cores", "--maj", "3", "--parallelism", "2"),
+        ("cores", "--maj", "3", "--algorithm", "cores"),
+        ("cores", "--maj", "3", "--core-limit", "5"),
+        ("verify-monotonic", "--patterns", "2134", "--n", "3", "--parallelism", "2"),
+        ("verify-monotonic", "--patterns", "2134", "--n", "3", "--algorithm", "brute"),
+        ("degree", "--maj", "2", "--parallelism", "2"),
+        ("check-oeis", "--file", DATA, "--max-n", "3", "--patterns", "132"),
+    ])
+    def test_flags_a_command_does_not_read_are_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTable:
@@ -152,6 +174,12 @@ class TestVerifyMonotonic:
         code, _, err = run(capsys, "verify-monotonic", "--patterns", "123", "--n", "4")
         assert code == 2 and "increasing" in err
 
+    def test_negative_max_maj_is_two(self, capsys):
+        code, out, err = run(capsys, "verify-monotonic", "--patterns", "2134", "--n", "5",
+                             "--max-maj", "-3")
+        assert code == 2 and out == ""
+        assert "max_maj" in err and err.count("\n") == 1
+
     def test_multi_pattern_rejected(self, capsys):
         code, _, err = run(capsys, "verify-monotonic", "--patterns", "132,231", "--n", "4")
         assert code == 2 and "one pattern" in err
@@ -171,10 +199,6 @@ class TestCores:
         assert obj["schema"] == 1
         names = [c["core"] for c in obj["cores"]]
         assert names == ["21", "123"]
-
-    def test_core_limit_resource_error(self, capsys):
-        code, _, err = run(capsys, "cores", "--maj", "12", "--core-limit", "5")
-        assert code == 3
 
 
 class TestCheckOeis:

@@ -223,12 +223,6 @@ class TestCores:
                 )
                 assert total == t.entry(7, m), (text, m)
 
-    def test_core_length_limit(self):
-        with pytest.raises(ResourceLimitError):
-            core_set(12, PatternSet(), core_len_limit=5)
-        # Restricting the candidate length keeps it feasible.
-        assert core_set(12, PatternSet(), max_core_len=4, core_len_limit=5).cores == ()
-
     def test_tree_cores_match_permutation_scan(self):
         for text in ("", "1324", "3412;1324", "132;231", "321"):
             ps = PatternSet.from_text(text)
@@ -236,7 +230,6 @@ class TestCores:
                 assert list(core_set(m, ps).cores) == oracle_cores(m, ps.patterns), (text, m)
 
     def test_core_tree_spends_nodes(self):
-        assert core_set(9, PatternSet.of("1324")).nodes > 0
         with pytest.raises(ResourceLimitError):
             core_set(9, PatternSet.of("1324"), max_nodes=10)
 
@@ -245,6 +238,25 @@ class TestCores:
         assert minimal_avoiding_profiles((1, 2), ps) == ((1, 0, 0), (0, 1, 0))
         assert minimal_avoiding_profiles((), ps) == ((1,),)
         assert minimal_avoiding_profiles((), PatternSet.of("1")) == ()
+
+    def test_minimal_profiles_match_compose_and_avoids(self):
+        # The avoiding unit profiles e_i, i < gamma_k (i = 0 for the empty
+        # core), in increasing i, for every core of length <= 4.
+        for text in OBSTRUCTION_SETS:
+            ps = PatternSet.from_text(text)
+            for k in range(0, 5):
+                for gamma in itertools.permutations(range(1, k + 1)):
+                    units = [tuple(int(j == i) for j in range(k + 1))
+                             for i in range(gamma[-1] if k else 1)]
+                    want = tuple(e for e in units
+                                 if avoids(compose(gamma, e), ps.patterns))
+                    assert minimal_avoiding_profiles(gamma, ps) == want, (text, gamma)
+
+    def test_negative_major_index_is_invalid(self):
+        with pytest.raises(InvalidInputError):
+            core_set(-1, PatternSet())
+        with pytest.raises(InvalidInputError):
+            eventual_polynomial(-1, PatternSet.of("1324"))
 
 
 class TestObstructions:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from majpat.enumeration import PatternSet, maj_table
-from majpat.errors import PreconditionError, UnsupportedPatternError
+from majpat.errors import InvalidInputError, PreconditionError, UnsupportedPatternError
 from majpat.monotone import (
     InjectionTag,
     monotone_injection,
@@ -68,6 +68,12 @@ class TestErrors:
             monotone_injection((2, 1), (1, 2, 3))
         with pytest.raises(UnsupportedPatternError):
             verify_monotonicity((1, 2, 3), 4)
+
+    def test_negative_bounds_rejected(self):
+        with pytest.raises(InvalidInputError):
+            verify_monotonicity((2, 1, 3, 4), 5, -3)
+        with pytest.raises(InvalidInputError):
+            verify_monotonicity((2, 1, 3, 4), -2)
 
     def test_containing_permutation_rejected(self):
         with pytest.raises(PreconditionError):
