@@ -26,7 +26,7 @@ from .decomp import format_profile
 from .errors import InvalidInputError, MajpatError, ResourceLimitError, VerificationError
 from .monotone import verify_monotonicity
 from .oeis import diff_triangle, read_integer_file
-from .perms import format_perm, maj_plus, parse_perm
+from .perms import format_perm, maj_plus
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -140,8 +140,16 @@ def cmd_check_oeis(config: RunConfig, path: str, max_n: int) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad flag or value as one line."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INVALID, f"majpat: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Subparsers are made by the parent's class, so every command errs alike.
+    parser = _Parser(
         prog="majpat",
         description="Major-index distributions over pattern-avoiding permutations",
     )

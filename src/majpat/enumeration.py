@@ -6,8 +6,13 @@ Two independent computation paths are provided and cross-checked:
 * brute force: a depth-first generator that extends prefix patterns by
   appending the next relative rank.  Appending never disturbs the descents
   already present, so the major index is monotone along the tree and the
-  search can prune both on containment (a new occurrence must use the newest
-  letter) and on a major-index ceiling.
+  search can prune on a major-index ceiling.  Each node carries a bitmask of
+  its forbidden sites, the ranks whose appending completes a pattern
+  occurrence.  A child inherits its parent's mask (an occurrence that avoids
+  the new letter stays one) and adds the sites of the occurrences of each
+  pattern's head that end at its new letter, so no candidate child is tested
+  for containment.  The last level of a table is counted from the clear
+  sites of its parents without being built.
 
 * cores: every permutation with major index m is core gamma + padding
   profile with maj_plus(gamma) = m.  Appending a letter never lowers
@@ -32,15 +37,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .decomp import Profile, compose
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .perms import (
     Perm,
     avoids,
-    contains,
-    contains_ending_at_last,
     format_perm,
     magnitude,
     parse_perm,
@@ -163,33 +166,137 @@ class _Budget:
             )
 
 
-def _children(word: Perm, mj: int, maj_cap: int,
-              sigs: tuple[Perm, ...]) -> Iterator[tuple[Perm, int]]:
+# A site plan (steps, below, above) finds the occurrences of a pattern's head
+# sigma[:l-1] that end at a word's last letter: steps[r] = (lo, hi, under)
+# places sigma[r] between the head letters at indices lo and hi (-1 when there
+# is none), and below the last letter if under, above it otherwise; below and
+# above index the head letters just under and over sigma[l-1] in value.
+SitePlan = tuple[tuple[tuple[int, int, bool], ...], int, int]
+
+
+@lru_cache(maxsize=64)
+def _site_plans(sigs: tuple[Perm, ...]) -> tuple[int, tuple[SitePlan, ...]]:
+    """The forbidden sites of the empty word, and a site plan per pattern of
+    length >= 2 (a length-1 pattern forbids the root's only site)."""
+    root = 0
+    plans = []
+    for sigma in sigs:
+        l = len(sigma)
+        if l == 1:
+            root = 0b10
+            continue
+        neighbours, _ = _pattern_plan(sigma)
+        steps = tuple((lo, hi, sigma[r] < sigma[l - 2])
+                      for r, (lo, hi) in enumerate(neighbours[:l - 2]))
+        plans.append((steps, *neighbours[l - 1]))
+    return root, tuple(plans)
+
+
+def _forbidden_sites(word: Perm, mask: int, plans: tuple[SitePlan, ...]) -> int:
+    """mask plus the sites forbidden by an occurrence of a pattern that uses
+    word's last letter.
+
+    Appending rank s puts the new letter between the values s - 1 and s.  It
+    completes an occurrence ending at the last letter iff some embedding of
+    the head ends there and its value neighbours of sigma[l-1] are a < s <= b
+    (0 and len(word) + 1 at the ends).
+    """
+    n = len(word)
+    last = word[n - 1]
+    for steps, below, above in plans:
+        h = len(steps)
+        if h >= n:
+            continue
+        # The embeddings of sigma[:r], grown one head letter at a time, each
+        # with the position its next letter may start from.
+        partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        for r, (lo, hi, under) in enumerate(steps):
+            stop = n - h + r
+            grown = []
+            for values, start in partial:
+                low = values[lo] if lo >= 0 else 0
+                high = values[hi] if hi >= 0 else n + 1
+                if under:
+                    if last < high:
+                        high = last
+                elif last > low:
+                    low = last
+                for pos in range(start, stop):
+                    v = word[pos]
+                    if low < v < high:
+                        grown.append((values + (v,), pos + 1))
+            partial = grown
+        for values, _ in partial:
+            values += (last,)
+            a = values[below] if below >= 0 else 0
+            b = values[above] if above >= 0 else n + 1
+            mask |= ((1 << (b - a)) - 1) << (a + 1)
+    return mask
+
+
+def _children(word: Perm, mj: int, mask: int, maj_cap: int,
+              plans: tuple[SitePlan, ...]) -> Iterator[tuple[Perm, int, int]]:
     """The avoiding one-letter extensions of an avoiding prefix pattern whose
-    major index stays within maj_cap, each with its major index."""
+    major index stays within maj_cap, each with its major index and mask.
+
+    Bit s of mask is set iff appending rank s makes the word contain a
+    pattern.  A child inherits its parent's forbidden sites (appending v
+    splits site v in two and shifts the sites above it up by one), and then
+    forbids the sites of the occurrences that use its new last letter.
+    """
     n = len(word)
     last = word[n - 1] if n else 0
     for v in range(1, n + 2):
+        if mask >> v & 1:
+            continue
         child_mj = mj + (n if last >= v else 0)
         if child_mj > maj_cap:
             continue
         child = tuple(x + 1 if x >= v else x for x in word) + (v,)
-        if any(contains_ending_at_last(child, s) for s in sigs):
-            continue
-        yield child, child_mj
+        inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
+        yield child, child_mj, _forbidden_sites(child, inherited, plans)
 
 
-def _brute_fill(rows, word: Perm, mj: int, max_n: int, maj_cap: int,
-                sigs: tuple[Perm, ...], budget: _Budget) -> None:
-    # Record the node, then extend by appending every relative rank.
+def _avoider_tree(patterns: PatternSet, ceiling: int, max_len: int,
+                  budget: _Budget) -> Iterator[tuple[Perm, int]]:
+    """The avoiders with len + maj <= ceiling and length <= max_len, the empty
+    word first and each before its extensions, with their len + maj."""
+    root, plans = _site_plans(patterns.patterns)
+
+    def rec(word: Perm, mj: int, mask: int) -> Iterator[tuple[Perm, int]]:
+        n = len(word)
+        yield word, n + mj
+        if n >= max_len:
+            return
+        for child, child_mj, child_mask in _children(word, mj, mask, ceiling - n - 1, plans):
+            budget.spend()
+            yield from rec(child, child_mj, child_mask)
+
+    return rec((), 0, root)
+
+
+def _brute_fill(rows, word: Perm, mj: int, mask: int, max_n: int, maj_cap: int,
+                plans: tuple[SitePlan, ...], budget: _Budget) -> None:
+    # Record the node, then extend by appending every relative rank; the last
+    # level is counted from the clear sites without being built.
     n = len(word)
     if n:
         rows[n - 1][mj] += 1
     if n == max_n:
         return
-    for child, child_mj in _children(word, mj, maj_cap, sigs):
+    if n == max_n - 1:
+        free = ~mask & ((1 << n + 2) - 2)
+        last = word[n - 1] if n else 0
+        ascents = (free >> last + 1).bit_count()
+        descents = (free.bit_count() - ascents) if mj + n <= maj_cap else 0
+        budget.spend(ascents + descents)
+        rows[n][mj] += ascents
+        if descents:
+            rows[n][mj + n] += descents
+        return
+    for child, child_mj, child_mask in _children(word, mj, mask, maj_cap, plans):
         budget.spend()
-        _brute_fill(rows, child, child_mj, max_n, maj_cap, sigs, budget)
+        _brute_fill(rows, child, child_mj, child_mask, max_n, maj_cap, plans, budget)
 
 
 def _zero_rows(max_n: int, maj_cap: int) -> list[list[int]]:
@@ -203,20 +310,20 @@ def _merge_rows(target: list[list[int]], source: list[list[int]]) -> None:
 
 
 def _subtree_task(args) -> tuple[list[list[int]], int]:
-    sigs, max_n, maj_cap, nodes_left, seeds = args
+    plans, max_n, maj_cap, nodes_left, seeds = args
     rows = _zero_rows(max_n, maj_cap)
     budget = _Budget(nodes_left)
-    for word, mj in seeds:
-        _brute_fill(rows, word, mj, max_n, maj_cap, sigs, budget)
+    for word, mj, mask in seeds:
+        _brute_fill(rows, word, mj, mask, max_n, maj_cap, plans, budget)
     return rows, budget.spent
 
 
 def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int,
                 parallelism: int, budget: _Budget) -> list[list[int]]:
-    sigs = patterns.patterns
+    root, plans = _site_plans(patterns.patterns)
     rows = _zero_rows(max_n, maj_cap)
     if parallelism <= 1:
-        _brute_fill(rows, (), 0, max_n, maj_cap, sigs, budget)
+        _brute_fill(rows, (), 0, root, max_n, maj_cap, plans, budget)
         return rows
 
     # Expand a frontier wide enough to share, record the interior here, and
@@ -224,21 +331,21 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int,
     # identical for every parallelism degree.  Each worker gets the nodes the
     # frontier left over and reports what it spent, so the ceiling holds for
     # the whole walk exactly as on one process.
-    frontier: list[tuple[Perm, int]] = [((), 0)]
+    frontier: list[tuple[Perm, int, int]] = [((), 0, root)]
     while len(frontier) < 4 * parallelism and frontier and len(frontier[0][0]) < max_n:
         next_level = []
-        for word, mj in frontier:
+        for word, mj, mask in frontier:
             n = len(word)
             if n:
                 rows[n - 1][mj] += 1
-            for child in _children(word, mj, maj_cap, sigs):
+            for child in _children(word, mj, mask, maj_cap, plans):
                 budget.spend()
                 next_level.append(child)
         frontier = next_level
-    buckets: list[list[tuple[Perm, int]]] = [[] for _ in range(parallelism)]
+    buckets: list[list[tuple[Perm, int, int]]] = [[] for _ in range(parallelism)]
     for i, seed in enumerate(frontier):
         buckets[i % parallelism].append(seed)
-    tasks = [(sigs, max_n, maj_cap, budget.left, bucket) for bucket in buckets if bucket]
+    tasks = [(plans, max_n, maj_cap, budget.left, bucket) for bucket in buckets if bucket]
     spent = 0
     with ProcessPoolExecutor(max_workers=parallelism) as pool:
         for part, part_spent in pool.map(_subtree_task, tasks):
@@ -253,19 +360,9 @@ def generate_avoiders(n: int, patterns: PatternSet, *,
     """Stream every pattern-avoiding permutation of length n exactly once."""
     if n < 0:
         raise InvalidInputError(f"length must be non-negative, got {n}")
-    sigs = patterns.patterns
-    budget = _Budget(max_nodes)
-    maj_cap = _triangle(n)
-
-    def rec(word: Perm) -> Iterator[Perm]:
-        if len(word) == n:
-            yield word
-            return
-        for child, _ in _children(word, 0, maj_cap, sigs):
-            budget.spend()
-            yield from rec(child)
-
-    return rec(())
+    # len + maj <= n + n(n - 1)/2 holds for every prefix of every avoider.
+    tree = _avoider_tree(patterns, n + _triangle(n), n, _Budget(max_nodes))
+    return (word for word, _ in tree if len(word) == n)
 
 
 def count_avoiders(n: int, patterns: PatternSet, *,
@@ -601,19 +698,6 @@ def count_by_core(gamma: Perm, n: int, patterns: PatternSet, *,
     return counts.count(n)
 
 
-def _core_tree(word: Perm, mj: int, ceiling: int, max_len: int,
-               sigs: tuple[Perm, ...], budget: _Budget) -> Iterator[tuple[Perm, int]]:
-    """The avoiding extensions of word (itself first) with len + maj <= ceiling
-    and length <= max_len, each with its len + maj."""
-    n = len(word)
-    yield word, n + mj
-    if n >= max_len:
-        return
-    for child, child_mj in _children(word, mj, ceiling - n - 1, sigs):
-        budget.spend()
-        yield from _core_tree(child, child_mj, ceiling, max_len, sigs, budget)
-
-
 def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
                   max_len: int, n_max: int | None, budget: _Budget) -> None:
     """Walk the core tree once and add each core of length <= max_len to the
@@ -623,7 +707,7 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     admissibility filter.  With n_max, only the signatures that reach lengths
     up to n_max are walked.
     """
-    for gamma, mp in _core_tree((), 0, max(columns), max_len, patterns.patterns, budget):
+    for gamma, mp in _avoider_tree(patterns, max(columns), max_len, budget):
         counts = columns.get(mp)
         if counts is not None:
             counts.add_core(gamma, patterns, node_budget=budget,
@@ -671,8 +755,7 @@ def core_set(m: int, patterns: PatternSet, *, max_core_len: int | None = None,
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
     top = m if max_core_len is None else min(m, max_core_len)
-    found = [gamma for gamma, mp in _core_tree((), 0, m, top, patterns.patterns,
-                                               _Budget(max_nodes))
+    found = [gamma for gamma, mp in _avoider_tree(patterns, m, top, _Budget(max_nodes))
              if mp == m and minimal_avoiding_profiles(gamma, patterns)]
     found.sort(key=lambda g: (len(g), g))
     return CoreSet(m, patterns, tuple(found))

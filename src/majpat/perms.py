@@ -191,7 +191,9 @@ def contains_ending_at_last(pi: Perm, sigma: Perm) -> bool:
 
     When pi was produced by appending one letter to a sigma-avoiding prefix,
     this is equivalent to full containment: any new occurrence must use the
-    appended position.
+    appended position.  The prefix-tree walker does not call it (it reads the
+    children off forbidden-site masks); the tests keep it as the oracle for
+    those masks.
     """
     s = len(sigma)
     if s == 0:

@@ -20,7 +20,6 @@ from majpat.enumeration import (
     downset_spot_check,
     maj_table,
     major_count_series,
-    count_avoiders,
 )
 from majpat.monotone import verify_monotonicity
 from majpat.oeis import diff_triangle, read_integer_file

@@ -81,7 +81,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert err.startswith("majpat: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("table", "--max-n", "x"), ("bogus",)])
+    def test_bad_flag_values_are_two_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("majpat: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_node_ceiling_counts_the_capped_last_level(self, capsys, parallelism):
+        # maj_table(8, 10, 1324) spends one node per counted permutation,
+        # 4329 in all; max_maj 10 cuts part of the last level.
+        argv = ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "10",
+                "--parallelism", parallelism)
+        code, out, _ = run(capsys, *argv)
+        total = sum(int(c) for line in out.splitlines()[1:] for c in line.split(",")[1:] if c)
+        assert code == 0 and total == 4329
+        code, _, _ = run(capsys, *argv, "--max-nodes", str(total))
+        assert code == 0
+        code, _, err = run(capsys, *argv, "--max-nodes", str(total - 1))
+        assert code == 3 and "resource" in err.lower()
 
 
 class TestTable:

@@ -6,7 +6,6 @@ import pytest
 
 from majpat.decomp import compose
 from majpat.enumeration import (
-    CoreSet,
     MajTable,
     PatternSet,
     core_polynomial,
@@ -20,12 +19,12 @@ from majpat.enumeration import (
     major_count_series,
     minimal_avoiding_profiles,
 )
-from majpat.enumeration import _avoiding_signatures, _obstructions
+from majpat.enumeration import _avoiding_signatures, _children, _obstructions, _site_plans
 from majpat.errors import InvalidInputError, ResourceLimitError, VerificationError
-from majpat.perms import avoids, contains, insert, major_index
+from majpat.perms import avoids, contains, contains_ending_at_last, insert, major_index
 from majpat.poly import Polynomial
 
-from oracles import oracle_cores, oracle_maj, oracle_rows
+from oracles import oracle_cores, oracle_rows
 
 OBSTRUCTION_SETS = ("1324", "3412;1324", "2134", "321", "1342;2413")
 
@@ -93,6 +92,30 @@ class TestAvoiders:
             count_avoiders(8, PatternSet(), max_nodes=100)
 
 
+class TestForbiddenSites:
+    @pytest.mark.parametrize("text", ["1", "12", "21", "1324", "3412,1324",
+                                      "2413,3142", "132,213", ""])
+    def test_masks_match_last_letter_containment(self, text):
+        # The clear bits of every walked avoider's mask are exactly the ranks
+        # s whose appending avoids every pattern, and the walk reaches every
+        # avoider of length <= 6.
+        ps = PatternSet.from_text(text)
+        root, plans = _site_plans(ps.patterns)
+        level = [((), 0, root)]
+        for n in range(0, 7):
+            assert sorted(w for w, _, _ in level) == sorted(
+                w for w in itertools.permutations(range(1, n + 1))
+                if avoids(w, ps.patterns)), (text, n)
+            for word, mj, mask in level:
+                clear = {s for s in range(1, n + 2) if not mask >> s & 1}
+                want = {s for s in range(1, n + 2)
+                        if not any(contains_ending_at_last(insert(word, n + 1, s), p)
+                                   for p in ps.patterns)}
+                assert clear == want, (text, word)
+            level = [child for word, mj, mask in level
+                     for child in _children(word, mj, mask, 21, plans)]
+
+
 class TestMajTable:
     def test_known_1324_values(self):
         t = maj_table(7, 12, PatternSet.of("1324"))
@@ -122,6 +145,16 @@ class TestMajTable:
         t = maj_table(4, 6, PatternSet())
         assert list(t.rows[3]) == [1, 3, 5, 6, 5, 3, 1]
         assert t.entry(3, 2) == 2
+
+    def test_no_pattern_rows_are_q_factorials(self):
+        # Row n of the unrestricted table is the coefficient list of
+        # [n]_q! = (1)(1 + q)...(1 + q + ... + q^(n-1)).
+        t = maj_table(8, 28, PatternSet())
+        coeffs = [1]
+        for n in range(1, 9):
+            coeffs = [sum(coeffs[j - i] for i in range(n) if 0 <= j - i < len(coeffs))
+                      for j in range(len(coeffs) + n - 1)]
+            assert list(t.rows[n - 1]) == coeffs, n
 
     def test_zero_columns_for_increasing_patterns(self):
         # With 123 forbidden, the column at major index m >= 1 dies past
@@ -163,6 +196,16 @@ class TestMajTable:
             maj_table(7, 21, PatternSet(), parallelism=parallelism, max_nodes=5913)
             with pytest.raises(ResourceLimitError):
                 maj_table(7, 21, PatternSet(), parallelism=parallelism, max_nodes=5912)
+
+    def test_node_ceiling_counts_the_capped_last_level(self):
+        # One node per counted permutation, also on the last level, which is
+        # counted without being built and is cut by max_maj 10 < 28.
+        ps = PatternSet.of("1324")
+        total = sum(map(sum, maj_table(8, 10, ps).rows))
+        for parallelism in (1, 2):
+            maj_table(8, 10, ps, parallelism=parallelism, max_nodes=total)
+            with pytest.raises(ResourceLimitError):
+                maj_table(8, 10, ps, parallelism=parallelism, max_nodes=total - 1)
 
     def test_csv_json_round_trip(self):
         t = maj_table(5, 4, PatternSet.of("132"))
