@@ -47,6 +47,7 @@ from .perms import (
     format_perm,
     magnitude,
     parse_perm,
+    pattern_neighbours,
     set_magnitude,
     slope,
     Magnitude,
@@ -167,10 +168,12 @@ class _Budget:
 
 
 # A site plan (steps, below, above) finds the occurrences of a pattern's head
-# sigma[:l-1] that end at a word's last letter: steps[r] = (lo, hi, under)
-# places sigma[r] between the head letters at indices lo and hi (-1 when there
-# is none), and below the last letter if under, above it otherwise; below and
-# above index the head letters just under and over sigma[l-1] in value.
+# sigma[:l-1] that end at a word's last letter.  Its indices point into a
+# partial embedding laid out as (0, n + 1, head letters...), so 0 and 1 stand
+# for no neighbour below and above: steps[r] = (lo, hi, under) places sigma[r]
+# between the entries lo and hi, and below the last letter if under, above it
+# otherwise; below and above point at the head letters just under and over
+# sigma[l-1] in value.
 SitePlan = tuple[tuple[tuple[int, int, bool], ...], int, int]
 
 
@@ -185,10 +188,13 @@ def _site_plans(sigs: tuple[Perm, ...]) -> tuple[int, tuple[SitePlan, ...]]:
         if l == 1:
             root = 0b10
             continue
-        neighbours, _ = _pattern_plan(sigma)
-        steps = tuple((lo, hi, sigma[r] < sigma[l - 2])
+        # pattern_neighbours marks a missing neighbour -2 or -1; shifting
+        # every index by 2 puts the head's slots after the floor and ceiling.
+        neighbours = pattern_neighbours(sigma)
+        steps = tuple((lo + 2, hi + 2, sigma[r] < sigma[l - 2])
                       for r, (lo, hi) in enumerate(neighbours[:l - 2]))
-        plans.append((steps, *neighbours[l - 1]))
+        below, above = neighbours[l - 1]
+        plans.append((steps, below + 2, above + 2))
     return root, tuple(plans)
 
 
@@ -209,13 +215,13 @@ def _forbidden_sites(word: Perm, mask: int, plans: tuple[SitePlan, ...]) -> int:
             continue
         # The embeddings of sigma[:r], grown one head letter at a time, each
         # with the position its next letter may start from.
-        partial: list[tuple[tuple[int, ...], int]] = [((), 0)]
+        partial: list[tuple[tuple[int, ...], int]] = [((0, n + 1), 0)]
         for r, (lo, hi, under) in enumerate(steps):
             stop = n - h + r
             grown = []
             for values, start in partial:
-                low = values[lo] if lo >= 0 else 0
-                high = values[hi] if hi >= 0 else n + 1
+                low = values[lo]
+                high = values[hi]
                 if under:
                     if last < high:
                         high = last
@@ -228,8 +234,8 @@ def _forbidden_sites(word: Perm, mask: int, plans: tuple[SitePlan, ...]) -> int:
             partial = grown
         for values, _ in partial:
             values += (last,)
-            a = values[below] if below >= 0 else 0
-            b = values[above] if above >= 0 else n + 1
+            a = values[below]
+            b = values[above]
             mask |= ((1 << (b - a)) - 1) << (a + 1)
     return mask
 
@@ -491,23 +497,20 @@ Obstruction = tuple[tuple[int, int, int], ...]
 def _pattern_plan(sigma: Perm) -> tuple[tuple[tuple[int, int], ...], tuple[tuple, ...]]:
     """How to embed sigma's prefixes and read off their tail demands.
 
-    neighbours[j]: the indices among sigma[:j] of the letters just below and
-    just above sigma[j] in value (-1 when there is none).  groups[r]: the
-    demands (below, above, d) of the tail sigma[r:], one per run of tail
-    letters sharing those neighbours in sigma[:r], in increasing value order.
+    neighbours: pattern_neighbours(sigma).  groups[r]: the demands
+    (below, above, d) of the tail sigma[r:], one per run of tail letters
+    sharing their neighbours in sigma[:r] (-2 and -1 when there is none), in
+    increasing value order.
     """
     def around(r: int, t: int) -> tuple[int, int]:
-        below = [i for i in range(r) if sigma[i] < t]
-        above = [i for i in range(r) if sigma[i] > t]
-        return (max(below, key=sigma.__getitem__) if below else -1,
-                min(above, key=sigma.__getitem__) if above else -1)
+        return (max((i for i in range(r) if sigma[i] < t), key=sigma.__getitem__, default=-2),
+                min((i for i in range(r) if sigma[i] > t), key=sigma.__getitem__, default=-1))
 
-    neighbours = tuple(around(j, sigma[j]) for j in range(len(sigma)))
     groups = []
     for r in range(len(sigma) + 1):
         demand = Counter(around(r, t) for t in sorted(sigma[r:]))
         groups.append(tuple((below, above, d) for (below, above), d in demand.items()))
-    return neighbours, tuple(groups)
+    return pattern_neighbours(sigma), tuple(groups)
 
 
 def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
@@ -531,7 +534,8 @@ def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
         l = len(sigma)
         first = max(l - slope(sigma), l - max_demand)
         neighbours, groups = _pattern_plan(sigma)
-        values: list[int] = []
+        # The embedded values of sigma's slots, then the floor and ceiling.
+        values = [0] * l + [0, k + 1]
 
         def embed(r: int, start: int) -> bool:
             # values holds an embedding of sigma[:r] ending before start;
@@ -539,33 +543,55 @@ def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
             if r == l:
                 return True
             if r >= first:
-                found.add(tuple(
-                    (values[below] if below >= 0 else 0,
-                     (values[above] if above >= 0 else k + 1) - 1, d)
-                    for below, above, d in groups[r]))
+                found.add(tuple((values[below], values[above] - 1, d)
+                                for below, above, d in groups[r]))
             below, above = neighbours[r]
-            lo = values[below] if below >= 0 else 0
-            hi = values[above] if above >= 0 else k + 1
+            lo = values[below]
+            hi = values[above]
             for pos in range(start, k):
                 v = gamma[pos]
                 if lo < v < hi:
-                    values.append(v)
+                    values[r] = v
                     if embed(r + 1, pos + 1):
                         return True
-                    values.pop()
             return False
 
         if embed(0, 0):
             return None
-    # Keep the minimal obstructions: one whose demands imply another's adds
-    # nothing, since the other is met whenever it is.
-    return sorted(a for a in found if not any(b != a and _implies(a, b) for b in found))
+    return _minimal_obstructions(found)
+
+
+def _minimal_obstructions(found: set[Obstruction]) -> list[Obstruction]:
+    """The obstructions of found that imply no other one, sorted.
+
+    One whose demands imply another's adds nothing, since the other is met
+    whenever it is.  If a implies b != a, each demand of b holds its own
+    demand of a (b's intervals are disjoint), as large or larger on an
+    interval as narrow or narrower, so b sorts strictly before a by (number
+    of demands, total demand, -total width).  Implication is transitive, so
+    in that order a is minimal iff it implies no minimal obstruction kept
+    before it.
+    """
+    kept: list[Obstruction] = []
+    for a in sorted(found, key=lambda a: (len(a), sum(d for _, _, d in a),
+                                          sum(lo - hi for lo, hi, _ in a))):
+        for b in kept:
+            if _implies(a, b):
+                break
+        else:
+            kept.append(a)
+    return sorted(kept)
 
 
 def _implies(a: Obstruction, b: Obstruction) -> bool:
     """Whether meeting every demand of a meets every demand of b."""
-    return all(any(lb <= la and ha <= hb and db <= da for la, ha, da in a)
-               for lb, hb, db in b)
+    for lb, hb, db in b:
+        for la, ha, da in a:
+            if lb <= la and ha <= hb and db <= da:
+                break
+        else:
+            return False
+    return True
 
 
 def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *,

@@ -7,6 +7,11 @@ length n + 1 with the same major index, by one of three insertions selected
 from tail(sigma) and slope(pi).  The harness enumerates the avoiders of
 length n, checks injectivity, avoidance and major-index preservation
 directly, and counts length n + 1 by the brute-force table.
+
+Avoidance of an image is checked only through its inserted letter, and that
+is exact: the injection refuses a source that contains sigma, and the
+harness checks that deleting the inserted letter gives the source back, so
+any occurrence in the image must use that letter.
 """
 from __future__ import annotations
 
@@ -16,7 +21,18 @@ from typing import Optional
 
 from .enumeration import PatternSet, _brute_rows, _Budget, generate_avoiders
 from .errors import InvalidInputError, PreconditionError, UnsupportedPatternError
-from .perms import Perm, contains, descents, format_perm, insert, major_index, slope, tail
+from .perms import (
+    Perm,
+    contains,
+    contains_through,
+    delete_at,
+    descents,
+    format_perm,
+    insert,
+    major_index,
+    slope,
+    tail,
+)
 
 
 class InjectionTag(enum.Enum):
@@ -131,7 +147,11 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
                 return MonotonicityReport(sigma, n, limit, False,
                                           (pi, f"image changes major index to {major_index(image)}"),
                                           tally, counts)
-            if contains(image, sigma):
+            if delete_at(image, case.position) != pi:
+                return MonotonicityReport(sigma, n, limit, False,
+                                          (pi, "image is not the avoider plus one letter"),
+                                          tally, counts)
+            if contains_through(image, sigma, case.position):
                 return MonotonicityReport(sigma, n, limit, False,
                                           (pi, "image contains the pattern"), tally, counts)
             if image in images:

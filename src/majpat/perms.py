@@ -9,11 +9,22 @@ this package are 1-based, matching the usual combinatorics conventions; the
 Text forms: a digit string for n <= 9 (``"1324"``) and a comma-separated list
 for n >= 10 (``"10,1,2,..."``).  Both are accepted wherever a permutation is
 parsed; `format_perm` emits the digit form whenever it is unambiguous.
+
+Every containment question runs on one kernel.  A pattern is compiled once
+into its value-neighbour plan (`pattern_neighbours`): for each slot, the
+already placed slots just below and just above it in value.  A plain
+recursive search places the slots left to right, reading each slot's value
+window off those two placed letters.  Pinning one slot to a given position
+first (with a plan that counts the pinned slot as placed) answers the
+questions about occurrences through one letter: `contains_through` and
+`contains_ending_at_last`.  `contains`, `avoids` and `occurrences` run it
+unpinned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .errors import InvalidInputError
 
@@ -131,37 +142,78 @@ def slope(pi: Perm) -> int:
     return s
 
 
-def _occurs(word: Perm, sig: Perm, start: int, chosen: list[int], out_pos: list[int] | None) -> Iterator[tuple[int, ...]]:
-    # Backtracking over positions for the next pattern slot, pruning by the
-    # value interval forced by the already-chosen letters.
-    j = len(chosen)
-    if j == len(sig):
-        yield tuple(p + 1 for p in out_pos) if out_pos is not None else ()
-        return
-    lo, hi = 0, len(word) + 1
-    for t in range(j):
-        if sig[t] < sig[j]:
-            lo = max(lo, chosen[t])
-        else:
-            hi = min(hi, chosen[t])
-    remaining = len(sig) - j
-    for pos in range(start, len(word) - remaining + 1):
+@lru_cache(maxsize=256)
+def pattern_neighbours(sigma: Perm, pin: int | None = None) -> tuple[tuple[int, int], ...]:
+    """The value-neighbour plan of sigma: for each slot j, the slots just
+    below and just above sigma[j] in value among the slots placed before it
+    (those left of j, and the slot pin when one is given), with -2 and -1
+    when there is none below or above.
+
+    A search that keeps the values it placed in a list ending with the floor
+    0 and the ceiling n + 1 reads the window of slot j as
+    chosen[below] < v < chosen[above]; a letter in that window is ordered
+    against every placed slot as sigma says.
+
+    >>> pattern_neighbours((2, 4, 1, 3))
+    ((-2, -1), (0, -1), (-2, 0), (0, 1))
+    """
+    plan = []
+    for j, t in enumerate(sigma):
+        placed = [i for i in range(len(sigma)) if i != j and (i < j or i == pin)]
+        plan.append((max((i for i in placed if sigma[i] < t), key=sigma.__getitem__, default=-2),
+                     min((i for i in placed if sigma[i] > t), key=sigma.__getitem__, default=-1)))
+    return tuple(plan)
+
+
+def _embed(word: Perm, plan: tuple[tuple[int, int], ...], chosen: list[int], r: int,
+           start: int, pin: int, at: int, found: list | None) -> bool:
+    # chosen holds the values of the slots placed so far (slots 0..r-1, and
+    # the slot pin when r < pin), the last of them before position start.
+    # Slot pin sits at position at, so slot r < pin ends by at - (pin - r);
+    # past the pin the fence moves to the virtual slot len(plan) at the end.
+    # With found, every occurrence's values are collected; without, the
+    # search stops at the first.
+    if r == pin:
+        if r == len(plan):
+            if found is None:
+                return True
+            found.append(tuple(chosen[:r]))
+            return False
+        return _embed(word, plan, chosen, r + 1, at + 1, len(plan), len(word), found)
+    below, above = plan[r]
+    lo = chosen[below]
+    hi = chosen[above]
+    for pos in range(start, at - pin + r + 1):
         v = word[pos]
         if lo < v < hi:
-            chosen.append(v)
-            if out_pos is not None:
-                out_pos.append(pos)
-            yield from _occurs(word, sig, pos + 1, chosen, out_pos)
-            chosen.pop()
-            if out_pos is not None:
-                out_pos.pop()
+            chosen[r] = v
+            if _embed(word, plan, chosen, r + 1, pos + 1, pin, at, found):
+                return True
+    return False
 
 
-def occurrences(pi: Perm, sigma: Perm) -> Iterator[tuple[int, ...]]:
-    """All index sets I (1-based, increasing) with pi[I] order-isomorphic to sigma."""
-    if len(sigma) > len(pi):
-        return iter(())
-    return _occurs(pi, sigma, 0, [], [])
+def _search(pi: Perm, sigma: Perm, slot: int | None = None, position: int = 0,
+            found: list | None = None) -> bool:
+    # One kernel call: sigma in pi, with slot pinned to the letter at the
+    # 1-based position when slot is given.
+    l, n = len(sigma), len(pi)
+    chosen = [0] * l + [0, n + 1]
+    if slot is None:
+        return _embed(pi, pattern_neighbours(sigma), chosen, 0, 0, l, n, found)
+    chosen[slot] = pi[position - 1]
+    return _embed(pi, pattern_neighbours(sigma, slot), chosen, 0, 0, slot, position - 1, found)
+
+
+def occurrences(pi: Perm, sigma: Perm) -> list[tuple[int, ...]]:
+    """All index sets I (1-based, increasing) with pi[I] order-isomorphic to sigma.
+
+    >>> occurrences((3, 1, 4, 2), (2, 1))
+    [(1, 2), (1, 4), (3, 4)]
+    """
+    found: list[tuple[int, ...]] = []
+    _search(pi, sigma, found=found)
+    where = {v: i for i, v in enumerate(pi, start=1)}
+    return [tuple(where[v] for v in values) for values in found]
 
 
 def contains(pi: Perm, sigma: Perm) -> bool:
@@ -172,13 +224,7 @@ def contains(pi: Perm, sigma: Perm) -> bool:
     >>> contains((1, 2, 3), (2, 1))
     False
     """
-    if len(sigma) == 0:
-        return True
-    if len(sigma) > len(pi):
-        return False
-    for _ in _occurs(pi, sigma, 0, [], None):
-        return True
-    return False
+    return _search(pi, sigma)
 
 
 def avoids(pi: Perm, patterns: Iterable[Perm]) -> bool:
@@ -186,52 +232,38 @@ def avoids(pi: Perm, patterns: Iterable[Perm]) -> bool:
     return not any(contains(pi, sigma) for sigma in patterns)
 
 
+def contains_through(pi: Perm, sigma: Perm, position: int) -> bool:
+    """Whether some occurrence of sigma in pi uses the letter at position.
+
+    When deleting that letter leaves a sigma-avoiding permutation, this is
+    equivalent to full containment.
+
+    >>> contains_through((1, 3, 2, 4), (1, 3, 2), 2)
+    True
+    >>> contains_through((1, 3, 2, 4), (1, 3, 2), 4)
+    False
+    """
+    l, n = len(sigma), len(pi)
+    if not 1 <= position <= n:
+        raise InvalidInputError(f"position out of range: k={position}, n={n}")
+    # The letter v can only play a slot j with sigma[j] - 1 letters below v
+    # and l - sigma[j] above it.
+    v = pi[position - 1]
+    for j, t in enumerate(sigma):
+        if t <= v and l - t <= n - v and _search(pi, sigma, j, position):
+            return True
+    return False
+
+
 def contains_ending_at_last(pi: Perm, sigma: Perm) -> bool:
     """Containment restricted to occurrences whose last letter is pi's last letter.
 
     When pi was produced by appending one letter to a sigma-avoiding prefix,
-    this is equivalent to full containment: any new occurrence must use the
-    appended position.  The prefix-tree walker does not call it (it reads the
-    children off forbidden-site masks); the tests keep it as the oracle for
-    those masks.
+    this is equivalent to full containment.  The prefix-tree walker does not
+    call it (it reads the children off forbidden-site masks); the tests keep
+    it as the oracle for those masks.
     """
-    s = len(sigma)
-    if s == 0:
-        return True
-    if s > len(pi):
-        return False
-    last = pi[-1]
-    trimmed = pi[:-1]
-    # Fix sigma's last slot at the final position; match the rest before it.
-    need_above = sigma[s - 1]
-    for _ in _match_with_fixed_last(trimmed, sigma, last, need_above, 0, []):
-        return True
-    return False
-
-
-def _match_with_fixed_last(word, sig, last_value, last_rank, start, chosen):
-    j = len(chosen)
-    if j == len(sig) - 1:
-        yield True
-        return
-    lo, hi = 0, len(word) + len(sig) + 2
-    for t in range(j):
-        if sig[t] < sig[j]:
-            lo = max(lo, chosen[t])
-        else:
-            hi = min(hi, chosen[t])
-    # Constraint against the fixed final letter.
-    if sig[j] < last_rank:
-        hi = min(hi, last_value)
-    else:
-        lo = max(lo, last_value)
-    remaining = len(sig) - 1 - j
-    for pos in range(start, len(word) - remaining + 1):
-        v = word[pos]
-        if lo < v < hi:
-            chosen.append(v)
-            yield from _match_with_fixed_last(word, sig, last_value, last_rank, pos + 1, chosen)
-            chosen.pop()
+    return not sigma or (len(sigma) <= len(pi) and _search(pi, sigma, len(sigma) - 1, len(pi)))
 
 
 @dataclass(frozen=True, order=True)

@@ -19,6 +19,27 @@ def oracle_contains(word, sig):
     return False
 
 
+def oracle_occurrences(word, sig):
+    """Every 1-based index set of word that forms sig, by scanning every
+    index subset."""
+    # A subsequence forms sig iff it lists its letters in sig's value order.
+    order = sorted(range(len(sig)), key=sig.__getitem__)
+    return [tuple(i + 1 for i in idx)
+            for idx, sub in zip(itertools.combinations(range(len(word)), len(sig)),
+                                itertools.combinations(word, len(sig)))
+            if sorted(range(len(sub)), key=sub.__getitem__) == order]
+
+
+def oracle_minimal_obstructions(found):
+    """The obstructions of found whose demands imply no other one's, by
+    comparing every pair."""
+    def implies(a, b):
+        return all(any(lb <= la and ha <= hb and db <= da for la, ha, da in a)
+                   for lb, hb, db in b)
+
+    return sorted(a for a in found if not any(b != a and implies(a, b) for b in found))
+
+
 def oracle_maj(word):
     return sum(i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1])
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import majpat.enumeration
 from majpat.decomp import compose
 from majpat.enumeration import (
     MajTable,
@@ -24,7 +25,7 @@ from majpat.errors import InvalidInputError, ResourceLimitError, VerificationErr
 from majpat.perms import avoids, contains, contains_ending_at_last, insert, major_index
 from majpat.poly import Polynomial
 
-from oracles import oracle_cores, oracle_rows
+from oracles import oracle_cores, oracle_minimal_obstructions, oracle_rows
 
 OBSTRUCTION_SETS = ("1324", "3412;1324", "2134", "321", "1342;2413")
 
@@ -323,6 +324,27 @@ class TestObstructions:
                         composed = compose(gamma, c)
                         want = any(contains(composed, s) for s in ps.patterns)
                         assert met == want, (text, gamma, c)
+
+    def test_minimal_obstructions_match_all_pairs_filter(self, monkeypatch):
+        # The sorted single pass keeps what comparing every pair keeps, on
+        # the obstruction sets of every core of length <= 6 at both budgets.
+        seen = []
+        minimal = majpat.enumeration._minimal_obstructions
+
+        def recorded(found):
+            seen.append(set(found))
+            return minimal(found)
+
+        monkeypatch.setattr(majpat.enumeration, "_minimal_obstructions", recorded)
+        for text in OBSTRUCTION_SETS:
+            ps = PatternSet.from_text(text)
+            for k in range(0, 7):
+                for gamma in itertools.permutations(range(1, k + 1)):
+                    for room in (ps.cap * (k + 1), 9 - k):
+                        seen.clear()
+                        got = _obstructions(gamma, ps.patterns, room)
+                        if got is not None:
+                            assert got == oracle_minimal_obstructions(seen[0]), (text, gamma, room)
 
     def test_signatures_match_exhaustive_filter(self):
         for text in ("1324", "3412;1324", "321"):

@@ -2,14 +2,16 @@ import itertools
 
 import pytest
 
+import majpat.monotone
 from majpat.enumeration import PatternSet, maj_table
 from majpat.errors import InvalidInputError, PreconditionError, UnsupportedPatternError
 from majpat.monotone import (
+    InjectionCase,
     InjectionTag,
     monotone_injection,
     verify_monotonicity,
 )
-from majpat.perms import contains, descents, major_index, slope, tail
+from majpat.perms import contains, descents, insert, major_index, slope, tail
 
 
 class TestInjectionCases:
@@ -101,6 +103,47 @@ class TestVerification:
         assert obj["verified"] is True
         assert set(obj["cases"]) == {t.value for t in InjectionTag}
         assert obj["counterexample"] is None
+
+
+class TestVerifierCatchesBadInjections:
+    # The verifier checks an image only through its inserted letter; these
+    # injections break it in the two ways that check must still see.
+
+    def test_image_with_an_occurrence_through_the_inserted_letter(self, monkeypatch):
+        sigma = (2, 1, 3, 4)
+        real = monotone_injection
+
+        def bad(pi, s):
+            # An insertion that keeps the major index and completes sigma.
+            n = len(pi)
+            for k in range(1, n + 2):
+                for l in range(1, n + 2):
+                    image = insert(pi, k, l)
+                    if major_index(image) == major_index(pi) and contains(image, s):
+                        return image, InjectionCase(InjectionTag.APPEND_MAX, k, l)
+            return real(pi, s)
+
+        monkeypatch.setattr(majpat.monotone, "monotone_injection", bad)
+        report = verify_monotonicity(sigma, 5)
+        assert not report.verified
+        assert report.counterexample[1] == "image contains the pattern"
+
+    def test_image_that_changes_another_letter(self, monkeypatch):
+        sigma = (2, 1, 3, 4)
+        real = monotone_injection
+
+        def bad(pi, s):
+            # The image of another avoider with the same major index: it
+            # avoids sigma and keeps the major index, but deleting the
+            # inserted letter does not give pi back.
+            others = [q for q in itertools.permutations(range(1, len(pi) + 1))
+                      if q != pi and major_index(q) == major_index(pi) and not contains(q, s)]
+            return real(others[0] if others else pi, s)
+
+        monkeypatch.setattr(majpat.monotone, "monotone_injection", bad)
+        report = verify_monotonicity(sigma, 5)
+        assert not report.verified
+        assert report.counterexample[1] == "image is not the avoider plus one letter"
 
 
 def test_single_pattern_columns_weakly_increase():

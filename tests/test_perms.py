@@ -11,6 +11,7 @@ from majpat.perms import (
     check_perm,
     contains,
     contains_ending_at_last,
+    contains_through,
     delete_at,
     descents,
     format_perm,
@@ -26,7 +27,7 @@ from majpat.perms import (
     tail,
 )
 
-from oracles import oracle_contains
+from oracles import oracle_occurrences
 
 
 def perms_upto(max_n, min_n=0):
@@ -82,10 +83,22 @@ class TestContains:
         assert contains((2, 1), ())
 
     def test_matches_subset_oracle(self):
-        sigmas = [s for k in range(1, 5) for s in itertools.permutations(range(1, k + 1))]
-        for pi in perms_upto(6):
+        # Every question the search answers, on every permutation of length
+        # <= 7 and every pattern of length <= 4 plus two of length 5.
+        sigmas = [s for k in range(0, 5) for s in itertools.permutations(range(1, k + 1))]
+        sigmas += [(1, 2, 4, 5, 3), (2, 1, 3, 5, 4)]
+        for pi in perms_upto(7):
+            n = len(pi)
             for s in sigmas:
-                assert contains(pi, s) == oracle_contains(pi, s), (pi, s)
+                want = oracle_occurrences(pi, s)
+                assert occurrences(pi, s) == want, (pi, s)
+                assert contains(pi, s) == bool(want), (pi, s)
+                assert contains_ending_at_last(pi, s) == (
+                    not s or any(occ[-1] == n for occ in want)), (pi, s)
+                used = set(itertools.chain.from_iterable(want))
+                for k in range(1, n + 1):
+                    assert contains_through(pi, s, k) == (k in used), (pi, s, k)
+        assert oracle_occurrences((3, 1, 4, 2), (2, 1)) == [(1, 2), (1, 4), (3, 4)]
 
     def test_occurrences_are_exactly_the_witnessing_subsets(self):
         pi = (3, 8, 7, 1, 2, 4, 5, 6, 9)
@@ -96,6 +109,11 @@ class TestContains:
             if order_pattern(tuple(pi[i] for i in idx)) == sigma:
                 want.add(tuple(i + 1 for i in idx))
         assert got == want
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_through_rejects_positions_outside(self, k):
+        with pytest.raises(InvalidInputError):
+            contains_through((2, 1, 3), (2, 1), k)
 
     def test_last_position_variant_agrees_after_append(self):
         sigmas = [s for k in range(2, 5) for s in itertools.permutations(range(1, k + 1))]
