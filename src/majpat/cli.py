@@ -90,7 +90,9 @@ def cmd_verify_monotonic(config: RunConfig, n: int) -> int:
 
 
 def cmd_cores(config: RunConfig, m: int) -> int:
-    result = core_set(m, config.patterns, max_nodes=config.max_nodes)
+    cores = core_set(m, config.patterns, max_nodes=config.max_nodes).cores
+    witnesses = [[format_profile(p) for p in minimal_avoiding_profiles(g, config.patterns)]
+                 for g in cores]
     if config.fmt == "json":
         obj = {
             "schema": 1,
@@ -100,22 +102,15 @@ def cmd_cores(config: RunConfig, m: int) -> int:
                 {
                     "core": format_perm(g),
                     "maj_plus": maj_plus(g),
-                    "minimal_profiles": [
-                        format_profile(p)
-                        for p in minimal_avoiding_profiles(g, config.patterns)
-                    ],
+                    "minimal_profiles": profiles,
                 }
-                for g in result.cores
+                for g, profiles in zip(cores, witnesses)
             ],
         }
         _emit(config, json.dumps(obj, indent=2) + "\n")
         return EXIT_OK
-    lines = []
-    for g in result.cores:
-        profiles = " ".join(
-            format_profile(p) for p in minimal_avoiding_profiles(g, config.patterns)
-        )
-        lines.append(f"{format_perm(g) or '(empty)'}  maj+={maj_plus(g)}  minimal-profiles: {profiles}")
+    lines = [f"{format_perm(g) or '(empty)'}  maj+={maj_plus(g)}  "
+             f"minimal-profiles: {' '.join(profiles)}" for g, profiles in zip(cores, witnesses)]
     _emit(config, "\n".join(lines) + ("\n" if lines else ""))
     return EXIT_OK
 

@@ -3,11 +3,12 @@ Counting pattern-avoiding permutations by major index.
 
 Two independent computation paths are provided and cross-checked:
 
-* brute force: a depth-first generator that extends prefix patterns by
-  appending the next relative rank.  Appending never disturbs the descents
-  already present, so the major index is monotone along the tree and the
-  search can prune on a major-index ceiling.  Each node carries a bitmask of
-  its forbidden sites, the ranks whose appending completes a pattern
+* brute force: an iterative walk of the prefix tree, shared with the core
+  path and the avoider stream, that extends prefix patterns by appending
+  the next relative rank.  Appending never disturbs the descents already
+  present, so the major index is monotone along the tree and the search can
+  prune on a major-index ceiling.  Each node carries a bitmask of its
+  forbidden sites, the ranks whose appending completes a pattern
   occurrence.  A child inherits its parent's mask (an occurrence that avoids
   the new letter stays one) and adds the sites of the occurrences of each
   pattern's head that end at its new letter, so no candidate child is tested
@@ -17,16 +18,18 @@ Two independent computation paths are provided and cross-checked:
 * cores: every permutation with major index m is core gamma + padding
   profile with maj_plus(gamma) = m.  Appending a letter never lowers
   len + maj, so the same prefix tree, pruned by containment and by the
-  ceiling len + maj <= m, yields exactly the candidate cores.  Whether
-  gamma . a avoids the patterns only depends on the profile capped at the
-  longest pattern length K (an occurrence uses at most K letters from any
-  inserted run).  An occurrence is a prefix of the pattern embedded in gamma
-  plus an increasing tail taken from the padding, so each core precomputes
-  the gap-interval demands (obstructions) under which gamma . c contains a
-  pattern, and a capped signature c is tested by interval sums.  Counting
-  profiles with a fixed cap signature is stars and bars, so each core's
-  avoiding signatures collapse into one histogram that gives its exact,
-  eventually polynomial count at every length.
+  ceiling len + maj <= m, yields exactly the candidate cores.  A candidate
+  is a core iff some letter below its last one (any letter for the empty
+  word) can be appended without completing a pattern, which its mask
+  already says.  Whether gamma . a avoids the patterns only depends on the
+  profile capped at the longest pattern length K (an occurrence uses at
+  most K letters from any inserted run).  An occurrence is a prefix of the
+  pattern embedded in gamma plus an increasing tail taken from the padding,
+  so each core precomputes the gap-interval demands (obstructions) under
+  which gamma . c contains a pattern, and a capped signature c is tested by
+  interval sums.  Counting profiles with a fixed cap signature is stars and
+  bars, so each core's avoiding signatures collapse into one histogram that
+  gives its exact, eventually polynomial count at every length.
 """
 from __future__ import annotations
 
@@ -50,6 +53,7 @@ from .perms import (
     pattern_neighbours,
     set_magnitude,
     slope,
+    value_neighbours,
     Magnitude,
 )
 from .poly import Polynomial, ZERO
@@ -263,46 +267,43 @@ def _children(word: Perm, mj: int, mask: int, maj_cap: int,
         yield child, child_mj, _forbidden_sites(child, inherited, plans)
 
 
-def _avoider_tree(patterns: PatternSet, ceiling: int, max_len: int,
-                  budget: _Budget) -> Iterator[tuple[Perm, int]]:
-    """The avoiders with len + maj <= ceiling and length <= max_len, the empty
-    word first and each before its extensions, with their len + maj."""
-    root, plans = _site_plans(patterns.patterns)
+def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
+          caps: list[int], budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
+    """Each seed and then its descendants in the avoiders' prefix tree, in
+    preorder with children by increasing appended rank, as (word, maj, mask).
 
-    def rec(word: Perm, mj: int, mask: int) -> Iterator[tuple[Perm, int]]:
+    A descendant of length n is kept while n < len(caps) and maj <= caps[n];
+    each expansion spends one node per child it builds.
+    """
+    stack = seeds[::-1]
+    while stack:
+        node = stack.pop()
+        yield node
+        word, mj, mask = node
         n = len(word)
-        yield word, n + mj
-        if n >= max_len:
-            return
-        for child, child_mj, child_mask in _children(word, mj, mask, ceiling - n - 1, plans):
-            budget.spend()
-            yield from rec(child, child_mj, child_mask)
-
-    return rec((), 0, root)
+        if n + 1 < len(caps):
+            children = list(_children(word, mj, mask, caps[n + 1], plans))
+            budget.spend(len(children))
+            stack += children[::-1]
 
 
-def _brute_fill(rows, word: Perm, mj: int, mask: int, max_n: int, maj_cap: int,
-                plans: tuple[SitePlan, ...], budget: _Budget) -> None:
-    # Record the node, then extend by appending every relative rank; the last
-    # level is counted from the clear sites without being built.
-    n = len(word)
-    if n:
-        rows[n - 1][mj] += 1
-    if n == max_n:
-        return
-    if n == max_n - 1:
-        free = ~mask & ((1 << n + 2) - 2)
-        last = word[n - 1] if n else 0
-        ascents = (free >> last + 1).bit_count()
-        descents = (free.bit_count() - ascents) if mj + n <= maj_cap else 0
-        budget.spend(ascents + descents)
-        rows[n][mj] += ascents
-        if descents:
-            rows[n][mj + n] += descents
-        return
-    for child, child_mj, child_mask in _children(word, mj, mask, maj_cap, plans):
-        budget.spend()
-        _brute_fill(rows, child, child_mj, child_mask, max_n, maj_cap, plans, budget)
+def _brute_fill(rows, walk: Iterator[tuple[Perm, int, int]], max_n: int, maj_cap: int,
+                budget: _Budget) -> None:
+    # Record every walked node; the last level is counted from the clear
+    # sites of its parents without being built.
+    for word, mj, mask in walk:
+        n = len(word)
+        if n:
+            rows[n - 1][mj] += 1
+        if n == max_n - 1:
+            free = ~mask & ((1 << n + 2) - 2)
+            last = word[n - 1] if n else 0
+            ascents = (free >> last + 1).bit_count()
+            descents = (free.bit_count() - ascents) if mj + n <= maj_cap else 0
+            budget.spend(ascents + descents)
+            rows[n][mj] += ascents
+            if descents:
+                rows[n][mj + n] += descents
 
 
 def _zero_rows(max_n: int, maj_cap: int) -> list[list[int]]:
@@ -319,8 +320,7 @@ def _subtree_task(args) -> tuple[list[list[int]], int]:
     plans, max_n, maj_cap, nodes_left, seeds = args
     rows = _zero_rows(max_n, maj_cap)
     budget = _Budget(nodes_left)
-    for word, mj, mask in seeds:
-        _brute_fill(rows, word, mj, mask, max_n, maj_cap, plans, budget)
+    _brute_fill(rows, _walk(plans, seeds, [maj_cap] * max_n, budget), max_n, maj_cap, budget)
     return rows, budget.spent
 
 
@@ -329,7 +329,8 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int,
     root, plans = _site_plans(patterns.patterns)
     rows = _zero_rows(max_n, maj_cap)
     if parallelism <= 1:
-        _brute_fill(rows, (), 0, root, max_n, maj_cap, plans, budget)
+        walk = _walk(plans, [((), 0, root)], [maj_cap] * max_n, budget)
+        _brute_fill(rows, walk, max_n, maj_cap, budget)
         return rows
 
     # Expand a frontier wide enough to share, record the interior here, and
@@ -366,9 +367,10 @@ def generate_avoiders(n: int, patterns: PatternSet, *,
     """Stream every pattern-avoiding permutation of length n exactly once."""
     if n < 0:
         raise InvalidInputError(f"length must be non-negative, got {n}")
-    # len + maj <= n + n(n - 1)/2 holds for every prefix of every avoider.
-    tree = _avoider_tree(patterns, n + _triangle(n), n, _Budget(max_nodes))
-    return (word for word, _ in tree if len(word) == n)
+    root, plans = _site_plans(patterns.patterns)
+    # maj <= n(n - 1)/2 holds for every prefix of every avoider.
+    walk = _walk(plans, [((), 0, root)], [_triangle(n)] * (n + 1), _Budget(max_nodes))
+    return (word for word, _, _ in walk if len(word) == n)
 
 
 def count_avoiders(n: int, patterns: PatternSet, *,
@@ -499,16 +501,11 @@ def _pattern_plan(sigma: Perm) -> tuple[tuple[tuple[int, int], ...], tuple[tuple
 
     neighbours: pattern_neighbours(sigma).  groups[r]: the demands
     (below, above, d) of the tail sigma[r:], one per run of tail letters
-    sharing their neighbours in sigma[:r] (-2 and -1 when there is none), in
-    increasing value order.
+    sharing their value_neighbours in sigma[:r], in increasing value order.
     """
-    def around(r: int, t: int) -> tuple[int, int]:
-        return (max((i for i in range(r) if sigma[i] < t), key=sigma.__getitem__, default=-2),
-                min((i for i in range(r) if sigma[i] > t), key=sigma.__getitem__, default=-1))
-
     groups = []
     for r in range(len(sigma) + 1):
-        demand = Counter(around(r, t) for t in sorted(sigma[r:]))
+        demand = Counter(value_neighbours(sigma, range(r), t) for t in sorted(sigma[r:]))
         groups.append(tuple((below, above, d) for (below, above), d in demand.items()))
     return pattern_neighbours(sigma), tuple(groups)
 
@@ -724,16 +721,31 @@ def count_by_core(gamma: Perm, n: int, patterns: PatternSet, *,
     return counts.count(n)
 
 
+def _cores(patterns: PatternSet, ceiling: int, max_len: int,
+           budget: _Budget) -> Iterator[tuple[Perm, int]]:
+    """The cores with len + maj <= ceiling and length <= max_len, in preorder,
+    with their len + maj.  A node is a core iff it has an avoiding unit
+    profile (avoiding profiles form a down-set).  The unit profile e_{s-1}
+    appends rank s and is valid iff s <= gamma_k (any s for the empty core),
+    so that is a clear site s <= gamma_k of the node's mask.
+    """
+    root, plans = _site_plans(patterns.patterns)
+    caps = [ceiling - n for n in range(max_len + 1)]
+    for gamma, mj, mask in _walk(plans, [((), 0, root)], caps, budget):
+        k = len(gamma)
+        top = gamma[k - 1] if k else 1
+        if ~mask & ((1 << top + 1) - 2):
+            yield gamma, k + mj
+
+
 def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
                   max_len: int, n_max: int | None, budget: _Budget) -> None:
-    """Walk the core tree once and add each core of length <= max_len to the
+    """Walk the cores once and add each core of length <= max_len to the
     signature counts of its column len + maj, for the columns given.
 
-    A core with no avoiding signature adds nothing, so the walk needs no
-    admissibility filter.  With n_max, only the signatures that reach lengths
-    up to n_max are walked.
+    With n_max, only the signatures that reach lengths up to n_max are walked.
     """
-    for gamma, mp in _avoider_tree(patterns, max(columns), max_len, budget):
+    for gamma, mp in _cores(patterns, max(columns), max_len, budget):
         counts = columns.get(mp)
         if counts is not None:
             counts.add_core(gamma, patterns, node_budget=budget,
@@ -772,17 +784,13 @@ def core_set(m: int, patterns: PatternSet, *, max_core_len: int | None = None,
              max_nodes: int | None = None) -> CoreSet:
     """All cores gamma with maj_plus(gamma) = m admissible for the pattern set.
 
-    The cores are the nodes of the avoiders' prefix tree pruned at
-    len + maj <= m that have an avoiding unit profile (the avoiding profiles
-    form a down-set, so unit profiles decide).  max_core_len caps the tree
-    depth (cores longer than n - 1 are invisible at length n); the node
-    ceiling bounds the tree.
+    max_core_len caps the core length (cores longer than n - 1 are invisible
+    at length n); the node ceiling bounds the walk.
     """
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
     top = m if max_core_len is None else min(m, max_core_len)
-    found = [gamma for gamma, mp in _avoider_tree(patterns, m, top, _Budget(max_nodes))
-             if mp == m and minimal_avoiding_profiles(gamma, patterns)]
+    found = [gamma for gamma, mp in _cores(patterns, m, top, _Budget(max_nodes)) if mp == m]
     found.sort(key=lambda g: (len(g), g))
     return CoreSet(m, patterns, tuple(found))
 

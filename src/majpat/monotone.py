@@ -135,6 +135,10 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
 
     tally = {tag.value: 0 for tag in InjectionTag}
     counts: dict[int, tuple[int, int]] = {}
+
+    def failed(pi: Perm, reason: str) -> MonotonicityReport:
+        return MonotonicityReport(sigma, n, limit, False, (pi, reason), tally, counts)
+
     for m in range(limit + 1):
         source = by_m.get(m, [])
         count_next = row_next[m] if m < len(row_next) else 0
@@ -144,24 +148,15 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
             image, case = monotone_injection(pi, sigma)
             tally[case.tag.value] += 1
             if major_index(image) != m:
-                return MonotonicityReport(sigma, n, limit, False,
-                                          (pi, f"image changes major index to {major_index(image)}"),
-                                          tally, counts)
+                return failed(pi, f"image changes major index to {major_index(image)}")
             if delete_at(image, case.position) != pi:
-                return MonotonicityReport(sigma, n, limit, False,
-                                          (pi, "image is not the avoider plus one letter"),
-                                          tally, counts)
+                return failed(pi, "image is not the avoider plus one letter")
             if contains_through(image, sigma, case.position):
-                return MonotonicityReport(sigma, n, limit, False,
-                                          (pi, "image contains the pattern"), tally, counts)
+                return failed(pi, "image contains the pattern")
             if image in images:
-                return MonotonicityReport(sigma, n, limit, False,
-                                          (pi, "image collides with another avoider"),
-                                          tally, counts)
+                return failed(pi, "image collides with another avoider")
             images.add(image)
         if len(source) > count_next:
-            return MonotonicityReport(sigma, n, limit, False,
-                                      (source[0] if source else (),
-                                       f"column drops: {len(source)} > {count_next} at m={m}"),
-                                      tally, counts)
+            return failed(source[0] if source else (),
+                          f"column drops: {len(source)} > {count_next} at m={m}")
     return MonotonicityReport(sigma, n, limit, True, None, tally, counts)

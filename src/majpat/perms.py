@@ -144,10 +144,9 @@ def slope(pi: Perm) -> int:
 
 @lru_cache(maxsize=256)
 def pattern_neighbours(sigma: Perm, pin: int | None = None) -> tuple[tuple[int, int], ...]:
-    """The value-neighbour plan of sigma: for each slot j, the slots just
-    below and just above sigma[j] in value among the slots placed before it
-    (those left of j, and the slot pin when one is given), with -2 and -1
-    when there is none below or above.
+    """The value-neighbour plan of sigma: for each slot j, the
+    value_neighbours of sigma[j] among the slots placed before it (those
+    left of j, and the slot pin when one is given).
 
     A search that keeps the values it placed in a list ending with the floor
     0 and the ceiling n + 1 reads the window of slot j as
@@ -160,9 +159,15 @@ def pattern_neighbours(sigma: Perm, pin: int | None = None) -> tuple[tuple[int, 
     plan = []
     for j, t in enumerate(sigma):
         placed = [i for i in range(len(sigma)) if i != j and (i < j or i == pin)]
-        plan.append((max((i for i in placed if sigma[i] < t), key=sigma.__getitem__, default=-2),
-                     min((i for i in placed if sigma[i] > t), key=sigma.__getitem__, default=-1)))
+        plan.append(value_neighbours(sigma, placed, t))
     return tuple(plan)
+
+
+def value_neighbours(sigma: Perm, placed: Sequence[int], t: int) -> tuple[int, int]:
+    """The slots among placed just below and just above the value t in
+    sigma, with -2 and -1 when there is none below or above."""
+    return (max((i for i in placed if sigma[i] < t), key=sigma.__getitem__, default=-2),
+            min((i for i in placed if sigma[i] > t), key=sigma.__getitem__, default=-1))
 
 
 def _embed(word: Perm, plan: tuple[tuple[int, int], ...], chosen: list[int], r: int,

@@ -198,6 +198,24 @@ class TestMajTable:
             with pytest.raises(ResourceLimitError):
                 maj_table(7, 21, PatternSet(), parallelism=parallelism, max_nodes=5912)
 
+    @pytest.mark.parametrize("text", ["1324", "3412;1324", ""])
+    def test_ceiling_outcome_does_not_depend_on_parallelism(self, text):
+        # The walker spends a node batch per expansion, so a ceiling can be
+        # crossed mid-level; either both degrees stop or both give the table.
+        ps = PatternSet.from_text(text)
+        full = maj_table(7, 21, ps).rows
+        spend = sum(map(sum, full))  # one node per counted permutation
+        rng = random.Random(text)
+        for limit in [rng.randint(0, spend) for _ in range(9)] + [spend]:
+            outcomes = []
+            for parallelism in (1, 2):
+                try:
+                    outcomes.append(maj_table(7, 21, ps, parallelism=parallelism,
+                                              max_nodes=limit).rows)
+                except ResourceLimitError:
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1] == (None if limit < spend else full), (text, limit)
+
     def test_node_ceiling_counts_the_capped_last_level(self):
         # One node per counted permutation, also on the last level, which is
         # counted without being built and is cut by max_maj 10 < 28.
@@ -268,7 +286,7 @@ class TestCores:
                 assert total == t.entry(7, m), (text, m)
 
     def test_tree_cores_match_permutation_scan(self):
-        for text in ("", "1324", "3412;1324", "132;231", "321"):
+        for text in ("", "1324", "3412;1324", "132;231", "321", "2134", "1342;2413"):
             ps = PatternSet.from_text(text)
             for m in range(0, 8):
                 assert list(core_set(m, ps).cores) == oracle_cores(m, ps.patterns), (text, m)

@@ -30,8 +30,8 @@ from majpat.perms import (
 from oracles import oracle_occurrences
 
 
-def perms_upto(max_n, min_n=0):
-    for n in range(min_n, max_n + 1):
+def perms_upto(max_n):
+    for n in range(max_n + 1):
         yield from itertools.permutations(range(1, n + 1))
 
 
@@ -114,13 +114,6 @@ class TestContains:
     def test_through_rejects_positions_outside(self, k):
         with pytest.raises(InvalidInputError):
             contains_through((2, 1, 3), (2, 1), k)
-
-    def test_last_position_variant_agrees_after_append(self):
-        sigmas = [s for k in range(2, 5) for s in itertools.permutations(range(1, k + 1))]
-        for pi in perms_upto(5, min_n=1):
-            for s in sigmas:
-                expected = any(occ[-1] == len(pi) for occ in occurrences(pi, s))
-                assert contains_ending_at_last(pi, s) == expected
 
 
 class TestDescentStatistics:
