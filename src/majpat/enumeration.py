@@ -29,7 +29,13 @@ Two independent computation paths are provided and cross-checked:
   which gamma . c contains a pattern, and a capped signature c is tested by
   interval sums.  Counting profiles with a fixed cap signature is stars and
   bars, so each core's avoiding signatures collapse into one histogram that
-  gives its exact, eventually polynomial count at every length.
+  gives its exact, eventually polynomial count at every length.  A table's
+  cores of length n_max - 1 have room for one padding letter, so their
+  avoiding signatures are the unit profiles their masks count.
+
+Both paths thus count the descent-ending part of a table's last row (the
+permutations whose last letter makes a descent) from the same masks; the
+rest of each cell is still cross-checked between independent routes.
 """
 from __future__ import annotations
 
@@ -722,20 +728,22 @@ def count_by_core(gamma: Perm, n: int, patterns: PatternSet, *,
 
 
 def _cores(patterns: PatternSet, ceiling: int, max_len: int,
-           budget: _Budget) -> Iterator[tuple[Perm, int]]:
+           budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
     """The cores with len + maj <= ceiling and length <= max_len, in preorder,
-    with their len + maj.  A node is a core iff it has an avoiding unit
-    profile (avoiding profiles form a down-set).  The unit profile e_{s-1}
-    appends rank s and is valid iff s <= gamma_k (any s for the empty core),
-    so that is a clear site s <= gamma_k of the node's mask.
+    with their len + maj and their number of avoiding unit profiles.  A node
+    is a core iff it has an avoiding unit profile (avoiding profiles form a
+    down-set).  The unit profile e_{s-1} appends rank s and is valid iff
+    s <= gamma_k (any s for the empty core), so the avoiding ones are the
+    clear sites s <= gamma_k of the node's mask.
     """
     root, plans = _site_plans(patterns.patterns)
     caps = [ceiling - n for n in range(max_len + 1)]
     for gamma, mj, mask in _walk(plans, [((), 0, root)], caps, budget):
         k = len(gamma)
         top = gamma[k - 1] if k else 1
-        if ~mask & ((1 << top + 1) - 2):
-            yield gamma, k + mj
+        units = (~mask & ((1 << top + 1) - 2)).bit_count()
+        if units:
+            yield gamma, k + mj, units
 
 
 def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
@@ -744,12 +752,21 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     signature counts of its column len + maj, for the columns given.
 
     With n_max, only the signatures that reach lengths up to n_max are walked.
+    A core of length n_max - 1 has room for one padding letter, so its
+    avoiding signatures are its avoiding unit profiles: they are counted from
+    the walk's mask, one node each, as the brute walker counts its last level.
     """
-    for gamma, mp in _cores(patterns, max(columns), max_len, budget):
+    for gamma, mp, units in _cores(patterns, max(columns), max_len, budget):
         counts = columns.get(mp)
-        if counts is not None:
+        if counts is None:
+            continue
+        k = len(gamma)
+        if n_max == k + 1:
+            budget.spend(units)
+            counts.hist[k + 1, int(counts.cap == 1)] += units
+        else:
             counts.add_core(gamma, patterns, node_budget=budget,
-                            budget_sum=None if n_max is None else n_max - len(gamma))
+                            budget_sum=None if n_max is None else n_max - k)
 
 
 def _core_rows(patterns: PatternSet, max_n: int, maj_cap: int,
@@ -776,8 +793,15 @@ class CoreSet:
 def minimal_avoiding_profiles(gamma: Perm, patterns: PatternSet) -> tuple[Profile, ...]:
     """The admissible unit profiles of a core (the minimal avoiding witnesses),
     e_i before e_j for i < j."""
-    units = [c for c in _avoiding_signatures(gamma, patterns, budget_sum=1) if sum(c) == 1]
-    return tuple(sorted(units, reverse=True))
+    k = len(gamma)
+    obstructions = _obstructions(gamma, patterns.patterns, 1)
+    if obstructions is None:
+        return ()
+    # With room for one letter every obstruction is a single demand
+    # (lo, hi, 1), which e_i meets iff lo <= i <= hi.
+    blocked = {i for ((lo, hi, _),) in obstructions for i in range(lo, hi + 1)}
+    return tuple(tuple(int(j == i) for j in range(k + 1))
+                 for i in range(gamma[k - 1] if k else 1) if i not in blocked)
 
 
 def core_set(m: int, patterns: PatternSet, *, max_core_len: int | None = None,
@@ -790,7 +814,7 @@ def core_set(m: int, patterns: PatternSet, *, max_core_len: int | None = None,
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
     top = m if max_core_len is None else min(m, max_core_len)
-    found = [gamma for gamma, mp in _cores(patterns, m, top, _Budget(max_nodes)) if mp == m]
+    found = [gamma for gamma, mp, _ in _cores(patterns, m, top, _Budget(max_nodes)) if mp == m]
     found.sort(key=lambda g: (len(g), g))
     return CoreSet(m, patterns, tuple(found))
 

@@ -59,10 +59,13 @@ class TestExitCodes:
         ("verify-monotonic", "--patterns", "2134", "--n", "5"),
     ])
     def test_one_node_ceiling_per_run(self, capsys, argv):
-        # Each run's walks spend this many nodes together: brute 873 + cores
-        # 2364 for the table, and for verify-monotonic the brute table at n + 1
-        # plus the avoider stream at n.
-        total = {"table": 3237, "verify-monotonic": 685}[argv[0]]
+        # Each run's walks spend this many nodes together, one node per
+        # counted unit wherever a last level is counted from masks.  The table
+        # spends brute 873 and cores 1044: 153 core-tree nodes, 531 signature
+        # walk nodes for the cores of length <= 4 and one per unit profile of
+        # the 120 cores of length 5 (360).  verify-monotonic spends the brute
+        # table at n + 1 plus the avoider stream at n.
+        total = {"table": 1917, "verify-monotonic": 685}[argv[0]]
         code, _, err = run(capsys, *argv, "--max-nodes", str(total - 1))
         assert code == 3 and "resource" in err.lower()
         code, _, _ = run(capsys, *argv, "--max-nodes", str(total))

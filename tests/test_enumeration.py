@@ -20,7 +20,14 @@ from majpat.enumeration import (
     major_count_series,
     minimal_avoiding_profiles,
 )
-from majpat.enumeration import _avoiding_signatures, _children, _obstructions, _site_plans
+from majpat.enumeration import (
+    _Budget,
+    _avoiding_signatures,
+    _children,
+    _cores,
+    _obstructions,
+    _site_plans,
+)
 from majpat.errors import InvalidInputError, ResourceLimitError, VerificationError
 from majpat.perms import avoids, contains, contains_ending_at_last, insert, major_index
 from majpat.poly import Polynomial
@@ -313,6 +320,16 @@ class TestCores:
                     want = tuple(e for e in units
                                  if avoids(compose(gamma, e), ps.patterns))
                     assert minimal_avoiding_profiles(gamma, ps) == want, (text, gamma)
+
+    def test_core_units_are_its_one_letter_signatures(self):
+        # A table counts each last-level core's signatures as the units
+        # _cores reads off its mask; the profiles and count_by_core (the
+        # obstruction and signature-walk route) must give the same number.
+        for text in OBSTRUCTION_SETS + ("1", "12", ""):
+            ps = PatternSet.from_text(text)
+            for gamma, _, units in _cores(ps, 21, 6, _Budget(None)):
+                assert units == len(minimal_avoiding_profiles(gamma, ps)) \
+                    == count_by_core(gamma, len(gamma) + 1, ps), (text, gamma)
 
     def test_negative_major_index_is_invalid(self):
         with pytest.raises(InvalidInputError):
