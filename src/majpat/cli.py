@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .asymptotics import Verdict, degree_report
 from .enumeration import (
@@ -34,70 +33,69 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
-class RunConfig:
-    patterns: PatternSet
-    max_n: int | None = None
-    max_maj: int | None = None
-    algorithm: str = "brute"
-    fmt: str = "csv"
-    parallelism: int = 1
-    window: int = 3
-    max_nodes: int | None = None
-    output: str | None = None
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def cmd_table(config: RunConfig) -> int:
-    max_maj = config.max_maj
+def _parallelism(args: argparse.Namespace) -> int:
+    parallelism = parallelism_default() if args.parallelism is None else args.parallelism
+    if parallelism < 1:
+        raise InvalidInputError(f"parallelism must be >= 1, got {parallelism}")
+    return parallelism
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    patterns = PatternSet.from_text(args.patterns)
+    parallelism = _parallelism(args)
+    if args.max_n < 1:
+        raise InvalidInputError(f"--max-n must be >= 1, got {args.max_n}")
+    max_maj = args.max_maj
     if max_maj is None:
-        max_maj = config.max_n * (config.max_n - 1) // 2
+        max_maj = args.max_n * (args.max_n - 1) // 2
     table = maj_table(
-        config.max_n, max_maj, config.patterns,
-        algorithm=config.algorithm, parallelism=config.parallelism,
-        max_nodes=config.max_nodes,
+        args.max_n, max_maj, patterns,
+        algorithm=args.algorithm, parallelism=parallelism, max_nodes=args.max_nodes,
     )
-    _emit(config, table.to_csv() if config.fmt == "csv" else table.to_json() + "\n")
+    _emit(args, table.to_csv() if args.format == "csv" else table.to_json() + "\n")
     return EXIT_OK
 
 
-def cmd_degree(config: RunConfig, m: int) -> int:
+def cmd_degree(args: argparse.Namespace) -> int:
     report = degree_report(
-        m, config.patterns, n_max=config.max_n, window=config.window,
-        algorithm=config.algorithm, max_nodes=config.max_nodes,
+        args.maj, PatternSet.from_text(args.patterns), n_max=args.max_n,
+        window=args.window, algorithm=args.algorithm, max_nodes=args.max_nodes,
     )
-    _emit(config, json.dumps(report.to_json_obj(), indent=2) + "\n")
+    _emit(args, json.dumps(report.to_json_obj(), indent=2) + "\n")
     return EXIT_FAILED if report.verdict is Verdict.MISMATCH else EXIT_OK
 
 
-def cmd_verify_monotonic(config: RunConfig, n: int) -> int:
-    if len(config.patterns) != 1:
+def cmd_verify_monotonic(args: argparse.Namespace) -> int:
+    patterns = PatternSet.from_text(args.patterns)
+    if len(patterns) != 1:
         raise InvalidInputError(
             "monotonicity verification takes exactly one pattern; column "
             "monotonicity can fail for multi-pattern sets"
         )
-    (sigma,) = config.patterns
-    report = verify_monotonicity(sigma, n, config.max_maj, max_nodes=config.max_nodes)
-    _emit(config, json.dumps(report.to_json_obj(), indent=2) + "\n")
+    (sigma,) = patterns
+    report = verify_monotonicity(sigma, args.n, args.max_maj, max_nodes=args.max_nodes)
+    _emit(args, json.dumps(report.to_json_obj(), indent=2) + "\n")
     return EXIT_OK if report.verified else EXIT_FAILED
 
 
-def cmd_cores(config: RunConfig, m: int) -> int:
-    cores = core_set(m, config.patterns, max_nodes=config.max_nodes).cores
-    witnesses = [[format_profile(p) for p in minimal_avoiding_profiles(g, config.patterns)]
+def cmd_cores(args: argparse.Namespace) -> int:
+    patterns = PatternSet.from_text(args.patterns)
+    cores = core_set(args.maj, patterns, max_nodes=args.max_nodes).cores
+    witnesses = [[format_profile(p) for p in minimal_avoiding_profiles(g, patterns)]
                  for g in cores]
-    if config.fmt == "json":
+    if args.format == "json":
         obj = {
             "schema": 1,
-            "maj": m,
-            "patterns": config.patterns.texts(),
+            "maj": args.maj,
+            "patterns": patterns.texts(),
             "cores": [
                 {
                     "core": format_perm(g),
@@ -107,32 +105,41 @@ def cmd_cores(config: RunConfig, m: int) -> int:
                 for g, profiles in zip(cores, witnesses)
             ],
         }
-        _emit(config, json.dumps(obj, indent=2) + "\n")
+        _emit(args, json.dumps(obj, indent=2) + "\n")
         return EXIT_OK
     lines = [f"{format_perm(g) or '(empty)'}  maj+={maj_plus(g)}  "
              f"minimal-profiles: {' '.join(profiles)}" for g, profiles in zip(cores, witnesses)]
-    _emit(config, "\n".join(lines) + ("\n" if lines else ""))
+    _emit(args, "\n".join(lines) + ("\n" if lines else ""))
     return EXIT_OK
 
 
-def cmd_check_oeis(config: RunConfig, path: str, max_n: int) -> int:
-    reference = read_integer_file(path)
+def cmd_check_oeis(args: argparse.Namespace) -> int:
+    parallelism = _parallelism(args)
+    reference = read_integer_file(args.file)
     table = maj_table(
-        max_n, max_n * (max_n - 1) // 2, PatternSet(),
-        algorithm=config.algorithm, parallelism=config.parallelism,
-        max_nodes=config.max_nodes,
+        args.max_n, args.max_n * (args.max_n - 1) // 2, PatternSet(),
+        algorithm=args.algorithm, parallelism=parallelism, max_nodes=args.max_nodes,
     )
     diff = diff_triangle(table, reference)
     if diff.mismatch is not None:
         n, m, ours, theirs = diff.mismatch
-        _emit(config, f"MISMATCH at (n={n}, m={m}): computed {ours}, file has {theirs}\n")
+        _emit(args, f"MISMATCH at (n={n}, m={m}): computed {ours}, file has {theirs}\n")
         return EXIT_FAILED
     if diff.missing_cells:
-        _emit(config, f"file too short: {diff.missing_cells} cells unmatched after "
-                      f"{diff.matched} matches\n")
+        _emit(args, f"file too short: {diff.missing_cells} cells unmatched after "
+                    f"{diff.matched} matches\n")
         return EXIT_FAILED
-    _emit(config, f"match: {diff.matched} entries\n")
+    _emit(args, f"match: {diff.matched} entries\n")
     return EXIT_OK
+
+
+COMMANDS = {
+    "table": cmd_table,
+    "degree": cmd_degree,
+    "verify-monotonic": cmd_verify_monotonic,
+    "cores": cmd_cores,
+    "check-oeis": cmd_check_oeis,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,35 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    parallelism = getattr(args, "parallelism", 1)
-    config = RunConfig(
-        patterns=PatternSet.from_text(getattr(args, "patterns", "")),
-        max_n=getattr(args, "max_n", None),
-        max_maj=getattr(args, "max_maj", None),
-        algorithm=getattr(args, "algorithm", "brute"),
-        fmt=getattr(args, "format", "csv"),
-        parallelism=parallelism if parallelism is not None else parallelism_default(),
-        window=getattr(args, "window", 3),
-        max_nodes=args.max_nodes,
-        output=args.output,
-    )
-    if config.parallelism < 1:
-        raise InvalidInputError(f"parallelism must be >= 1, got {config.parallelism}")
-    if args.command == "table":
-        if config.max_n < 1:
-            raise InvalidInputError(f"--max-n must be >= 1, got {config.max_n}")
-        return cmd_table(config)
-    if args.command == "degree":
-        return cmd_degree(config, args.maj)
-    if args.command == "verify-monotonic":
-        return cmd_verify_monotonic(config, args.n)
-    if args.command == "cores":
-        return cmd_cores(config, args.maj)
-    if args.command == "check-oeis":
-        return cmd_check_oeis(config, args.file, args.max_n)
-    raise InvalidInputError(f"unknown command {args.command!r}")
+    args = build_parser().parse_args(argv)
+    return COMMANDS[args.command](args)
 
 
 def main(argv=None) -> int:

@@ -52,6 +52,7 @@ from .decomp import Profile, compose
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .perms import (
     Perm,
+    _grow,
     avoids,
     format_perm,
     magnitude,
@@ -178,13 +179,13 @@ class _Budget:
 
 
 # A site plan (steps, below, above) finds the occurrences of a pattern's head
-# sigma[:l-1] that end at a word's last letter.  Its indices point into a
-# partial embedding laid out as (0, n + 1, head letters...), so 0 and 1 stand
-# for no neighbour below and above: steps[r] = (lo, hi, under) places sigma[r]
-# between the entries lo and hi, and below the last letter if under, above it
-# otherwise; below and above point at the head letters just under and over
-# sigma[l-1] in value.
-SitePlan = tuple[tuple[tuple[int, int, bool], ...], int, int]
+# sigma[:l-1] that end at a word's last letter.  It is the plan of sigma with
+# slot l - 2 pinned to that letter, its indices pointing into a partial
+# embedding laid out as (0, n + 1, last letter, head letters...), so 0 and 1
+# stand for no neighbour below and above: steps[r] = (lo, hi) places sigma[r]
+# between the entries lo and hi, and below and above point at the head
+# letters just under and over sigma[l-1] in value.
+SitePlan = tuple[tuple[tuple[int, int], ...], int, int]
 
 
 @lru_cache(maxsize=64)
@@ -198,13 +199,10 @@ def _site_plans(sigs: tuple[Perm, ...]) -> tuple[int, tuple[SitePlan, ...]]:
         if l == 1:
             root = 0b10
             continue
-        # pattern_neighbours marks a missing neighbour -2 or -1; shifting
-        # every index by 2 puts the head's slots after the floor and ceiling.
-        neighbours = pattern_neighbours(sigma)
-        steps = tuple((lo + 2, hi + 2, sigma[r] < sigma[l - 2])
-                      for r, (lo, hi) in enumerate(neighbours[:l - 2]))
-        below, above = neighbours[l - 1]
-        plans.append((steps, below + 2, above + 2))
+        index = {-2: 0, -1: 1, l - 2: 2}
+        neighbours = [(index.get(lo, lo + 3), index.get(hi, hi + 3))
+                      for lo, hi in pattern_neighbours(sigma, l - 2)]
+        plans.append((tuple(neighbours[:l - 2]), *neighbours[l - 1]))
     return root, tuple(plans)
 
 
@@ -218,32 +216,13 @@ def _forbidden_sites(word: Perm, mask: int, plans: tuple[SitePlan, ...]) -> int:
     (0 and len(word) + 1 at the ends).
     """
     n = len(word)
-    last = word[n - 1]
     for steps, below, above in plans:
-        h = len(steps)
-        if h >= n:
-            continue
-        # The embeddings of sigma[:r], grown one head letter at a time, each
-        # with the position its next letter may start from.
-        partial: list[tuple[tuple[int, ...], int]] = [((0, n + 1), 0)]
-        for r, (lo, hi, under) in enumerate(steps):
-            stop = n - h + r
-            grown = []
-            for values, start in partial:
-                low = values[lo]
-                high = values[hi]
-                if under:
-                    if last < high:
-                        high = last
-                elif last > low:
-                    low = last
-                for pos in range(start, stop):
-                    v = word[pos]
-                    if low < v < high:
-                        grown.append((values + (v,), pos + 1))
-            partial = grown
+        # Head slot r sits before the last letter, leaving room for the rest.
+        stop = n - len(steps)
+        partial = [((0, n + 1, word[n - 1]), 0)]
+        for r, (lo, hi) in enumerate(steps):
+            partial = _grow(word, partial, lo, hi, stop + r)
         for values, _ in partial:
-            values += (last,)
             a = values[below]
             b = values[above]
             mask |= ((1 << (b - a)) - 1) << (a + 1)
@@ -530,6 +509,11 @@ def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
     every demand of some obstruction is met.  No demand exceeds the pattern
     length, which is why the capped signature decides avoidance.
     Obstructions needing more than max_demand padding letters are left out.
+
+    Every embedding of sigma[:r] is grown from those of sigma[:r-1] by one
+    `_grow` step; each gives one obstruction at the levels r whose tail is
+    increasing and short enough, and an embedding at level len(sigma) is an
+    occurrence in gamma itself.
     """
     k = len(gamma)
     found = set()
@@ -537,29 +521,17 @@ def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
         l = len(sigma)
         first = max(l - slope(sigma), l - max_demand)
         neighbours, groups = _pattern_plan(sigma)
-        # The embedded values of sigma's slots, then the floor and ceiling.
-        values = [0] * l + [0, k + 1]
-
-        def embed(r: int, start: int) -> bool:
-            # values holds an embedding of sigma[:r] ending before start;
-            # True once sigma embeds in gamma entirely.
-            if r == l:
-                return True
+        # Embeddings of sigma[:r] anywhere in gamma, their values laid out
+        # as (0, k + 1, slot values...); the plans' -2 and -1 shift to the
+        # floor and the ceiling.
+        partial = [((0, k + 1), 0)]
+        for r, (below, above) in enumerate(neighbours):
             if r >= first:
-                found.add(tuple((values[below], values[above] - 1, d)
-                                for below, above, d in groups[r]))
-            below, above = neighbours[r]
-            lo = values[below]
-            hi = values[above]
-            for pos in range(start, k):
-                v = gamma[pos]
-                if lo < v < hi:
-                    values[r] = v
-                    if embed(r + 1, pos + 1):
-                        return True
-            return False
-
-        if embed(0, 0):
+                for values, _ in partial:
+                    found.add(tuple((values[lo + 2], values[hi + 2] - 1, d)
+                                    for lo, hi, d in groups[r]))
+            partial = _grow(gamma, partial, below + 2, above + 2, k)
+        if partial:
             return None
     return _minimal_obstructions(found)
 
@@ -599,7 +571,7 @@ def _implies(a: Obstruction, b: Obstruction) -> bool:
 
 def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *,
                          budget_sum: int | None = None,
-                         node_budget: _Budget | None = None) -> Iterator[Profile]:
+                         node_budget: _Budget) -> Iterator[Profile]:
     """All cap signatures c (coordinates <= cap) of valid decompositions
     (some c_i > 0 with i < gamma_k, so that k is the last descent) whose
     composed permutation avoids the patterns, optionally restricted to
@@ -634,8 +606,7 @@ def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *,
         used = prefix[j]
         if k and j == gk and not used:
             return
-        if node_budget is not None:
-            node_budget.spend()
+        node_budget.spend()
         top = min(cap, room - used)
         for earlier, least in checks[j]:
             for l, h, e in earlier:
@@ -676,7 +647,7 @@ class SignatureCounts:
 
     def add_core(self, gamma: Perm, patterns: PatternSet, *,
                  budget_sum: int | None = None,
-                 node_budget: _Budget | None = None) -> None:
+                 node_budget: _Budget) -> None:
         k, cap, hist = len(gamma), self.cap, self.hist
         for c in _avoiding_signatures(gamma, patterns, budget_sum=budget_sum,
                                       node_budget=node_budget):
@@ -844,7 +815,7 @@ def core_polynomial(gamma: Perm, patterns: PatternSet) -> tuple[Polynomial, int]
     onset returned is minimal for the full sum.
     """
     counts = SignatureCounts(patterns.cap)
-    counts.add_core(gamma, patterns)
+    counts.add_core(gamma, patterns, node_budget=_Budget(None))
     return counts.eventual_polynomial(0, f"core {format_perm(gamma) or '(empty)'}")
 
 

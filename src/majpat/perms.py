@@ -10,15 +10,20 @@ Text forms: a digit string for n <= 9 (``"1324"``) and a comma-separated list
 for n >= 10 (``"10,1,2,..."``).  Both are accepted wherever a permutation is
 parsed; `format_perm` emits the digit form whenever it is unambiguous.
 
-Every containment question runs on one kernel.  A pattern is compiled once
-into its value-neighbour plan (`pattern_neighbours`): for each slot, the
-already placed slots just below and just above it in value.  A plain
-recursive search places the slots left to right, reading each slot's value
-window off those two placed letters.  Pinning one slot to a given position
-first (with a plan that counts the pinned slot as placed) answers the
-questions about occurrences through one letter: `contains_through` and
-`contains_ending_at_last`.  `contains`, `avoids` and `occurrences` run it
-unpinned.
+A pattern is compiled once into its value-neighbour plan
+(`pattern_neighbours`): for each slot, the already placed slots just below
+and just above it in value, so each slot's value window is read off those
+two placed letters.  Two searches run on that plan.
+
+* Yes/no questions run a recursive search that places the slots left to
+  right and stops at the first occurrence.  Pinning one slot to a given
+  position first (with a plan that counts the pinned slot as placed)
+  answers the questions about occurrences through one letter:
+  `contains_through` and `contains_ending_at_last`.  `contains` and
+  `avoids` run it unpinned.
+* Questions that need every embedding of a pattern prefix grow all of them
+  one slot at a time with `_grow`: `occurrences` here, and the prefix-tree
+  masks and the core obstructions of the enumeration module.
 """
 from __future__ import annotations
 
@@ -171,20 +176,13 @@ def value_neighbours(sigma: Perm, placed: Sequence[int], t: int) -> tuple[int, i
 
 
 def _embed(word: Perm, plan: tuple[tuple[int, int], ...], chosen: list[int], r: int,
-           start: int, pin: int, at: int, found: list | None) -> bool:
+           start: int, pin: int, at: int) -> bool:
     # chosen holds the values of the slots placed so far (slots 0..r-1, and
     # the slot pin when r < pin), the last of them before position start.
     # Slot pin sits at position at, so slot r < pin ends by at - (pin - r);
     # past the pin the fence moves to the virtual slot len(plan) at the end.
-    # With found, every occurrence's values are collected; without, the
-    # search stops at the first.
     if r == pin:
-        if r == len(plan):
-            if found is None:
-                return True
-            found.append(tuple(chosen[:r]))
-            return False
-        return _embed(word, plan, chosen, r + 1, at + 1, len(plan), len(word), found)
+        return r == len(plan) or _embed(word, plan, chosen, r + 1, at + 1, len(plan), len(word))
     below, above = plan[r]
     lo = chosen[below]
     hi = chosen[above]
@@ -192,21 +190,36 @@ def _embed(word: Perm, plan: tuple[tuple[int, int], ...], chosen: list[int], r: 
         v = word[pos]
         if lo < v < hi:
             chosen[r] = v
-            if _embed(word, plan, chosen, r + 1, pos + 1, pin, at, found):
+            if _embed(word, plan, chosen, r + 1, pos + 1, pin, at):
                 return True
     return False
 
 
-def _search(pi: Perm, sigma: Perm, slot: int | None = None, position: int = 0,
-            found: list | None = None) -> bool:
+def _search(pi: Perm, sigma: Perm, slot: int | None = None, position: int = 0) -> bool:
     # One kernel call: sigma in pi, with slot pinned to the letter at the
     # 1-based position when slot is given.
     l, n = len(sigma), len(pi)
     chosen = [0] * l + [0, n + 1]
     if slot is None:
-        return _embed(pi, pattern_neighbours(sigma), chosen, 0, 0, l, n, found)
+        return _embed(pi, pattern_neighbours(sigma), chosen, 0, 0, l, n)
     chosen[slot] = pi[position - 1]
-    return _embed(pi, pattern_neighbours(sigma, slot), chosen, 0, 0, slot, position - 1, found)
+    return _embed(pi, pattern_neighbours(sigma, slot), chosen, 0, 0, slot, position - 1)
+
+
+def _grow(word: Perm, partial: list[tuple[tuple[int, ...], int]], lo: int, hi: int,
+          stop: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each partial embedding (values, start) extended, in order, by every
+    letter of word[start:stop] strictly between values[lo] and values[hi],
+    with the position after it as the new start."""
+    grown = []
+    for values, start in partial:
+        low = values[lo]
+        high = values[hi]
+        for pos in range(start, stop):
+            v = word[pos]
+            if low < v < high:
+                grown.append((values + (v,), pos + 1))
+    return grown
 
 
 def occurrences(pi: Perm, sigma: Perm) -> list[tuple[int, ...]]:
@@ -215,10 +228,14 @@ def occurrences(pi: Perm, sigma: Perm) -> list[tuple[int, ...]]:
     >>> occurrences((3, 1, 4, 2), (2, 1))
     [(1, 2), (1, 4), (3, 4)]
     """
-    found: list[tuple[int, ...]] = []
-    _search(pi, sigma, found=found)
+    l, n = len(sigma), len(pi)
+    # Values laid out as (0, n + 1, slot values...): the plan's -2 and -1
+    # (no neighbour below, above) become the floor and the ceiling.
+    partial = [((0, n + 1), 0)]
+    for r, (below, above) in enumerate(pattern_neighbours(sigma)):
+        partial = _grow(pi, partial, below + 2, above + 2, n - l + r + 1)
     where = {v: i for i, v in enumerate(pi, start=1)}
-    return [tuple(where[v] for v in values) for values in found]
+    return [tuple(where[v] for v in values[2:]) for values, _ in partial]
 
 
 def contains(pi: Perm, sigma: Perm) -> bool:

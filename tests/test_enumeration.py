@@ -34,7 +34,7 @@ from majpat.poly import Polynomial
 
 from oracles import oracle_cores, oracle_minimal_obstructions, oracle_rows
 
-OBSTRUCTION_SETS = ("1324", "3412;1324", "2134", "321", "1342;2413")
+OBSTRUCTION_SETS = ("1324", "3412;1324", "2134", "321", "1342;2413", "21354;21453")
 
 
 class TestPatternSet:
@@ -102,7 +102,7 @@ class TestAvoiders:
 
 class TestForbiddenSites:
     @pytest.mark.parametrize("text", ["1", "12", "21", "1324", "3412,1324",
-                                      "2413,3142", "132,213", ""])
+                                      "2413,3142", "132,213", "", "21354", "21453"])
     def test_masks_match_last_letter_containment(self, text):
         # The clear bits of every walked avoider's mask are exactly the ranks
         # s whose appending avoids every pattern, and the walk reaches every
@@ -393,9 +393,10 @@ class TestObstructions:
                         if (k == 0 or any(c[:gk]))
                         and avoids(compose(gamma, c), ps.patterns)
                     ]
-                    got = list(_avoiding_signatures(gamma, ps))
+                    got = list(_avoiding_signatures(gamma, ps, node_budget=_Budget(None)))
                     assert got == want, (text, gamma)
-                    assert list(_avoiding_signatures(gamma, ps, budget_sum=3)) == \
+                    assert list(_avoiding_signatures(gamma, ps, budget_sum=3,
+                                                     node_budget=_Budget(None))) == \
                         [c for c in want if sum(c) <= 3]
 
 
@@ -438,6 +439,11 @@ class TestEventualPolynomial:
         assert p.degree == 2 and onset <= 2
         for n in range(onset, onset + 6):
             assert p(n) == n * (n - 1) // 2 - 1
+
+    def test_core_polynomial_obeys_the_node_ceiling(self, monkeypatch):
+        monkeypatch.setenv("MAJPAT_MAX_NODES", "1")
+        with pytest.raises(ResourceLimitError):
+            core_polynomial((3, 1, 2), PatternSet.of("1324"))
 
 
 class TestSeries:
