@@ -18,7 +18,6 @@ from .enumeration import (
     PatternSet,
     core_set,
     maj_table,
-    minimal_avoiding_profiles,
     parallelism_default,
 )
 from .decomp import format_profile
@@ -88,9 +87,9 @@ def cmd_verify_monotonic(args: argparse.Namespace) -> int:
 
 def cmd_cores(args: argparse.Namespace) -> int:
     patterns = PatternSet.from_text(args.patterns)
-    cores = core_set(args.maj, patterns, max_nodes=args.max_nodes).cores
-    witnesses = [[format_profile(p) for p in minimal_avoiding_profiles(g, patterns)]
-                 for g in cores]
+    found = core_set(args.maj, patterns, max_nodes=args.max_nodes)
+    cores = found.cores
+    witnesses = [[format_profile(p) for p in profiles] for profiles in found.profiles]
     if args.format == "json":
         obj = {
             "schema": 1,

@@ -30,12 +30,15 @@ Two independent computation paths are provided and cross-checked:
   interval sums.  Counting profiles with a fixed cap signature is stars and
   bars, so each core's avoiding signatures collapse into one histogram that
   gives its exact, eventually polynomial count at every length.  A table's
-  cores of length n_max - 1 have room for one padding letter, so their
-  avoiding signatures are the unit profiles their masks count.
+  cores of length n_max - 1 and n_max - 2 have room for one or two padding
+  letters, so their avoiding signatures are the clear sites of their masks
+  and of their one-letter children's masks.
 
-Both paths thus count the descent-ending part of a table's last row (the
-permutations whose last letter makes a descent) from the same masks; the
-rest of each cell is still cross-checked between independent routes.
+Both paths thus read the same masks for the permutations of length n_max
+whose last descent is at n_max - 1 or n_max - 2, and for those of length
+n_max - 1 whose last descent is at n_max - 2 (whose last letter falls).  The
+rest of those two rows, and every earlier row, is still cross-checked
+between independent routes.
 """
 from __future__ import annotations
 
@@ -235,9 +238,7 @@ def _children(word: Perm, mj: int, mask: int, maj_cap: int,
     major index stays within maj_cap, each with its major index and mask.
 
     Bit s of mask is set iff appending rank s makes the word contain a
-    pattern.  A child inherits its parent's forbidden sites (appending v
-    splits site v in two and shifts the sites above it up by one), and then
-    forbids the sites of the occurrences that use its new last letter.
+    pattern; each child is built by `_child`.
     """
     n = len(word)
     last = word[n - 1] if n else 0
@@ -247,9 +248,20 @@ def _children(word: Perm, mj: int, mask: int, maj_cap: int,
         child_mj = mj + (n if last >= v else 0)
         if child_mj > maj_cap:
             continue
-        child = tuple(x + 1 if x >= v else x for x in word) + (v,)
-        inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
-        yield child, child_mj, _forbidden_sites(child, inherited, plans)
+        child, child_mask = _child(word, mask, v, plans)
+        yield child, child_mj, child_mask
+
+
+def _child(word: Perm, mask: int, v: int, plans: tuple[SitePlan, ...]) -> tuple[Perm, int]:
+    """word with rank v appended, and the child's mask.
+
+    The child inherits its parent's forbidden sites (appending v splits site
+    v in two and shifts the sites above it up by one), and then forbids the
+    sites of the occurrences that use its new last letter.
+    """
+    child = tuple(x + 1 if x >= v else x for x in word) + (v,)
+    inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
+    return child, _forbidden_sites(child, inherited, plans)
 
 
 def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
@@ -699,22 +711,56 @@ def count_by_core(gamma: Perm, n: int, patterns: PatternSet, *,
 
 
 def _cores(patterns: PatternSet, ceiling: int, max_len: int,
-           budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
+           budget: _Budget) -> Iterator[tuple[Perm, int, int, int]]:
     """The cores with len + maj <= ceiling and length <= max_len, in preorder,
-    with their len + maj and their number of avoiding unit profiles.  A node
-    is a core iff it has an avoiding unit profile (avoiding profiles form a
-    down-set).  The unit profile e_{s-1} appends rank s and is valid iff
-    s <= gamma_k (any s for the empty core), so the avoiding ones are the
-    clear sites s <= gamma_k of the node's mask.
+    as (gamma, len + maj, mask, sites).  A node is a core iff it has an
+    avoiding unit profile (avoiding profiles form a down-set).  The unit
+    profile e_{s-1} appends rank s and is valid iff s <= gamma_k (any s for
+    the empty core), so the avoiding ones are the clear sites s <= gamma_k
+    of the node's mask, the bits of sites.
     """
     root, plans = _site_plans(patterns.patterns)
     caps = [ceiling - n for n in range(max_len + 1)]
     for gamma, mj, mask in _walk(plans, [((), 0, root)], caps, budget):
         k = len(gamma)
         top = gamma[k - 1] if k else 1
-        units = (~mask & ((1 << top + 1) - 2)).bit_count()
-        if units:
-            yield gamma, k + mj, units
+        sites = ~mask & ((1 << top + 1) - 2)
+        if sites:
+            yield gamma, k + mj, mask, sites
+
+
+def _add_short_core(counts: SignatureCounts, gamma: Perm, mask: int, sites: int,
+                    room: int, plans: tuple[SitePlan, ...], budget: _Budget) -> None:
+    """Add the signatures of a core with room for one or two padding letters,
+    read off masks as the brute walker reads its last level.
+
+    Each bit s of sites is a unit e_{s-1}.  With room for two, the child
+    gamma . s is built by the walker's own rule; appending rank s + 1 to it
+    is the pair 2e_{s-1} and rank t > s + 1 the pair e_{s-1} + e_{t-2}, so
+    the pairs are its clear sites above s.  One node is spent per child
+    built or unit counted and one per pair.  With cap 1 a unit is already
+    saturated, standing for its whole gap, so 2e_{s-1} adds nothing.
+    """
+    k, hist = len(gamma), counts.hist
+    units = sites.bit_count()
+    budget.spend(units)
+    hist[k + 1, int(counts.cap == 1)] += units
+    if room == 1:
+        return
+    same = other = 0
+    for s in range(1, k + 2):
+        if sites >> s & 1:
+            _, child_mask = _child(gamma, mask, s, plans)
+            # Bit i of free is the child's site s + 1 + i, up to k + 2.
+            free = ~child_mask >> s + 1
+            same += free & 1
+            other += (free >> 1 & ((1 << k + 1 - s) - 1)).bit_count()
+    budget.spend(same + other)
+    if counts.cap == 1:
+        hist[k + 2, 2] += other
+    else:
+        hist[k + 2, int(counts.cap == 2)] += same
+        hist[k + 2, 0] += other
 
 
 def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
@@ -723,21 +769,22 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     signature counts of its column len + maj, for the columns given.
 
     With n_max, only the signatures that reach lengths up to n_max are walked.
-    A core of length n_max - 1 has room for one padding letter, so its
-    avoiding signatures are its avoiding unit profiles: they are counted from
-    the walk's mask, one node each, as the brute walker counts its last level.
+    A core of length n_max - 1 or n_max - 2 has room for one or two padding
+    letters, so its avoiding signatures are read off the masks of the walk
+    and of its one-letter children (`_add_short_core`), as the brute walker
+    reads its last level; every core with more room, and every core without
+    n_max, goes through its obstructions and the signature walk.
     """
-    for gamma, mp, units in _cores(patterns, max(columns), max_len, budget):
+    _, plans = _site_plans(patterns.patterns)
+    for gamma, mp, mask, sites in _cores(patterns, max(columns), max_len, budget):
         counts = columns.get(mp)
         if counts is None:
             continue
-        k = len(gamma)
-        if n_max == k + 1:
-            budget.spend(units)
-            counts.hist[k + 1, int(counts.cap == 1)] += units
+        room = None if n_max is None else n_max - len(gamma)
+        if room is not None and room <= 2:
+            _add_short_core(counts, gamma, mask, sites, room, plans, budget)
         else:
-            counts.add_core(gamma, patterns, node_budget=budget,
-                            budget_sum=None if n_max is None else n_max - k)
+            counts.add_core(gamma, patterns, node_budget=budget, budget_sum=room)
 
 
 def _core_rows(patterns: PatternSet, max_n: int, maj_cap: int,
@@ -754,16 +801,24 @@ def _core_rows(patterns: PatternSet, max_n: int, maj_cap: int,
 
 @dataclass(frozen=True)
 class CoreSet:
-    """All distinct cores of avoiders with a given extended major index."""
+    """All distinct cores of avoiders with a given extended major index, each
+    with its minimal avoiding profiles (the admissible unit profiles)."""
 
     m: int
     patterns: PatternSet
     cores: tuple[Perm, ...]
+    profiles: tuple[tuple[Profile, ...], ...]
+
+
+def _unit_profiles(k: int, sites: int) -> tuple[Profile, ...]:
+    """The unit profiles e_{s-1} of the set bits s of sites, by increasing s."""
+    return tuple(tuple(int(j == s - 1) for j in range(k + 1))
+                 for s in range(1, k + 2) if sites >> s & 1)
 
 
 def minimal_avoiding_profiles(gamma: Perm, patterns: PatternSet) -> tuple[Profile, ...]:
     """The admissible unit profiles of a core (the minimal avoiding witnesses),
-    e_i before e_j for i < j."""
+    e_i before e_j for i < j, found through the core's obstructions."""
     k = len(gamma)
     obstructions = _obstructions(gamma, patterns.patterns, 1)
     if obstructions is None:
@@ -771,13 +826,14 @@ def minimal_avoiding_profiles(gamma: Perm, patterns: PatternSet) -> tuple[Profil
     # With room for one letter every obstruction is a single demand
     # (lo, hi, 1), which e_i meets iff lo <= i <= hi.
     blocked = {i for ((lo, hi, _),) in obstructions for i in range(lo, hi + 1)}
-    return tuple(tuple(int(j == i) for j in range(k + 1))
-                 for i in range(gamma[k - 1] if k else 1) if i not in blocked)
+    sites = sum(1 << i + 1 for i in range(gamma[k - 1] if k else 1) if i not in blocked)
+    return _unit_profiles(k, sites)
 
 
 def core_set(m: int, patterns: PatternSet, *, max_core_len: int | None = None,
              max_nodes: int | None = None) -> CoreSet:
-    """All cores gamma with maj_plus(gamma) = m admissible for the pattern set.
+    """All cores gamma with maj_plus(gamma) = m admissible for the pattern set,
+    with their unit profiles read off the walk's masks.
 
     max_core_len caps the core length (cores longer than n - 1 are invisible
     at length n); the node ceiling bounds the walk.
@@ -785,9 +841,10 @@ def core_set(m: int, patterns: PatternSet, *, max_core_len: int | None = None,
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
     top = m if max_core_len is None else min(m, max_core_len)
-    found = [gamma for gamma, mp, _ in _cores(patterns, m, top, _Budget(max_nodes)) if mp == m]
-    found.sort(key=lambda g: (len(g), g))
-    return CoreSet(m, patterns, tuple(found))
+    found = sorted((len(gamma), gamma, sites) for gamma, mp, _, sites
+                   in _cores(patterns, m, top, _Budget(max_nodes)) if mp == m)
+    return CoreSet(m, patterns, tuple(gamma for _, gamma, _ in found),
+                   tuple(_unit_profiles(k, sites) for k, _, sites in found))
 
 
 def column_counts(m: int, patterns: PatternSet, *, n_max: int | None = None,

@@ -9,6 +9,7 @@ from majpat.decomp import compose
 from majpat.enumeration import (
     MajTable,
     PatternSet,
+    SignatureCounts,
     core_polynomial,
     core_set,
     count_avoiders,
@@ -22,6 +23,7 @@ from majpat.enumeration import (
 )
 from majpat.enumeration import (
     _Budget,
+    _add_short_core,
     _avoiding_signatures,
     _children,
     _cores,
@@ -322,14 +324,37 @@ class TestCores:
                     assert minimal_avoiding_profiles(gamma, ps) == want, (text, gamma)
 
     def test_core_units_are_its_one_letter_signatures(self):
-        # A table counts each last-level core's signatures as the units
-        # _cores reads off its mask; the profiles and count_by_core (the
-        # obstruction and signature-walk route) must give the same number.
-        for text in OBSTRUCTION_SETS + ("1", "12", ""):
+        # A table counts the signatures of each core one or two letters
+        # short of its last row from masks: the units _cores reads off its
+        # mask, and the pairs read off its children's masks.  The profiles,
+        # count_by_core and add_core (the obstruction and signature-walk
+        # route) must give the same units and the same histogram cells.  The
+        # empty core's zero signature fills cell (0, 0), which counts only at
+        # n = 0 and so in no table row; the masks skip it, and it is dropped
+        # from add_core's cells before comparing.
+        for text in OBSTRUCTION_SETS + ("1", "12", "21", ""):
             ps = PatternSet.from_text(text)
-            for gamma, _, units in _cores(ps, 21, 6, _Budget(None)):
-                assert units == len(minimal_avoiding_profiles(gamma, ps)) \
+            _, plans = _site_plans(ps.patterns)
+            for gamma, _, mask, sites in _cores(ps, 21, 6, _Budget(None)):
+                assert sites.bit_count() == len(minimal_avoiding_profiles(gamma, ps)) \
                     == count_by_core(gamma, len(gamma) + 1, ps), (text, gamma)
+                want = SignatureCounts(ps.cap)
+                want.add_core(gamma, ps, budget_sum=2, node_budget=_Budget(None))
+                if not gamma:
+                    del want.hist[0, 0]
+                got = SignatureCounts(ps.cap)
+                _add_short_core(got, gamma, mask, sites, 2, plans, _Budget(None))
+                assert +got.hist == +want.hist, (text, gamma)
+
+    def test_core_set_profiles_match_obstruction_route(self):
+        # core_set reads each core's unit profiles off its walk mask;
+        # minimal_avoiding_profiles finds them through obstructions.
+        for text in OBSTRUCTION_SETS:
+            ps = PatternSet.from_text(text)
+            for m in range(0, 10):
+                found = core_set(m, ps)
+                want = tuple(minimal_avoiding_profiles(g, ps) for g in found.cores)
+                assert found.profiles == want, (text, m)
 
     def test_negative_major_index_is_invalid(self):
         with pytest.raises(InvalidInputError):
