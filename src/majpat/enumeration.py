@@ -3,17 +3,18 @@ Counting pattern-avoiding permutations by major index.
 
 Two independent computation paths are provided and cross-checked:
 
-* brute force: an iterative walk of the prefix tree, shared with the core
-  path and the avoider stream, that extends prefix patterns by appending
-  the next relative rank.  Appending never disturbs the descents already
-  present, so the major index is monotone along the tree and the search can
-  prune on a major-index ceiling.  Each node carries a bitmask of its
-  forbidden sites, the ranks whose appending completes a pattern
-  occurrence.  A child inherits its parent's mask (an occurrence that avoids
-  the new letter stays one) and adds the sites of the occurrences of each
-  pattern's head that end at its new letter, so no candidate child is tested
-  for containment.  The last level of a table is counted from the clear
-  sites of its parents without being built.
+* brute force: an iterative walk of the prefix tree that extends prefix
+  patterns by appending the next relative rank.  The core path and the
+  avoider stream share it, and it is the only code that builds a child.
+  Appending never disturbs the descents already present, so the major index
+  is monotone along the tree and the search can prune on a major-index
+  ceiling.  Each node carries a bitmask of its forbidden sites, the ranks
+  whose appending completes a pattern occurrence.  A child inherits its
+  parent's mask (an occurrence that avoids the new letter stays one) and
+  adds the sites of the occurrences of each pattern's head that end at its
+  new letter, so no candidate child is tested for containment.  The last
+  level of a table is counted from the clear sites of its parents without
+  being built.
 
 * cores: every permutation with major index m is core gamma + padding
   profile with maj_plus(gamma) = m.  Appending a letter never lowers
@@ -32,7 +33,8 @@ Two independent computation paths are provided and cross-checked:
   gives its exact, eventually polynomial count at every length.  A table's
   cores of length n_max - 1 and n_max - 2 have room for one or two padding
   letters, so their avoiding signatures are the clear sites of their masks
-  and of their one-letter children's masks.
+  and of the masks of their descent children, which the core walk builds by
+  going on to length n_max - 1.
 
 Both paths thus read the same masks for the permutations of length n_max
 whose last descent is at n_max - 1 or n_max - 2, and for those of length
@@ -49,7 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .decomp import Profile, compose
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
@@ -232,45 +234,18 @@ def _forbidden_sites(word: Perm, mask: int, plans: tuple[SitePlan, ...]) -> int:
     return mask
 
 
-def _children(word: Perm, mj: int, mask: int, maj_cap: int,
-              plans: tuple[SitePlan, ...]) -> Iterator[tuple[Perm, int, int]]:
-    """The avoiding one-letter extensions of an avoiding prefix pattern whose
-    major index stays within maj_cap, each with its major index and mask.
-
-    Bit s of mask is set iff appending rank s makes the word contain a
-    pattern; each child is built by `_child`.
-    """
-    n = len(word)
-    last = word[n - 1] if n else 0
-    for v in range(1, n + 2):
-        if mask >> v & 1:
-            continue
-        child_mj = mj + (n if last >= v else 0)
-        if child_mj > maj_cap:
-            continue
-        child, child_mask = _child(word, mask, v, plans)
-        yield child, child_mj, child_mask
-
-
-def _child(word: Perm, mask: int, v: int, plans: tuple[SitePlan, ...]) -> tuple[Perm, int]:
-    """word with rank v appended, and the child's mask.
-
-    The child inherits its parent's forbidden sites (appending v splits site
-    v in two and shifts the sites above it up by one), and then forbids the
-    sites of the occurrences that use its new last letter.
-    """
-    child = tuple(x + 1 if x >= v else x for x in word) + (v,)
-    inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
-    return child, _forbidden_sites(child, inherited, plans)
-
-
 def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
           caps: list[int], budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
     """Each seed and then its descendants in the avoiders' prefix tree, in
     preorder with children by increasing appended rank, as (word, maj, mask).
 
     A descendant of length n is kept while n < len(caps) and maj <= caps[n];
-    each expansion spends one node per child it builds.
+    each expansion spends one node per child it builds.  Bit s of a mask is
+    set iff appending rank s makes the word contain a pattern, so the
+    children are the clear sites.  A child inherits its parent's forbidden
+    sites (appending v splits site v in two and shifts the sites above it up
+    by one), and then forbids the sites of the occurrences that use its new
+    last letter.
     """
     stack = seeds[::-1]
     while stack:
@@ -278,10 +253,22 @@ def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
         yield node
         word, mj, mask = node
         n = len(word)
-        if n + 1 < len(caps):
-            children = list(_children(word, mj, mask, caps[n + 1], plans))
-            budget.spend(len(children))
-            stack += children[::-1]
+        if n + 1 >= len(caps):
+            continue
+        cap = caps[n + 1]
+        last = word[n - 1] if n else 0
+        depth = len(stack)
+        # Highest rank first, so that the stack pops the children in order.
+        for v in range(n + 1, 0, -1):
+            if mask >> v & 1:
+                continue
+            child_mj = mj + n if v <= last else mj
+            if child_mj > cap:
+                continue
+            child = tuple(x + 1 if x >= v else x for x in word) + (v,)
+            inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
+            stack.append((child, child_mj, _forbidden_sites(child, inherited, plans)))
+        budget.spend(len(stack) - depth)
 
 
 def _brute_fill(rows, walk: Iterator[tuple[Perm, int, int]], max_n: int, maj_cap: int,
@@ -336,22 +323,23 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int,
     # frontier left over and reports what it spent, so the ceiling holds for
     # the whole walk exactly as on one process.
     frontier: list[tuple[Perm, int, int]] = [((), 0, root)]
-    while len(frontier) < 4 * parallelism and frontier and len(frontier[0][0]) < max_n:
-        next_level = []
-        for word, mj, mask in frontier:
-            n = len(word)
-            if n:
+    n = 0
+    while len(frontier) < 4 * parallelism and frontier and n < max_n:
+        if n:
+            for _, mj, _ in frontier:
                 rows[n - 1][mj] += 1
-            for child in _children(word, mj, mask, maj_cap, plans):
-                budget.spend()
-                next_level.append(child)
-        frontier = next_level
+        walk = _walk(plans, frontier, [maj_cap] * (n + 2), budget)
+        frontier = [node for node in walk if len(node[0]) > n]
+        n += 1
     buckets: list[list[tuple[Perm, int, int]]] = [[] for _ in range(parallelism)]
     for i, seed in enumerate(frontier):
         buckets[i % parallelism].append(seed)
     tasks = [(plans, max_n, maj_cap, budget.left, bucket) for bucket in buckets if bucket]
+    if not tasks:
+        return rows
+    # A forked pool starts all its workers at the first submit: one per task.
     spent = 0
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
         for part, part_spent in pool.map(_subtree_task, tasks):
             _merge_rows(rows, part)
             spent += part_spent
@@ -660,11 +648,23 @@ class SignatureCounts:
     def add_core(self, gamma: Perm, patterns: PatternSet, *,
                  budget_sum: int | None = None,
                  node_budget: _Budget) -> None:
-        k, cap, hist = len(gamma), self.cap, self.hist
-        for c in _avoiding_signatures(gamma, patterns, budget_sum=budget_sum,
-                                      node_budget=node_budget):
+        k = len(gamma)
+        self.add(k, _avoiding_signatures(gamma, patterns, budget_sum=budget_sum,
+                                         node_budget=node_budget))
+        self.bound = max(self.bound, k + self.cap * (k + 1))
+
+    def add(self, k: int, signatures: Iterable[Profile]) -> None:
+        """Count each signature c of a core of length k in cell
+        (k + |c|, #{c_i = cap}); c may leave out its zero coordinates."""
+        cap, hist = self.cap, self.hist
+        for c in signatures:
             hist[k + sum(c), c.count(cap)] += 1
-        self.bound = max(self.bound, k + cap * (k + 1))
+
+    def add_shapes(self, k: int, shapes: list[Profile]) -> None:
+        """Count the shapes of padding read off masks that are signatures: a
+        shape with a coordinate above cap is none (with cap 1, the pair 2e_i
+        is the unit e_i, which already stands for its whole gap)."""
+        self.add(k, [c for c in shapes if max(c) <= self.cap])
 
     def count(self, n: int) -> int:
         total = 0
@@ -710,57 +710,27 @@ def count_by_core(gamma: Perm, n: int, patterns: PatternSet, *,
     return counts.count(n)
 
 
-def _cores(patterns: PatternSet, ceiling: int, max_len: int,
-           budget: _Budget) -> Iterator[tuple[Perm, int, int, int]]:
-    """The cores with len + maj <= ceiling and length <= max_len, in preorder,
-    as (gamma, len + maj, mask, sites).  A node is a core iff it has an
-    avoiding unit profile (avoiding profiles form a down-set).  The unit
+def _unit_sites(gamma: Perm, mask: int) -> int:
+    """The avoiding unit profiles of a node, as a bit set of sites.  The unit
     profile e_{s-1} appends rank s and is valid iff s <= gamma_k (any s for
-    the empty core), so the avoiding ones are the clear sites s <= gamma_k
-    of the node's mask, the bits of sites.
-    """
+    the empty word), so the avoiding ones are the clear sites s <= gamma_k of
+    the node's mask; the node is a core iff there is one (avoiding profiles
+    form a down-set)."""
+    k = len(gamma)
+    top = gamma[k - 1] if k else 1
+    return ~mask & ((1 << top + 1) - 2)
+
+
+def _cores(patterns: PatternSet, ceiling: int, max_len: int,
+           budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
+    """The cores with len + maj <= ceiling and length <= max_len, in preorder,
+    as (gamma, len + maj, sites) with sites from `_unit_sites`."""
     root, plans = _site_plans(patterns.patterns)
     caps = [ceiling - n for n in range(max_len + 1)]
     for gamma, mj, mask in _walk(plans, [((), 0, root)], caps, budget):
-        k = len(gamma)
-        top = gamma[k - 1] if k else 1
-        sites = ~mask & ((1 << top + 1) - 2)
+        sites = _unit_sites(gamma, mask)
         if sites:
-            yield gamma, k + mj, mask, sites
-
-
-def _add_short_core(counts: SignatureCounts, gamma: Perm, mask: int, sites: int,
-                    room: int, plans: tuple[SitePlan, ...], budget: _Budget) -> None:
-    """Add the signatures of a core with room for one or two padding letters,
-    read off masks as the brute walker reads its last level.
-
-    Each bit s of sites is a unit e_{s-1}.  With room for two, the child
-    gamma . s is built by the walker's own rule; appending rank s + 1 to it
-    is the pair 2e_{s-1} and rank t > s + 1 the pair e_{s-1} + e_{t-2}, so
-    the pairs are its clear sites above s.  One node is spent per child
-    built or unit counted and one per pair.  With cap 1 a unit is already
-    saturated, standing for its whole gap, so 2e_{s-1} adds nothing.
-    """
-    k, hist = len(gamma), counts.hist
-    units = sites.bit_count()
-    budget.spend(units)
-    hist[k + 1, int(counts.cap == 1)] += units
-    if room == 1:
-        return
-    same = other = 0
-    for s in range(1, k + 2):
-        if sites >> s & 1:
-            _, child_mask = _child(gamma, mask, s, plans)
-            # Bit i of free is the child's site s + 1 + i, up to k + 2.
-            free = ~child_mask >> s + 1
-            same += free & 1
-            other += (free >> 1 & ((1 << k + 1 - s) - 1)).bit_count()
-    budget.spend(same + other)
-    if counts.cap == 1:
-        hist[k + 2, 2] += other
-    else:
-        hist[k + 2, int(counts.cap == 2)] += same
-        hist[k + 2, 0] += other
+            yield gamma, len(gamma) + mj, sites
 
 
 def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
@@ -768,23 +738,52 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     """Walk the cores once and add each core of length <= max_len to the
     signature counts of its column len + maj, for the columns given.
 
-    With n_max, only the signatures that reach lengths up to n_max are walked.
-    A core of length n_max - 1 or n_max - 2 has room for one or two padding
-    letters, so its avoiding signatures are read off the masks of the walk
-    and of its one-letter children (`_add_short_core`), as the brute walker
-    reads its last level; every core with more room, and every core without
-    n_max, goes through its obstructions and the signature walk.
+    With n_max, only the signatures that reach lengths up to n_max are
+    walked, and a core one or two letters short of row n_max is counted from
+    masks, one node per signature.  A core of length n_max - 1 takes its
+    units, the bits of `_unit_sites`.  For a core gamma of length n_max - 2
+    the walk goes on to length n_max - 1 with the column ceiling itself as
+    the cap on maj, so it builds every descent child w = gamma . s (its last
+    letter falls; (1,) is the child of the empty core), and maj(w) is
+    gamma's column len + maj.  The node w is the unit e_{s-1}; appending rank
+    s + 1 to it is the pair 2e_{s-1} and rank t > s + 1 the pair
+    e_{s-1} + e_{t-2}, so the pairs are its clear sites above s.  Every core
+    with more room, and every core without n_max, goes through its
+    obstructions and the signature walk.
     """
-    _, plans = _site_plans(patterns.patterns)
-    for gamma, mp, mask, sites in _cores(patterns, max(columns), max_len, budget):
-        counts = columns.get(mp)
-        if counts is None:
+    root, plans = _site_plans(patterns.patterns)
+    ceiling = max(columns)
+    caps = [ceiling - n for n in range(max_len + 1)]
+    short = n_max is not None and 2 <= n_max <= max_len + 2
+    if short:
+        caps[n_max - 1:] = [ceiling]
+    for word, mj, mask in _walk(plans, [((), 0, root)], caps, budget):
+        k = len(word)
+        if short and k == n_max - 1 and (k == 1 or word[k - 1] < word[k - 2]):
+            # word = gamma . s for a core gamma of length n_max - 2.
+            counts = columns.get(mj)
+            if counts is not None:
+                s = word[k - 1]
+                # Bit i of free is the child's site s + 1 + i, up to k + 1.
+                free = ~mask >> s + 1
+                same = free & 1
+                other = (free >> 1 & ((1 << k - s) - 1)).bit_count()
+                budget.spend(same + other)
+                counts.add_shapes(k - 1, [(1,)] + [(2,)] * same + [(1, 1)] * other)
+        counts = columns.get(k + mj)
+        room = None if n_max is None else n_max - k
+        # A core with room 2 is counted through its descent children.
+        if counts is None or k > max_len or room == 2:
             continue
-        room = None if n_max is None else n_max - len(gamma)
-        if room is not None and room <= 2:
-            _add_short_core(counts, gamma, mask, sites, room, plans, budget)
+        sites = _unit_sites(word, mask)
+        if not sites:
+            continue
+        if room == 1:
+            units = sites.bit_count()
+            budget.spend(units)
+            counts.add_shapes(k, [(1,)] * units)
         else:
-            counts.add_core(gamma, patterns, node_budget=budget, budget_sum=room)
+            counts.add_core(word, patterns, node_budget=budget, budget_sum=room)
 
 
 def _core_rows(patterns: PatternSet, max_n: int, maj_cap: int,
@@ -841,7 +840,7 @@ def core_set(m: int, patterns: PatternSet, *, max_core_len: int | None = None,
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
     top = m if max_core_len is None else min(m, max_core_len)
-    found = sorted((len(gamma), gamma, sites) for gamma, mp, _, sites
+    found = sorted((len(gamma), gamma, sites) for gamma, mp, sites
                    in _cores(patterns, m, top, _Budget(max_nodes)) if mp == m)
     return CoreSet(m, patterns, tuple(gamma for _, gamma, _ in found),
                    tuple(_unit_profiles(k, sites) for k, _, sites in found))

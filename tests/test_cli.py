@@ -61,13 +61,14 @@ class TestExitCodes:
     def test_one_node_ceiling_per_run(self, capsys, argv):
         # Each run's walks spend this many nodes together, one node per
         # child built and per unit or pair counted wherever signatures are
-        # counted from masks.  The table spends brute 873 and cores 894: 153
-        # core-tree nodes, 81 signature walk nodes for the 10 cores of length
-        # <= 3, 300 for the children and pairs of the 24 cores of length 4
-        # and one per unit profile of the 120 cores of length 5 (360).
-        # verify-monotonic spends the brute table at n + 1 plus the avoider
-        # stream at n.
-        total = {"table": 1767, "verify-monotonic": 685}[argv[0]]
+        # counted from masks.  The table spends brute 873 and cores 834: 153
+        # core-tree nodes (among them the 60 descent children of the 24
+        # cores of length 4, whose units they are), 81 signature walk nodes
+        # for the 10 cores of length <= 3, 240 pairs read off those
+        # children's masks and one per unit profile of the 120 cores of
+        # length 5 (360).  verify-monotonic spends the brute table at n + 1
+        # plus the avoider stream at n.
+        total = {"table": 1707, "verify-monotonic": 685}[argv[0]]
         code, _, err = run(capsys, *argv, "--max-nodes", str(total - 1))
         assert code == 3 and "resource" in err.lower()
         code, _, _ = run(capsys, *argv, "--max-nodes", str(total))

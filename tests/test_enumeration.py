@@ -23,12 +23,12 @@ from majpat.enumeration import (
 )
 from majpat.enumeration import (
     _Budget,
-    _add_short_core,
     _avoiding_signatures,
-    _children,
     _cores,
+    _fill_columns,
     _obstructions,
     _site_plans,
+    _walk,
 )
 from majpat.errors import InvalidInputError, ResourceLimitError, VerificationError
 from majpat.perms import avoids, contains, contains_ending_at_last, insert, major_index
@@ -122,8 +122,8 @@ class TestForbiddenSites:
                         if not any(contains_ending_at_last(insert(word, n + 1, s), p)
                                    for p in ps.patterns)}
                 assert clear == want, (text, word)
-            level = [child for word, mj, mask in level
-                     for child in _children(word, mj, mask, 21, plans)]
+            walk = _walk(plans, level, [21] * (n + 2), _Budget(None))
+            level = [node for node in walk if len(node[0]) > n]
 
 
 class TestMajTable:
@@ -206,6 +206,33 @@ class TestMajTable:
             maj_table(7, 21, PatternSet(), parallelism=parallelism, max_nodes=5913)
             with pytest.raises(ResourceLimitError):
                 maj_table(7, 21, PatternSet(), parallelism=parallelism, max_nodes=5912)
+
+    def test_pool_has_one_worker_per_subtree(self, monkeypatch):
+        # A stand-in pool runs the subtrees here and records its size.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(majpat.enumeration, "ProcessPoolExecutor", InProcessPool)
+        assert maj_table(1, 10, PatternSet(), parallelism=4).rows == ((1,),)
+        assert sizes == [1]
+        ps = PatternSet.of("1324")
+        assert maj_table(7, 21, ps, parallelism=3).rows == maj_table(7, 21, ps).rows
+        assert sizes == [1, 3]
+        ps = PatternSet.of("1")
+        assert maj_table(5, 10, ps, parallelism=4).rows == maj_table(5, 10, ps).rows
+        assert sizes == [1, 3]
 
     @pytest.mark.parametrize("text", ["1324", "3412;1324", ""])
     def test_ceiling_outcome_does_not_depend_on_parallelism(self, text):
@@ -326,25 +353,26 @@ class TestCores:
     def test_core_units_are_its_one_letter_signatures(self):
         # A table counts the signatures of each core one or two letters
         # short of its last row from masks: the units _cores reads off its
-        # mask, and the pairs read off its children's masks.  The profiles,
-        # count_by_core and add_core (the obstruction and signature-walk
-        # route) must give the same units and the same histogram cells.  The
-        # empty core's zero signature fills cell (0, 0), which counts only at
-        # n = 0 and so in no table row; the masks skip it, and it is dropped
-        # from add_core's cells before comparing.
+        # mask, and the pairs read off the masks of the children the walk
+        # builds.  The profiles, count_by_core and add_core (the obstruction
+        # and signature-walk route) must give the same units and, per
+        # column, the same counts up to the last row.
         for text in OBSTRUCTION_SETS + ("1", "12", "21", ""):
             ps = PatternSet.from_text(text)
-            _, plans = _site_plans(ps.patterns)
-            for gamma, _, mask, sites in _cores(ps, 21, 6, _Budget(None)):
+            for gamma, _, sites in _cores(ps, 21, 6, _Budget(None)):
                 assert sites.bit_count() == len(minimal_avoiding_profiles(gamma, ps)) \
                     == count_by_core(gamma, len(gamma) + 1, ps), (text, gamma)
-                want = SignatureCounts(ps.cap)
-                want.add_core(gamma, ps, budget_sum=2, node_budget=_Budget(None))
-                if not gamma:
-                    del want.hist[0, 0]
-                got = SignatureCounts(ps.cap)
-                _add_short_core(got, gamma, mask, sites, 2, plans, _Budget(None))
-                assert +got.hist == +want.hist, (text, gamma)
+            # Full triangles, and a ceiling that cuts the last row but one.
+            for n_max, ceiling in [(n, c) for n in range(1, 9) for c in (n * (n - 1) // 2, 4)]:
+                got = {mp: SignatureCounts(ps.cap) for mp in range(ceiling + 1)}
+                _fill_columns(got, ps, n_max - 1, n_max, _Budget(None))
+                want = {mp: SignatureCounts(ps.cap) for mp in range(ceiling + 1)}
+                for gamma, mp, _ in _cores(ps, ceiling, n_max - 1, _Budget(None)):
+                    want[mp].add_core(gamma, ps, budget_sum=n_max - len(gamma),
+                                      node_budget=_Budget(None))
+                for mp in got:
+                    assert got[mp].series(n_max) == want[mp].series(n_max), \
+                        (text, n_max, ceiling, mp)
 
     def test_core_set_profiles_match_obstruction_route(self):
         # core_set reads each core's unit profiles off its walk mask;
@@ -473,10 +501,14 @@ class TestEventualPolynomial:
 
 class TestSeries:
     def test_paths_agree(self):
+        # Every last row n_max, and tables capped below their triangle.
         for text, m in [("1324", 3), ("132;231", 6), ("", 2)]:
             ps = PatternSet.from_text(text)
-            assert major_count_series(m, ps, 8, algorithm="cores") == \
-                major_count_series(m, ps, 8, algorithm="brute")
+            for n_max in range(1, 9):
+                assert major_count_series(m, ps, n_max, algorithm="cores") == \
+                    major_count_series(m, ps, n_max, algorithm="brute"), (text, n_max)
+            for max_maj in range(0, 6):
+                maj_table(8, max_maj, ps, algorithm="both")
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInputError):
