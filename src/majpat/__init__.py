@@ -45,12 +45,10 @@ from .enumeration import (
     core_set,
     count_avoiders,
     count_by_core,
-    downset_spot_check,
     eventual_polynomial,
     generate_avoiders,
     maj_table,
     major_count_series,
-    minimal_avoiding_profiles,
 )
 from .monotone import (
     InjectionCase,
@@ -88,11 +86,10 @@ __all__ = [
     "co_layered", "compose", "contains", "core_polynomial", "core_set",
     "count_avoiders", "count_by_core", "decompose", "degree_for_magnitude",
     "degree_report", "delete_at", "descents", "detect_degree",
-    "downset_spot_check", "eventual_polynomial", "format_perm",
-    "format_profile", "generate_avoiders", "insert",
-    "largest_triangular_index", "limit_probability", "magnitude",
-    "magnitude_two_core", "maj_plus", "maj_table", "major_count_series",
-    "major_index", "max_length_core", "minimal_avoiding_profiles",
+    "eventual_polynomial", "format_perm", "format_profile",
+    "generate_avoiders", "insert", "largest_triangular_index",
+    "limit_probability", "magnitude", "magnitude_two_core", "maj_plus",
+    "maj_table", "major_count_series", "major_index", "max_length_core",
     "monotone_injection", "occurrences", "order_pattern", "parse_perm",
     "parse_profile", "predicted_degree", "set_magnitude", "slope", "tail",
     "verify_monotonicity",

@@ -216,13 +216,13 @@ class DetectedDegree:
         }
 
 
-def detect_degree(series: Sequence[int], *, start_n: int = 1,
-                  window: int = 3) -> DetectedDegree:
-    """Read the eventual polynomial off an exact count series.
+def detect_degree(series: Sequence[int], *, window: int = 3) -> DetectedDegree:
+    """Read the eventual polynomial off an exact count series, whose first
+    entry is the count at n = 1.
 
     Takes finite differences until some order is constant over the trailing
     window + 1 entries, rebuilds the polynomial by Newton's forward form
-    anchored in the stable tail, and reports the earliest index from which it
+    anchored in the stable tail, and reports the earliest n from which it
     matches every later value.  No order stabilizing is a first-class
     inconclusive result, never an error.
     """
@@ -240,17 +240,15 @@ def detect_degree(series: Sequence[int], *, start_n: int = 1,
         if len(tail_vals) >= window + 1 and all(v == tail_vals[0] for v in tail_vals):
             degree = order
             anchor = length - order - (window + 1)  # offset into the series
-            n1 = start_n + anchor
             poly = ZERO
             for r in range(degree + 1):
-                poly = poly + Polynomial.binomial(r, n1).scaled(levels[r][anchor])
-            onset_idx = length
-            for idx in range(length - 1, -1, -1):
-                if poly(start_n + idx) == series[idx]:
-                    onset_idx = idx
-                else:
+                poly = poly + Polynomial.binomial(r, anchor + 1).scaled(levels[r][anchor])
+            onset = length + 1
+            for n in range(length, 0, -1):
+                if poly(n) != series[n - 1]:
                     break
-            return DetectedDegree(degree, poly, start_n + onset_idx, False)
+                onset = n
+            return DetectedDegree(degree, poly, onset, False)
         levels.append([b - a for a, b in zip(seq, seq[1:])])
     return DetectedDegree(None, None, None, True)
 
@@ -319,7 +317,7 @@ def degree_report(m: int, patterns: PatternSet, *, n_max: int | None = None,
     else:
         series = major_count_series(m, patterns, n_max, algorithm=algorithm,
                                     max_nodes=max_nodes)
-    detected = detect_degree(series, start_n=1, window=window)
+    detected = detect_degree(series, window=window)
     if detected.inconclusive:
         verdict = Verdict.INCONCLUSIVE
     elif prediction.kind is PredictionKind.ZERO_SEQUENCE:

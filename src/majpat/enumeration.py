@@ -53,16 +53,15 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator
 
-from .decomp import Profile, compose
+from .decomp import Profile
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .perms import (
     Perm,
     _grow,
-    avoids,
+    embedding_plan,
     format_perm,
     magnitude,
     parse_perm,
-    pattern_neighbours,
     set_magnitude,
     slope,
     value_neighbours,
@@ -184,12 +183,11 @@ class _Budget:
 
 
 # A site plan (steps, below, above) finds the occurrences of a pattern's head
-# sigma[:l-1] that end at a word's last letter.  It is the plan of sigma with
-# slot l - 2 pinned to that letter, its indices pointing into a partial
-# embedding laid out as (0, n + 1, last letter, head letters...), so 0 and 1
-# stand for no neighbour below and above: steps[r] = (lo, hi) places sigma[r]
-# between the entries lo and hi, and below and above point at the head
-# letters just under and over sigma[l-1] in value.
+# sigma[:l-1] that end at a word's last letter.  It is embedding_plan(sigma,
+# l - 2), slot l - 2 pinned to that letter, so its indices point into a
+# partial embedding laid out as (0, n + 1, last letter, head letters...):
+# steps[r] = (lo, hi) places sigma[r] between the entries lo and hi, and
+# below and above point at the entries just under and over sigma[l-1].
 SitePlan = tuple[tuple[tuple[int, int], ...], int, int]
 
 
@@ -204,10 +202,8 @@ def _site_plans(sigs: tuple[Perm, ...]) -> tuple[int, tuple[SitePlan, ...]]:
         if l == 1:
             root = 0b10
             continue
-        index = {-2: 0, -1: 1, l - 2: 2}
-        neighbours = [(index.get(lo, lo + 3), index.get(hi, hi + 3))
-                      for lo, hi in pattern_neighbours(sigma, l - 2)]
-        plans.append((tuple(neighbours[:l - 2]), *neighbours[l - 1]))
+        plan = embedding_plan(sigma, l - 2)
+        plans.append((plan[:l - 2], *plan[l - 1]))
     return root, tuple(plans)
 
 
@@ -484,15 +480,16 @@ Obstruction = tuple[tuple[int, int, int], ...]
 def _pattern_plan(sigma: Perm) -> tuple[tuple[tuple[int, int], ...], tuple[tuple, ...]]:
     """How to embed sigma's prefixes and read off their tail demands.
 
-    neighbours: pattern_neighbours(sigma).  groups[r]: the demands
+    neighbours: embedding_plan(sigma).  groups[r]: the demands
     (below, above, d) of the tail sigma[r:], one per run of tail letters
     sharing their value_neighbours in sigma[:r], in increasing value order.
+    Both index the same layout (0, k + 1, embedded slots in order).
     """
     groups = []
     for r in range(len(sigma) + 1):
         demand = Counter(value_neighbours(sigma, range(r), t) for t in sorted(sigma[r:]))
         groups.append(tuple((below, above, d) for (below, above), d in demand.items()))
-    return pattern_neighbours(sigma), tuple(groups)
+    return embedding_plan(sigma), tuple(groups)
 
 
 def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
@@ -521,16 +518,15 @@ def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
         l = len(sigma)
         first = max(l - slope(sigma), l - max_demand)
         neighbours, groups = _pattern_plan(sigma)
-        # Embeddings of sigma[:r] anywhere in gamma, their values laid out
-        # as (0, k + 1, slot values...); the plans' -2 and -1 shift to the
-        # floor and the ceiling.
+        # Embeddings of sigma[:r] anywhere in gamma, laid out as
+        # embedding_plan says.
         partial = [((0, k + 1), 0)]
         for r, (below, above) in enumerate(neighbours):
             if r >= first:
                 for values, _ in partial:
-                    found.add(tuple((values[lo + 2], values[hi + 2] - 1, d)
+                    found.add(tuple((values[lo], values[hi] - 1, d)
                                     for lo, hi, d in groups[r]))
-            partial = _grow(gamma, partial, below + 2, above + 2, k)
+            partial = _grow(gamma, partial, below, above, k)
         if partial:
             return None
     return _minimal_obstructions(found)
@@ -815,33 +811,15 @@ def _unit_profiles(k: int, sites: int) -> tuple[Profile, ...]:
                  for s in range(1, k + 2) if sites >> s & 1)
 
 
-def minimal_avoiding_profiles(gamma: Perm, patterns: PatternSet) -> tuple[Profile, ...]:
-    """The admissible unit profiles of a core (the minimal avoiding witnesses),
-    e_i before e_j for i < j, found through the core's obstructions."""
-    k = len(gamma)
-    obstructions = _obstructions(gamma, patterns.patterns, 1)
-    if obstructions is None:
-        return ()
-    # With room for one letter every obstruction is a single demand
-    # (lo, hi, 1), which e_i meets iff lo <= i <= hi.
-    blocked = {i for ((lo, hi, _),) in obstructions for i in range(lo, hi + 1)}
-    sites = sum(1 << i + 1 for i in range(gamma[k - 1] if k else 1) if i not in blocked)
-    return _unit_profiles(k, sites)
-
-
-def core_set(m: int, patterns: PatternSet, *, max_core_len: int | None = None,
-             max_nodes: int | None = None) -> CoreSet:
+def core_set(m: int, patterns: PatternSet, *, max_nodes: int | None = None) -> CoreSet:
     """All cores gamma with maj_plus(gamma) = m admissible for the pattern set,
-    with their unit profiles read off the walk's masks.
-
-    max_core_len caps the core length (cores longer than n - 1 are invisible
-    at length n); the node ceiling bounds the walk.
+    with their unit profiles read off the walk's masks.  The node ceiling
+    bounds the walk.
     """
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
-    top = m if max_core_len is None else min(m, max_core_len)
     found = sorted((len(gamma), gamma, sites) for gamma, mp, sites
-                   in _cores(patterns, m, top, _Budget(max_nodes)) if mp == m)
+                   in _cores(patterns, m, m, _Budget(max_nodes)) if mp == m)
     return CoreSet(m, patterns, tuple(gamma for _, gamma, _ in found),
                    tuple(_unit_profiles(k, sites) for k, _, sites in found))
 
@@ -894,28 +872,3 @@ def major_count_series(m: int, patterns: PatternSet, n_max: int, *,
         table = maj_table(n_max, m, patterns, algorithm="brute", max_nodes=max_nodes)
         return table.column(m)
     raise InvalidInputError(f"unknown algorithm {algorithm!r}")
-
-
-def downset_spot_check(gamma: Perm, patterns: PatternSet, *, trials: int = 50,
-                       coord_bound: int | None = None, seed: int = 0):
-    """Sample avoiding profiles and verify single-step downward closure.
-
-    Returns None, or the first (profile, smaller_profile) violating closure.
-    """
-    import random
-
-    rng = random.Random(seed)
-    k = len(gamma)
-    bound = coord_bound if coord_bound is not None else patterns.cap + 2
-    sigs = patterns.patterns
-    for _ in range(trials):
-        a = tuple(rng.randint(0, bound) for _ in range(k + 1))
-        if not avoids(compose(gamma, a), sigs):
-            continue
-        for i in range(k + 1):
-            if a[i] == 0:
-                continue
-            b = a[:i] + (a[i] - 1,) + a[i + 1:]
-            if not avoids(compose(gamma, b), sigs):
-                return a, b
-    return None

@@ -9,9 +9,11 @@ length n, checks injectivity, avoidance and major-index preservation
 directly, and counts length n + 1 by the brute-force table.
 
 Avoidance of an image is checked only through its inserted letter, and that
-is exact: the injection refuses a source that contains sigma, and the
-harness checks that deleting the inserted letter gives the source back, so
-any occurrence in the image must use that letter.
+is exact: the harness takes its sources from the avoider walk, which yields
+only avoiders, and checks that deleting the inserted letter gives the source
+back, so any occurrence in the image must use that letter.  The public
+`monotone_injection` checks its input itself; the harness calls the bare
+insertion `_inject`.
 """
 from __future__ import annotations
 
@@ -49,13 +51,8 @@ class InjectionCase:
 
 
 def monotone_injection(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
-    """The image of pi under the column injection for the pattern sigma.
-
-    Case selection: append the new maximum when tail(sigma) = 0; expand the
-    letter at position n + 1 - tail(sigma) when the slope of pi reaches
-    tail(sigma); otherwise insert the letter 1 at the leftmost end of the
-    slope, the rightmost position that creates no descent.
-    """
+    """The image of pi under the column injection for the pattern sigma,
+    refusing an increasing sigma and a pi that contains sigma."""
     if not descents(sigma):
         raise UnsupportedPatternError(
             f"pattern {format_perm(sigma) or '(empty)'} is increasing: its columns are "
@@ -67,6 +64,17 @@ def monotone_injection(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
             f"{format_perm(pi)} contains {format_perm(sigma)}; the injection is only "
             "defined on avoiders"
         )
+    return _inject(pi, sigma)
+
+
+def _inject(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
+    """The column injection on a sigma-avoider pi, for sigma with a descent.
+
+    Case selection: append the new maximum when tail(sigma) = 0; expand the
+    letter at position n + 1 - tail(sigma) when the slope of pi reaches
+    tail(sigma); otherwise insert the letter 1 at the leftmost end of the
+    slope, the rightmost position that creates no descent.
+    """
     n = len(pi)
     t = tail(sigma)
     if t == 0:
@@ -145,7 +153,7 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
         counts[m] = (len(source), count_next)
         images = set()
         for pi in source:
-            image, case = monotone_injection(pi, sigma)
+            image, case = _inject(pi, sigma)
             tally[case.tag.value] += 1
             if major_index(image) != m:
                 return failed(pi, f"image changes major index to {major_index(image)}")

@@ -10,20 +10,20 @@ Text forms: a digit string for n <= 9 (``"1324"``) and a comma-separated list
 for n >= 10 (``"10,1,2,..."``).  Both are accepted wherever a permutation is
 parsed; `format_perm` emits the digit form whenever it is unambiguous.
 
-A pattern is compiled once into its value-neighbour plan
-(`pattern_neighbours`): for each slot, the already placed slots just below
-and just above it in value, so each slot's value window is read off those
-two placed letters.  Two searches run on that plan.
+A pattern is compiled once into its embedding plan (`embedding_plan`): for
+each slot, the entries of a partial embedding just below and just above it
+in value, so the slot's value window is read off two placed letters.  A
+partial embedding is laid out as (0, n + 1, pinned letter, the other slots
+in order): the floor and the ceiling first, then a pinned slot when there is
+one, since it is placed first.
 
-* Yes/no questions run a recursive search that places the slots left to
-  right and stops at the first occurrence.  Pinning one slot to a given
-  position first (with a plan that counts the pinned slot as placed)
-  answers the questions about occurrences through one letter:
-  `contains_through` and `contains_ending_at_last`.  `contains` and
-  `avoids` run it unpinned.
-* Questions that need every embedding of a pattern prefix grow all of them
-  one slot at a time with `_grow`: `occurrences` here, and the prefix-tree
-  masks and the core obstructions of the enumeration module.
+One search runs on that plan: `_grow` extends every partial embedding by
+every letter that can fill the next slot.  `_embeddings` grows them level by
+level and stops at the first empty level.  `contains`, `avoids` and
+`occurrences` read it unpinned; `contains_through` and
+`contains_ending_at_last` pin one slot to a given letter.  The prefix-tree
+masks and the core obstructions of the enumeration module call `_grow`
+themselves, because they read the embeddings of the pattern's prefixes.
 """
 from __future__ import annotations
 
@@ -147,63 +147,38 @@ def slope(pi: Perm) -> int:
     return s
 
 
-@lru_cache(maxsize=256)
-def pattern_neighbours(sigma: Perm, pin: int | None = None) -> tuple[tuple[int, int], ...]:
-    """The value-neighbour plan of sigma: for each slot j, the
-    value_neighbours of sigma[j] among the slots placed before it (those
-    left of j, and the slot pin when one is given).
-
-    A search that keeps the values it placed in a list ending with the floor
-    0 and the ceiling n + 1 reads the window of slot j as
-    chosen[below] < v < chosen[above]; a letter in that window is ordered
-    against every placed slot as sigma says.
-
-    >>> pattern_neighbours((2, 4, 1, 3))
-    ((-2, -1), (0, -1), (-2, 0), (0, 1))
-    """
-    plan = []
-    for j, t in enumerate(sigma):
-        placed = [i for i in range(len(sigma)) if i != j and (i < j or i == pin)]
-        plan.append(value_neighbours(sigma, placed, t))
-    return tuple(plan)
-
-
 def value_neighbours(sigma: Perm, placed: Sequence[int], t: int) -> tuple[int, int]:
-    """The slots among placed just below and just above the value t in
-    sigma, with -2 and -1 when there is none below or above."""
-    return (max((i for i in placed if sigma[i] < t), key=sigma.__getitem__, default=-2),
-            min((i for i in placed if sigma[i] > t), key=sigma.__getitem__, default=-1))
+    """Where the value t falls among the placed slots of sigma: the indices
+    of the entries just below and just above t in the layout
+    (0, len(sigma) + 1, the placed slots' values in order).  So 0 and 1
+    stand for no placed slot below and none above.
+
+    >>> value_neighbours((2, 4, 1, 3), (0, 1), 3)
+    (2, 3)
+    """
+    layout = (0, len(sigma) + 1, *(sigma[i] for i in placed))
+    return (layout.index(max(v for v in layout if v < t)),
+            layout.index(min(v for v in layout if v > t)))
 
 
-def _embed(word: Perm, plan: tuple[tuple[int, int], ...], chosen: list[int], r: int,
-           start: int, pin: int, at: int) -> bool:
-    # chosen holds the values of the slots placed so far (slots 0..r-1, and
-    # the slot pin when r < pin), the last of them before position start.
-    # Slot pin sits at position at, so slot r < pin ends by at - (pin - r);
-    # past the pin the fence moves to the virtual slot len(plan) at the end.
-    if r == pin:
-        return r == len(plan) or _embed(word, plan, chosen, r + 1, at + 1, len(plan), len(word))
-    below, above = plan[r]
-    lo = chosen[below]
-    hi = chosen[above]
-    for pos in range(start, at - pin + r + 1):
-        v = word[pos]
-        if lo < v < hi:
-            chosen[r] = v
-            if _embed(word, plan, chosen, r + 1, pos + 1, pin, at):
-                return True
-    return False
+@lru_cache(maxsize=256)
+def embedding_plan(sigma: Perm, pin: int | None = None) -> tuple[tuple[int, int], ...]:
+    """For each slot j, the value_neighbours of sigma[j] among the slots
+    placed before it, as indices into a partial embedding laid out as
+    (0, n + 1, pinned letter, the other slots in order).
 
+    The slot pin, when given, is placed first; with no pin, slot i sits at
+    i + 2.  A letter strictly between the entries below and above of its
+    slot is ordered against every placed slot as sigma says.
 
-def _search(pi: Perm, sigma: Perm, slot: int | None = None, position: int = 0) -> bool:
-    # One kernel call: sigma in pi, with slot pinned to the letter at the
-    # 1-based position when slot is given.
-    l, n = len(sigma), len(pi)
-    chosen = [0] * l + [0, n + 1]
-    if slot is None:
-        return _embed(pi, pattern_neighbours(sigma), chosen, 0, 0, l, n)
-    chosen[slot] = pi[position - 1]
-    return _embed(pi, pattern_neighbours(sigma, slot), chosen, 0, 0, slot, position - 1)
+    >>> embedding_plan((2, 4, 1, 3))
+    ((0, 1), (2, 1), (0, 2), (2, 3))
+    >>> embedding_plan((2, 4, 1, 3), 2)
+    ((2, 1), (3, 1), (0, 1), (3, 4))
+    """
+    order = sorted(range(len(sigma)), key=lambda j: j != pin)
+    plan = {j: value_neighbours(sigma, order[:k], sigma[j]) for k, j in enumerate(order)}
+    return tuple(plan[j] for j in range(len(sigma)))
 
 
 def _grow(word: Perm, partial: list[tuple[tuple[int, ...], int]], lo: int, hi: int,
@@ -222,31 +197,47 @@ def _grow(word: Perm, partial: list[tuple[tuple[int, ...], int]], lo: int, hi: i
     return grown
 
 
+def _embeddings(pi: Perm, sigma: Perm, slot: int | None = None,
+                position: int = 0) -> list[tuple[tuple[int, ...], int]]:
+    """Every embedding of sigma in pi, laid out as embedding_plan says, with
+    slot pinned to the letter at the 1-based position when slot is given.
+    Empty as soon as one level is."""
+    l, n = len(sigma), len(pi)
+    plan = embedding_plan(sigma, slot)
+    if slot is None:
+        # Unpinned, every slot is fenced as if a pin sat past the end.
+        slot, position, partial = l, n + 1, [((0, n + 1), 0)]
+    else:
+        partial = [((0, n + 1, pi[position - 1]), 0)]
+    for r, (lo, hi) in enumerate(plan):
+        if r == slot:
+            partial = [(values, position) for values, _ in partial]
+            continue
+        # Slot r leaves room for the slots between it and the pin, or the end.
+        partial = _grow(pi, partial, lo, hi, position - slot + r if r < slot else n - l + r + 1)
+        if not partial:
+            break
+    return partial
+
+
 def occurrences(pi: Perm, sigma: Perm) -> list[tuple[int, ...]]:
     """All index sets I (1-based, increasing) with pi[I] order-isomorphic to sigma.
 
     >>> occurrences((3, 1, 4, 2), (2, 1))
     [(1, 2), (1, 4), (3, 4)]
     """
-    l, n = len(sigma), len(pi)
-    # Values laid out as (0, n + 1, slot values...): the plan's -2 and -1
-    # (no neighbour below, above) become the floor and the ceiling.
-    partial = [((0, n + 1), 0)]
-    for r, (below, above) in enumerate(pattern_neighbours(sigma)):
-        partial = _grow(pi, partial, below + 2, above + 2, n - l + r + 1)
-    where = {v: i for i, v in enumerate(pi, start=1)}
-    return [tuple(where[v] for v in values[2:]) for values, _ in partial]
+    return [tuple(pi.index(v) + 1 for v in values[2:]) for values, _ in _embeddings(pi, sigma)]
 
 
 def contains(pi: Perm, sigma: Perm) -> bool:
-    """Exact pattern containment test (backtracking with value-bound pruning).
+    """Exact pattern containment test.
 
     >>> contains((3, 8, 7, 1, 2, 4, 5, 6, 9), (1, 3, 2))
     True
     >>> contains((1, 2, 3), (2, 1))
     False
     """
-    return _search(pi, sigma)
+    return bool(_embeddings(pi, sigma))
 
 
 def avoids(pi: Perm, patterns: Iterable[Perm]) -> bool:
@@ -271,21 +262,19 @@ def contains_through(pi: Perm, sigma: Perm, position: int) -> bool:
     # The letter v can only play a slot j with sigma[j] - 1 letters below v
     # and l - sigma[j] above it.
     v = pi[position - 1]
-    for j, t in enumerate(sigma):
-        if t <= v and l - t <= n - v and _search(pi, sigma, j, position):
-            return True
-    return False
+    return any(t <= v and l - t <= n - v and _embeddings(pi, sigma, j, position)
+               for j, t in enumerate(sigma))
 
 
 def contains_ending_at_last(pi: Perm, sigma: Perm) -> bool:
     """Containment restricted to occurrences whose last letter is pi's last letter.
 
     When pi was produced by appending one letter to a sigma-avoiding prefix,
-    this is equivalent to full containment.  The prefix-tree walker does not
-    call it (it reads the children off forbidden-site masks); the tests keep
-    it as the oracle for those masks.
+    this is equivalent to full containment.  No command calls it; the
+    benchmark's tracer still looks it up by name.
     """
-    return not sigma or (len(sigma) <= len(pi) and _search(pi, sigma, len(sigma) - 1, len(pi)))
+    return not sigma or (len(sigma) <= len(pi)
+                         and bool(_embeddings(pi, sigma, len(sigma) - 1, len(pi))))
 
 
 @dataclass(frozen=True, order=True)

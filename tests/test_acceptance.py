@@ -15,18 +15,14 @@ from majpat.asymptotics import (
     Verdict,
 )
 from majpat.decomp import cap_profile, compose, decompose
-from majpat.enumeration import (
-    PatternSet,
-    downset_spot_check,
-    maj_table,
-    major_count_series,
-)
+from majpat.enumeration import PatternSet, maj_table, major_count_series
 from majpat.monotone import verify_monotonicity
 from majpat.oeis import diff_triangle, read_integer_file
 from majpat.perms import contains, descents, maj_plus, major_index
 from majpat.asymptotics import max_length_core
 
 from oracles import compositions
+from test_enumeration import downset_spot_check
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "a008302.txt")
 

@@ -145,10 +145,6 @@ class TestDetectDegree:
         d = detect_degree([5, 2, 0, 0, 0, 0])
         assert d.degree == 0 and d.polynomial.is_zero and d.onset == 3
 
-    def test_start_offset(self):
-        d = detect_degree([9, 16, 25, 36, 49, 64], start_n=3)
-        assert d.degree == 2 and d.polynomial == Polynomial.of(0, 0, 1)
-
     def test_inconclusive_is_flagged(self):
         d = detect_degree([1, 2, 6, 24, 120, 720], window=3)
         assert d.inconclusive and d.degree is None

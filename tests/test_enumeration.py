@@ -14,12 +14,10 @@ from majpat.enumeration import (
     core_set,
     count_avoiders,
     count_by_core,
-    downset_spot_check,
     eventual_polynomial,
     generate_avoiders,
     maj_table,
     major_count_series,
-    minimal_avoiding_profiles,
 )
 from majpat.enumeration import (
     _Budget,
@@ -28,13 +26,20 @@ from majpat.enumeration import (
     _fill_columns,
     _obstructions,
     _site_plans,
+    _unit_profiles,
     _walk,
 )
 from majpat.errors import InvalidInputError, ResourceLimitError, VerificationError
-from majpat.perms import avoids, contains, contains_ending_at_last, insert, major_index
+from majpat.perms import avoids, contains, insert, major_index
 from majpat.poly import Polynomial
 
-from oracles import oracle_cores, oracle_minimal_obstructions, oracle_rows
+from oracles import (
+    oracle_avoiders,
+    oracle_contains,
+    oracle_cores,
+    oracle_minimal_obstructions,
+    oracle_rows,
+)
 
 OBSTRUCTION_SETS = ("1324", "3412;1324", "2134", "321", "1342;2413", "21354;21453")
 
@@ -108,18 +113,17 @@ class TestForbiddenSites:
     def test_masks_match_last_letter_containment(self, text):
         # The clear bits of every walked avoider's mask are exactly the ranks
         # s whose appending avoids every pattern, and the walk reaches every
-        # avoider of length <= 6.
+        # avoider of length <= 6.  Both are checked against the subset-scan
+        # oracles, which share no code with the embedding search.
         ps = PatternSet.from_text(text)
         root, plans = _site_plans(ps.patterns)
         level = [((), 0, root)]
         for n in range(0, 7):
-            assert sorted(w for w, _, _ in level) == sorted(
-                w for w in itertools.permutations(range(1, n + 1))
-                if avoids(w, ps.patterns)), (text, n)
+            assert sorted(w for w, _, _ in level) == oracle_avoiders(n, ps.patterns), (text, n)
             for word, mj, mask in level:
                 clear = {s for s in range(1, n + 2) if not mask >> s & 1}
                 want = {s for s in range(1, n + 2)
-                        if not any(contains_ending_at_last(insert(word, n + 1, s), p)
+                        if not any(oracle_contains(insert(word, n + 1, s), p)
                                    for p in ps.patterns)}
                 assert clear == want, (text, word)
             walk = _walk(plans, level, [21] * (n + 2), _Budget(None))
@@ -278,6 +282,20 @@ class TestMajTable:
         assert lines[3] == "3,1,2,2,1"
 
 
+def minimal_avoiding_profiles(gamma, patterns):
+    """The admissible unit profiles of a core (the minimal avoiding witnesses),
+    e_i before e_j for i < j, found through the core's obstructions."""
+    k = len(gamma)
+    obstructions = _obstructions(gamma, patterns.patterns, 1)
+    if obstructions is None:
+        return ()
+    # With room for one letter every obstruction is a single demand
+    # (lo, hi, 1), which e_i meets iff lo <= i <= hi.
+    blocked = {i for ((lo, hi, _),) in obstructions for i in range(lo, hi + 1)}
+    sites = sum(1 << i + 1 for i in range(gamma[k - 1] if k else 1) if i not in blocked)
+    return _unit_profiles(k, sites)
+
+
 class TestCores:
     def test_core_set_examples(self):
         assert core_set(0, PatternSet.of("1324")).cores == ((),)
@@ -299,7 +317,7 @@ class TestCores:
                     seen.setdefault(major_index(pi), set()).add(core)
             for m, cores in seen.items():
                 # A core of an avoider of length <= 7 has length <= 6.
-                computed = set(core_set(m, ps, max_core_len=6).cores)
+                computed = {g for g, mp, _ in _cores(ps, m, 6, _Budget(None)) if mp == m}
                 assert cores <= computed, (text, m, cores - computed)
 
     def test_count_by_core_examples(self):
@@ -316,9 +334,8 @@ class TestCores:
             ps = PatternSet.from_text(text)
             t = maj_table(7, 21, ps)
             for m in range(0, 22):
-                total = sum(
-                    count_by_core(g, 7, ps) for g in core_set(m, ps, max_core_len=6).cores
-                )
+                total = sum(count_by_core(g, 7, ps)
+                            for g, mp, _ in _cores(ps, m, 6, _Budget(None)) if mp == m)
                 assert total == t.entry(7, m), (text, m)
 
     def test_tree_cores_match_permutation_scan(self):
@@ -534,6 +551,27 @@ class TestTwoPatternFamily:
     def test_dip_in_column_five(self):
         t = maj_table(8, 5, ps := PatternSet.of("3412", "1324"), algorithm="both")
         assert (t.entry(6, 5), t.entry(7, 5), t.entry(8, 5)) == (21, 20, 21)
+
+
+def downset_spot_check(gamma, patterns, *, trials, seed):
+    """Sample avoiding profiles and check single-step downward closure.
+
+    Returns None, or the first (profile, smaller_profile) violating closure.
+    """
+    rng = random.Random(seed)
+    k = len(gamma)
+    sigs = patterns.patterns
+    for _ in range(trials):
+        a = tuple(rng.randint(0, patterns.cap + 2) for _ in range(k + 1))
+        if not avoids(compose(gamma, a), sigs):
+            continue
+        for i in range(k + 1):
+            if a[i] == 0:
+                continue
+            b = a[:i] + (a[i] - 1,) + a[i + 1:]
+            if not avoids(compose(gamma, b), sigs):
+                return a, b
+    return None
 
 
 class TestDownSet:

@@ -111,7 +111,7 @@ class TestVerifierCatchesBadInjections:
 
     def test_image_with_an_occurrence_through_the_inserted_letter(self, monkeypatch):
         sigma = (2, 1, 3, 4)
-        real = monotone_injection
+        real = majpat.monotone._inject
 
         def bad(pi, s):
             # An insertion that keeps the major index and completes sigma.
@@ -123,14 +123,14 @@ class TestVerifierCatchesBadInjections:
                         return image, InjectionCase(InjectionTag.APPEND_MAX, k, l)
             return real(pi, s)
 
-        monkeypatch.setattr(majpat.monotone, "monotone_injection", bad)
+        monkeypatch.setattr(majpat.monotone, "_inject", bad)
         report = verify_monotonicity(sigma, 5)
         assert not report.verified
         assert report.counterexample[1] == "image contains the pattern"
 
     def test_image_that_changes_another_letter(self, monkeypatch):
         sigma = (2, 1, 3, 4)
-        real = monotone_injection
+        real = majpat.monotone._inject
 
         def bad(pi, s):
             # The image of another avoider with the same major index: it
@@ -140,7 +140,7 @@ class TestVerifierCatchesBadInjections:
                       if q != pi and major_index(q) == major_index(pi) and not contains(q, s)]
             return real(others[0] if others else pi, s)
 
-        monkeypatch.setattr(majpat.monotone, "monotone_injection", bad)
+        monkeypatch.setattr(majpat.monotone, "_inject", bad)
         report = verify_monotonicity(sigma, 5)
         assert not report.verified
         assert report.counterexample[1] == "image is not the avoider plus one letter"
