@@ -51,6 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .decomp import Profile
@@ -58,6 +59,7 @@ from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .perms import (
     Perm,
     _grow,
+    dead_slots,
     embedding_plan,
     format_perm,
     magnitude,
@@ -186,9 +188,9 @@ class _Budget:
 # sigma[:l-1] that end at a word's last letter.  It is embedding_plan(sigma,
 # l - 2), slot l - 2 pinned to that letter, so its indices point into a
 # partial embedding laid out as (0, n + 1, last letter, head letters...):
-# steps[r] = (lo, hi) places sigma[r] between the entries lo and hi, and
-# below and above point at the entries just under and over sigma[l-1].
-SitePlan = tuple[tuple[tuple[int, int], ...], int, int]
+# steps[r] = (lo, hi, dead) places sigma[r] between the entries lo and hi,
+# and below and above point at the entries just under and over sigma[l-1].
+SitePlan = tuple[tuple[tuple[int, int, bool], ...], int, int]
 
 
 @lru_cache(maxsize=64)
@@ -203,7 +205,10 @@ def _site_plans(sigs: tuple[Perm, ...]) -> tuple[int, tuple[SitePlan, ...]]:
             root = 0b10
             continue
         plan = embedding_plan(sigma, l - 2)
-        plans.append((plan[:l - 2], *plan[l - 1]))
+        # The step of slot l - 1, never grown, is what the search reads at
+        # the end, so dead_slots already counts below and above as read.
+        dead = dead_slots(sigma, l - 2)
+        plans.append((tuple((*plan[r], dead[r]) for r in range(l - 2)), *plan[l - 1]))
     return root, tuple(plans)
 
 
@@ -214,15 +219,20 @@ def _forbidden_sites(word: Perm, mask: int, plans: tuple[SitePlan, ...]) -> int:
     Appending rank s puts the new letter between the values s - 1 and s.  It
     completes an occurrence ending at the last letter iff some embedding of
     the head ends there and its value neighbours of sigma[l-1] are a < s <= b
-    (0 and len(word) + 1 at the ends).
+    (0 and len(word) + 1 at the ends).  Only below and above are read at
+    the end, so a head slot whose entry neither they nor a later step read
+    is dead and keeps its first fitting letter per partial (`_grow`).  That
+    letter has the earliest start, so every occurrence through a later one
+    has a twin through it with the same below and above: the sites come out
+    the same.
     """
     n = len(word)
     for steps, below, above in plans:
         # Head slot r sits before the last letter, leaving room for the rest.
         stop = n - len(steps)
         partial = [((0, n + 1, word[n - 1]), 0)]
-        for r, (lo, hi) in enumerate(steps):
-            partial = _grow(word, partial, lo, hi, stop + r)
+        for r, (lo, hi, dead) in enumerate(steps):
+            partial = _grow(word, partial, lo, hi, stop + r, dead)
         for values, _ in partial:
             a = values[below]
             b = values[above]
@@ -230,19 +240,48 @@ def _forbidden_sites(word: Perm, mask: int, plans: tuple[SitePlan, ...]) -> int:
     return mask
 
 
+class _Relabel(dict):
+    """table[v] relabels a word of length <= longest for appending rank v:
+    itemgetter(*word, 0)(table[v]) is the word with every letter x >= v
+    raised by one, followed by v.  Each rank's table is built the first time
+    a walk looks it up."""
+
+    def __init__(self, longest: int):
+        super().__init__()
+        self.longest = longest
+
+    def __missing__(self, v: int) -> tuple[int, ...]:
+        table = self[v] = (v, *range(1, v), *range(v + 1, self.longest + 2))
+        return table
+
+
 def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
-          caps: list[int], budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
+          caps: list[tuple[int, int]], budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
     """Each seed and then its descendants in the avoiders' prefix tree, in
     preorder with children by increasing appended rank, as (word, maj, mask).
 
-    A descendant of length n is kept while n < len(caps) and maj <= caps[n];
-    each expansion spends one node per child it builds.  Bit s of a mask is
-    set iff appending rank s makes the word contain a pattern, so the
-    children are the clear sites.  A child inherits its parent's forbidden
-    sites (appending v splits site v in two and shifts the sites above it up
-    by one), and then forbids the sites of the occurrences that use its new
-    last letter.
+    caps[n] = (rise, fall): a descendant of length n is kept while
+    n < len(caps) and its maj is at most rise when its last letter rises
+    and at most fall when it falls (as the only letter of a word of length
+    1 does).  A node's maj decides which of its children stay, so the caps
+    bound the range of ranks appended, with no test per child.  Each
+    expansion spends one node per child it builds.
+
+    Bit s of a mask is set iff appending rank s makes the word contain a
+    pattern, so the children are the clear sites.  A child inherits its
+    parent's forbidden sites (appending v splits site v in two and shifts
+    the sites above it up by one), and then forbids the sites of the
+    occurrences that use its new last letter.  That search keeps one letter
+    per partial embedding at a dead slot, one whose letter nothing reads
+    later: the first letter has the earliest start, so it completes
+    whatever a later one completes.
+
+    A child is relabelled with one lookup in a table of its rank
+    (`_Relabel`), except under the top rank, which relabels nothing and so
+    needs no table: a deep walk that only ever appends its top rank builds
+    none.
     """
+    shift = _Relabel(len(caps) - 2)
     stack = seeds[::-1]
     while stack:
         node = stack.pop()
@@ -251,19 +290,22 @@ def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
         n = len(word)
         if n + 1 >= len(caps):
             continue
-        cap = caps[n + 1]
-        last = word[n - 1] if n else 0
+        rise, fall = caps[n + 1]
+        # Ranks above the last letter rise and keep maj; the others fall,
+        # adding n.  The empty word's one child counts as falling.
+        last = word[n - 1] if n else 1
+        top = n + 1 if mj <= rise else last
+        bottom = 1 if mj + n <= fall else last + 1
+        relabel = itemgetter(*word, 0)
         depth = len(stack)
         # Highest rank first, so that the stack pops the children in order.
-        for v in range(n + 1, 0, -1):
+        for v in range(top, bottom - 1, -1):
             if mask >> v & 1:
                 continue
-            child_mj = mj + n if v <= last else mj
-            if child_mj > cap:
-                continue
-            child = tuple(x + 1 if x >= v else x for x in word) + (v,)
+            child = relabel(shift[v]) if v <= n else word + (v,)
             inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
-            stack.append((child, child_mj, _forbidden_sites(child, inherited, plans)))
+            stack.append((child, mj + n if v <= last else mj,
+                          _forbidden_sites(child, inherited, plans)))
         budget.spend(len(stack) - depth)
 
 
@@ -300,7 +342,8 @@ def _subtree_task(args) -> tuple[list[list[int]], int]:
     plans, max_n, maj_cap, nodes_left, seeds = args
     rows = _zero_rows(max_n, maj_cap)
     budget = _Budget(nodes_left)
-    _brute_fill(rows, _walk(plans, seeds, [maj_cap] * max_n, budget), max_n, maj_cap, budget)
+    walk = _walk(plans, seeds, [(maj_cap, maj_cap)] * max_n, budget)
+    _brute_fill(rows, walk, max_n, maj_cap, budget)
     return rows, budget.spent
 
 
@@ -309,7 +352,7 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int,
     root, plans = _site_plans(patterns.patterns)
     rows = _zero_rows(max_n, maj_cap)
     if parallelism <= 1:
-        walk = _walk(plans, [((), 0, root)], [maj_cap] * max_n, budget)
+        walk = _walk(plans, [((), 0, root)], [(maj_cap, maj_cap)] * max_n, budget)
         _brute_fill(rows, walk, max_n, maj_cap, budget)
         return rows
 
@@ -324,7 +367,7 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int,
         if n:
             for _, mj, _ in frontier:
                 rows[n - 1][mj] += 1
-        walk = _walk(plans, frontier, [maj_cap] * (n + 2), budget)
+        walk = _walk(plans, frontier, [(maj_cap, maj_cap)] * (n + 2), budget)
         frontier = [node for node in walk if len(node[0]) > n]
         n += 1
     buckets: list[list[tuple[Perm, int, int]]] = [[] for _ in range(parallelism)]
@@ -350,7 +393,8 @@ def generate_avoiders(n: int, patterns: PatternSet, *,
         raise InvalidInputError(f"length must be non-negative, got {n}")
     root, plans = _site_plans(patterns.patterns)
     # maj <= n(n - 1)/2 holds for every prefix of every avoider.
-    walk = _walk(plans, [((), 0, root)], [_triangle(n)] * (n + 1), _Budget(max_nodes))
+    walk = _walk(plans, [((), 0, root)], [(_triangle(n),) * 2] * (n + 1),
+                 _Budget(max_nodes))
     return (word for word, _, _ in walk if len(word) == n)
 
 
@@ -477,10 +521,11 @@ Obstruction = tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=256)
-def _pattern_plan(sigma: Perm) -> tuple[tuple[tuple[int, int], ...], tuple[tuple, ...]]:
+def _pattern_plan(sigma: Perm) -> tuple[tuple[tuple[int, int, bool], ...], tuple[tuple, ...]]:
     """How to embed sigma's prefixes and read off their tail demands.
 
-    neighbours: embedding_plan(sigma).  groups[r]: the demands
+    steps[r]: embedding_plan(sigma)[r] and whether slot r is dead, with the
+    demands of every level counted as read.  groups[r]: the demands
     (below, above, d) of the tail sigma[r:], one per run of tail letters
     sharing their value_neighbours in sigma[:r], in increasing value order.
     Both index the same layout (0, k + 1, embedded slots in order).
@@ -489,7 +534,9 @@ def _pattern_plan(sigma: Perm) -> tuple[tuple[tuple[int, int], ...], tuple[tuple
     for r in range(len(sigma) + 1):
         demand = Counter(value_neighbours(sigma, range(r), t) for t in sorted(sigma[r:]))
         groups.append(tuple((below, above, d) for (below, above), d in demand.items()))
-    return embedding_plan(sigma), tuple(groups)
+    reads = tuple(sorted({i for group in groups for lo, hi, _ in group for i in (lo, hi)}))
+    dead = dead_slots(sigma, None, reads)
+    return tuple((*step, dead[r]) for r, step in enumerate(embedding_plan(sigma))), tuple(groups)
 
 
 def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
@@ -517,16 +564,16 @@ def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
     for sigma in sigs:
         l = len(sigma)
         first = max(l - slope(sigma), l - max_demand)
-        neighbours, groups = _pattern_plan(sigma)
+        steps, groups = _pattern_plan(sigma)
         # Embeddings of sigma[:r] anywhere in gamma, laid out as
         # embedding_plan says.
         partial = [((0, k + 1), 0)]
-        for r, (below, above) in enumerate(neighbours):
+        for r, (below, above, dead) in enumerate(steps):
             if r >= first:
                 for values, _ in partial:
                     found.add(tuple((values[lo], values[hi] - 1, d)
                                     for lo, hi, d in groups[r]))
-            partial = _grow(gamma, partial, below, above, k)
+            partial = _grow(gamma, partial, below, above, k, dead)
         if partial:
             return None
     return _minimal_obstructions(found)
@@ -722,7 +769,7 @@ def _cores(patterns: PatternSet, ceiling: int, max_len: int,
     """The cores with len + maj <= ceiling and length <= max_len, in preorder,
     as (gamma, len + maj, sites) with sites from `_unit_sites`."""
     root, plans = _site_plans(patterns.patterns)
-    caps = [ceiling - n for n in range(max_len + 1)]
+    caps = [(ceiling - n,) * 2 for n in range(max_len + 1)]
     for gamma, mj, mask in _walk(plans, [((), 0, root)], caps, budget):
         sites = _unit_sites(gamma, mask)
         if sites:
@@ -739,20 +786,22 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     masks, one node per signature.  A core of length n_max - 1 takes its
     units, the bits of `_unit_sites`.  For a core gamma of length n_max - 2
     the walk goes on to length n_max - 1 with the column ceiling itself as
-    the cap on maj, so it builds every descent child w = gamma . s (its last
-    letter falls; (1,) is the child of the empty core), and maj(w) is
-    gamma's column len + maj.  The node w is the unit e_{s-1}; appending rank
-    s + 1 to it is the pair 2e_{s-1} and rank t > s + 1 the pair
-    e_{s-1} + e_{t-2}, so the pairs are its clear sites above s.  Every core
+    the cap on the maj of a falling child, so it builds every descent child
+    w = gamma . s (its last letter falls; (1,) is the child of the empty
+    core), and maj(w) is gamma's column len + maj.  A rising child there
+    keeps the cap ceiling - len of every other node.  The node w is the
+    unit e_{s-1}; appending rank s + 1 to it is the pair 2e_{s-1} and rank
+    t > s + 1 the pair e_{s-1} + e_{t-2}, so the pairs are its clear sites
+    above s.  Every core
     with more room, and every core without n_max, goes through its
     obstructions and the signature walk.
     """
     root, plans = _site_plans(patterns.patterns)
     ceiling = max(columns)
-    caps = [ceiling - n for n in range(max_len + 1)]
+    caps = [(ceiling - n,) * 2 for n in range(max_len + 1)]
     short = n_max is not None and 2 <= n_max <= max_len + 2
     if short:
-        caps[n_max - 1:] = [ceiling]
+        caps[n_max - 1:] = [(ceiling - n_max + 1, ceiling)]
     for word, mj, mask in _walk(plans, [((), 0, root)], caps, budget):
         k = len(word)
         if short and k == n_max - 1 and (k == 1 or word[k - 1] < word[k - 2]):

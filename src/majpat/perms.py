@@ -18,12 +18,17 @@ in order): the floor and the ceiling first, then a pinned slot when there is
 one, since it is placed first.
 
 One search runs on that plan: `_grow` extends every partial embedding by
-every letter that can fill the next slot.  `_embeddings` grows them level by
-level and stops at the first empty level.  `contains`, `avoids` and
-`occurrences` read it unpinned; `contains_through` and
-`contains_ending_at_last` pin one slot to a given letter.  The prefix-tree
-masks and the core obstructions of the enumeration module call `_grow`
-themselves, because they read the embeddings of the pattern's prefixes.
+the letters that can fill the next slot.  A slot is dead (`dead_slots`)
+when no later step of the plan reads the entry it places and neither does
+the caller at the end; `_grow` then keeps only the first fitting letter of
+each partial.  That is exact: the kept extension has the earliest start, so
+every completion of a later letter completes it too, and the entry that
+tells them apart is never read.  `_embeddings` grows them level by level and
+stops at the first empty level.  `contains`, `avoids` and `occurrences`
+read it unpinned; `contains_through` and `contains_ending_at_last` pin one
+slot to a given letter.  The prefix-tree masks and the core obstructions of
+the enumeration module call `_grow` themselves, because they read the
+embeddings of the pattern's prefixes.
 """
 from __future__ import annotations
 
@@ -181,11 +186,37 @@ def embedding_plan(sigma: Perm, pin: int | None = None) -> tuple[tuple[int, int]
     return tuple(plan[j] for j in range(len(sigma)))
 
 
+@lru_cache(maxsize=256)
+def dead_slots(sigma: Perm, pin: int | None = None,
+               reads: tuple[int, ...] = ()) -> tuple[bool, ...]:
+    """For each slot of embedding_plan(sigma, pin), whether it is dead: no
+    step of a slot placed after it reads the entry it places, and reads, the
+    entries the caller reads once the search is done, leave it out too.
+
+    >>> dead_slots((1, 3, 2, 4))
+    (False, False, True, True)
+    >>> dead_slots((1, 3, 2, 4), reads=(4,))
+    (False, False, False, True)
+    """
+    plan = embedding_plan(sigma, pin)
+    order = sorted(range(len(sigma)), key=lambda j: j != pin)
+    read = set(reads)
+    dead = [False] * len(sigma)
+    # The k-th slot placed sits at entry k + 2; walk back from the last one.
+    for k in range(len(sigma) - 1, -1, -1):
+        dead[order[k]] = k + 2 not in read
+        read.update(plan[order[k]])
+    return tuple(dead)
+
+
 def _grow(word: Perm, partial: list[tuple[tuple[int, ...], int]], lo: int, hi: int,
-          stop: int) -> list[tuple[tuple[int, ...], int]]:
-    """Each partial embedding (values, start) extended, in order, by every
-    letter of word[start:stop] strictly between values[lo] and values[hi],
-    with the position after it as the new start."""
+          stop: int, dead: bool = False) -> list[tuple[tuple[int, ...], int]]:
+    """Each partial embedding (values, start) extended, in order, by the
+    letters of word[start:stop] strictly between values[lo] and values[hi],
+    with the position after it as the new start: every such letter, or only
+    the first one when the slot is dead.  An extension by a later letter
+    differs from the first only in an entry nobody reads and has a later
+    start, so all its completions complete the first one too."""
     grown = []
     for values, start in partial:
         low = values[lo]
@@ -194,16 +225,21 @@ def _grow(word: Perm, partial: list[tuple[tuple[int, ...], int]], lo: int, hi: i
             v = word[pos]
             if low < v < high:
                 grown.append((values + (v,), pos + 1))
+                if dead:
+                    break
     return grown
 
 
-def _embeddings(pi: Perm, sigma: Perm, slot: int | None = None,
-                position: int = 0) -> list[tuple[tuple[int, ...], int]]:
-    """Every embedding of sigma in pi, laid out as embedding_plan says, with
+def _embeddings(pi: Perm, sigma: Perm, slot: int | None = None, position: int = 0,
+                reads: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], int]]:
+    """The embeddings of sigma in pi, laid out as embedding_plan says, with
     slot pinned to the letter at the 1-based position when slot is given.
-    Empty as soon as one level is."""
+    Dead slots keep one letter per partial, so only the entries in reads
+    (and those later steps read) cover every embedding.  Empty as soon as
+    one level is."""
     l, n = len(sigma), len(pi)
     plan = embedding_plan(sigma, slot)
+    dead = dead_slots(sigma, slot, reads)
     if slot is None:
         # Unpinned, every slot is fenced as if a pin sat past the end.
         slot, position, partial = l, n + 1, [((0, n + 1), 0)]
@@ -214,7 +250,8 @@ def _embeddings(pi: Perm, sigma: Perm, slot: int | None = None,
             partial = [(values, position) for values, _ in partial]
             continue
         # Slot r leaves room for the slots between it and the pin, or the end.
-        partial = _grow(pi, partial, lo, hi, position - slot + r if r < slot else n - l + r + 1)
+        partial = _grow(pi, partial, lo, hi, position - slot + r if r < slot else n - l + r + 1,
+                        dead[r])
         if not partial:
             break
     return partial
@@ -226,7 +263,9 @@ def occurrences(pi: Perm, sigma: Perm) -> list[tuple[int, ...]]:
     >>> occurrences((3, 1, 4, 2), (2, 1))
     [(1, 2), (1, 4), (3, 4)]
     """
-    return [tuple(pi.index(v) + 1 for v in values[2:]) for values, _ in _embeddings(pi, sigma)]
+    every = tuple(range(2, len(sigma) + 2))
+    return [tuple(pi.index(v) + 1 for v in values[2:])
+            for values, _ in _embeddings(pi, sigma, reads=every)]
 
 
 def contains(pi: Perm, sigma: Perm) -> bool:

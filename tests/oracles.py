@@ -30,6 +30,25 @@ def oracle_occurrences(word, sig):
             if sorted(range(len(sub)), key=sub.__getitem__) == order]
 
 
+def oracle_last_two_patterns(word, sizes):
+    """For each pattern of a length in sizes, the bit set of the ranks s
+    whose appending to word gives an occurrence of it through word's last
+    letter and the appended one, by scanning every index subset of each
+    extended word."""
+    n = len(word)
+    sites = {}
+    for s in range(1, n + 2):
+        longer = tuple(x + 1 if x >= s else x for x in word) + (s,)
+        for size in sizes:
+            for head in itertools.combinations(longer[:n - 1], size - 2):
+                sub = head + longer[n - 1:]
+                # Index 0 holds no letter, so index() gives 1-based ranks.
+                ranks = [0, *sorted(sub)]
+                key = tuple(map(ranks.index, sub))
+                sites[key] = sites.get(key, 0) | 1 << s
+    return sites
+
+
 def oracle_minimal_obstructions(found):
     """The obstructions of found whose demands imply no other one's, by
     comparing every pair."""

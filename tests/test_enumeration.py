@@ -24,7 +24,9 @@ from majpat.enumeration import (
     _avoiding_signatures,
     _cores,
     _fill_columns,
+    _forbidden_sites,
     _obstructions,
+    _pattern_plan,
     _site_plans,
     _unit_profiles,
     _walk,
@@ -37,6 +39,7 @@ from oracles import (
     oracle_avoiders,
     oracle_contains,
     oracle_cores,
+    oracle_last_two_patterns,
     oracle_minimal_obstructions,
     oracle_rows,
 )
@@ -126,8 +129,40 @@ class TestForbiddenSites:
                         if not any(oracle_contains(insert(word, n + 1, s), p)
                                    for p in ps.patterns)}
                 assert clear == want, (text, word)
-            walk = _walk(plans, level, [21] * (n + 2), _Budget(None))
+            walk = _walk(plans, level, [(21, 21)] * (n + 2), _Budget(None))
             level = [node for node in walk if len(node[0]) > n]
+
+    def test_sites_of_every_word_match_subset_scan(self):
+        # Every pattern of length 3-5 on every word of length <= 7, avoider
+        # or not: the sites _forbidden_sites adds are the ranks whose
+        # appending completes an occurrence through the word's last letter.
+        sigmas = [s for l in (3, 4, 5) for s in itertools.permutations(range(1, l + 1))]
+        plans = {sigma: _site_plans((sigma,))[1] for sigma in sigmas}
+        for n in range(1, 8):
+            for word in itertools.permutations(range(1, n + 1)):
+                want = oracle_last_two_patterns(word, (3, 4, 5))
+                for sigma in sigmas:
+                    assert _forbidden_sites(word, 0, plans[sigma]) == want.get(sigma, 0), \
+                        (word, sigma)
+
+    def test_dead_slots_leave_out_what_is_read(self):
+        # A site plan's head slot is dead iff no later head step and neither
+        # below nor above reads its entry; an obstruction step's slot is
+        # dead iff no later step and no later level's demands read it.
+        for l in range(2, 7):
+            for sigma in itertools.permutations(range(1, l + 1)):
+                ((steps, below, above),) = _site_plans((sigma,))[1]
+                # Layout (0, n + 1, last letter, head slots 0 .. l - 3).
+                for r, (_, _, dead) in enumerate(steps):
+                    read = {i for lo, hi, _ in steps[r + 1:] for i in (lo, hi)}
+                    assert dead == (r + 3 not in read | {below, above}), (sigma, r)
+                steps, groups = _pattern_plan(sigma)
+                # Layout (0, k + 1, slots 0 .. l - 1).
+                for r, (_, _, dead) in enumerate(steps):
+                    read = {i for lo, hi, _ in steps[r + 1:] for i in (lo, hi)}
+                    read |= {i for group in groups[r + 1:] for lo, hi, _ in group
+                             for i in (lo, hi)}
+                    assert dead == (r + 2 not in read), (sigma, r)
 
 
 class TestMajTable:

@@ -12,8 +12,10 @@ from majpat.perms import (
     contains,
     contains_ending_at_last,
     contains_through,
+    dead_slots,
     delete_at,
     descents,
+    embedding_plan,
     format_perm,
     insert,
     magnitude,
@@ -109,6 +111,29 @@ class TestContains:
             if order_pattern(tuple(pi[i] for i in idx)) == sigma:
                 want.add(tuple(i + 1 for i in idx))
         assert got == want
+
+    def test_dead_slots_are_those_nothing_reads(self):
+        # For every pattern of length <= 6 and every pin, a slot is dead iff
+        # its entry is read neither by the step of a slot placed after it
+        # nor at the end: nothing read (the yes/no questions), the pinned
+        # site plan's last step, or every entry (occurrences).
+        for sigma in perms_upto(6):
+            l = len(sigma)
+            for pin in (None, *range(l)):
+                plan = embedding_plan(sigma, pin)
+                order = list(range(l)) if pin is None else [pin] + [j for j in range(l) if j != pin]
+                # Entry 0 is the floor, entry 1 the ceiling, then the slots as placed.
+                layout = ["floor", "ceiling", *order]
+                end_reads = [(), tuple(range(2, l + 2))]
+                if pin == l - 2:
+                    end_reads.append(plan[l - 1])
+                for reads in end_reads:
+                    want = []
+                    for j in range(l):
+                        later = order[order.index(j) + 1:]
+                        read = {i for r in later for i in plan[r]} | set(reads)
+                        want.append(layout.index(j) not in read)
+                    assert dead_slots(sigma, pin, reads) == tuple(want), (sigma, pin, reads)
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_through_rejects_positions_outside(self, k):
