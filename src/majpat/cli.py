@@ -2,10 +2,10 @@
 Command-line surface.
 
 Exit codes: 0 success, 1 verification or verdict failure, 2 invalid input,
-3 resource ceiling exceeded.  Each subcommand accepts only the flags it
-reads.  MAJPAT_MAX_NODES sets the default node ceiling, one for the whole
-run, and MAJPAT_PARALLELISM the default --parallelism of the commands that
-take it.
+3 resource ceiling exceeded (nodes, memory or recursion depth).  Each
+subcommand accepts only the flags it reads.  MAJPAT_MAX_NODES sets the
+default node ceiling, one for the whole run, and MAJPAT_PARALLELISM the
+default --parallelism of the commands that take it.
 """
 from __future__ import annotations
 
@@ -213,13 +213,14 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"majpat: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (MemoryError, RecursionError) as exc:
+        what = "memory" if isinstance(exc, MemoryError) else "Python recursion depth"
+        print(f"majpat: resource limit: {what} exhausted", file=sys.stderr)
+        return EXIT_RESOURCE
     except VerificationError as exc:
         print(f"majpat: verification failed: {exc}", file=sys.stderr)
         return EXIT_FAILED
-    except (InvalidInputError, OSError) as exc:
-        print(f"majpat: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except MajpatError as exc:
+    except (MajpatError, OSError) as exc:
         print(f"majpat: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -172,10 +172,6 @@ class _Budget:
             raise InvalidInputError(f"node ceiling must be non-negative, got {self.limit}")
         self.left = self.limit
 
-    @property
-    def spent(self) -> int:
-        return self.limit - self.left
-
     def spend(self, amount: int = 1) -> None:
         self.left -= amount
         if self.left < 0:
@@ -310,14 +306,16 @@ def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
 
 
 def _brute_fill(rows, walk: Iterator[tuple[Perm, int, int]], max_n: int, maj_cap: int,
-                budget: _Budget) -> None:
-    # Record every walked node; the last level is counted from the clear
-    # sites of its parents without being built.
+                budget: _Budget, sources: dict[int, list[Perm]] | None = None) -> None:
+    # Record every walked node; count the last level, unbuilt, from the clear
+    # sites of its parents, and collect those into sources by maj if given.
     for word, mj, mask in walk:
         n = len(word)
         if n:
             rows[n - 1][mj] += 1
         if n == max_n - 1:
+            if sources is not None:
+                sources.setdefault(mj, []).append(word)
             free = ~mask & ((1 << n + 2) - 2)
             last = word[n - 1] if n else 0
             ascents = (free >> last + 1).bit_count()
@@ -344,16 +342,17 @@ def _subtree_task(args) -> tuple[list[list[int]], int]:
     budget = _Budget(nodes_left)
     walk = _walk(plans, seeds, [(maj_cap, maj_cap)] * max_n, budget)
     _brute_fill(rows, walk, max_n, maj_cap, budget)
-    return rows, budget.spent
+    return rows, budget.limit - budget.left
 
 
-def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int,
-                parallelism: int, budget: _Budget) -> list[list[int]]:
+def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int,
+                budget: _Budget, sources: dict[int, list[Perm]] | None = None) -> list[list[int]]:
     root, plans = _site_plans(patterns.patterns)
     rows = _zero_rows(max_n, maj_cap)
-    if parallelism <= 1:
+    # Only the serial walk collects sources; workers send back counts alone.
+    if parallelism <= 1 or sources is not None:
         walk = _walk(plans, [((), 0, root)], [(maj_cap, maj_cap)] * max_n, budget)
-        _brute_fill(rows, walk, max_n, maj_cap, budget)
+        _brute_fill(rows, walk, max_n, maj_cap, budget, sources)
         return rows
 
     # Expand a frontier wide enough to share, record the interior here, and
@@ -777,9 +776,9 @@ def _cores(patterns: PatternSet, ceiling: int, max_len: int,
 
 
 def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
-                  max_len: int, n_max: int | None, budget: _Budget) -> None:
-    """Walk the cores once and add each core of length <= max_len to the
-    signature counts of its column len + maj, for the columns given.
+                  n_max: int | None, budget: _Budget) -> None:
+    """Walk the cores once and add each core (shorter than n_max, if given)
+    to the signature counts of its column len + maj, for the columns given.
 
     With n_max, only the signatures that reach lengths up to n_max are
     walked, and a core one or two letters short of row n_max is counted from
@@ -798,6 +797,7 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     """
     root, plans = _site_plans(patterns.patterns)
     ceiling = max(columns)
+    max_len = ceiling if n_max is None else min(ceiling, n_max - 1)
     caps = [(ceiling - n,) * 2 for n in range(max_len + 1)]
     short = n_max is not None and 2 <= n_max <= max_len + 2
     if short:
@@ -834,8 +834,7 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
 def _core_rows(patterns: PatternSet, max_n: int, maj_cap: int,
                budget: _Budget) -> list[list[int]]:
     columns = {mp: SignatureCounts(patterns.cap) for mp in range(maj_cap + 1)}
-    # A core of length k only yields permutations of length >= k + 1.
-    _fill_columns(columns, patterns, min(max_n - 1, maj_cap), max_n, budget)
+    _fill_columns(columns, patterns, max_n, budget)
     rows = _zero_rows(max_n, maj_cap)
     for n, row in enumerate(rows, start=1):
         for mp in range(len(row)):
@@ -883,9 +882,8 @@ def column_counts(m: int, patterns: PatternSet, *, n_max: int | None = None,
     """
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
-    top = m if n_max is None else min(m, max(n_max - 1, 0))
     counts = SignatureCounts(patterns.cap)
-    _fill_columns({m: counts}, patterns, top, n_max, _Budget(max_nodes))
+    _fill_columns({m: counts}, patterns, n_max, _Budget(max_nodes))
     return counts
 
 

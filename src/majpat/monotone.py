@@ -4,16 +4,16 @@ Constructive monotonicity of fixed-major-index columns for single patterns.
 For a pattern sigma with at least one descent, an explicit injection maps
 each sigma-avoiding permutation of length n with major index m to one of
 length n + 1 with the same major index, by one of three insertions selected
-from tail(sigma) and slope(pi).  The harness enumerates the avoiders of
-length n, checks injectivity, avoidance and major-index preservation
-directly, and counts length n + 1 by the brute-force table.
+from tail(sigma) and slope(pi).  The harness walks the prefix tree once, to
+count length n + 1 by the brute-force table; the avoiders of length n are
+that walk's nodes one letter short, each with the major index it carries.
+It checks injectivity, avoidance and major-index preservation directly.
 
 Avoidance of an image is checked only through its inserted letter, and that
-is exact: the harness takes its sources from the avoider walk, which yields
-only avoiders, and checks that deleting the inserted letter gives the source
-back, so any occurrence in the image must use that letter.  The public
-`monotone_injection` checks its input itself; the harness calls the bare
-insertion `_inject`.
+is exact: the walk yields only avoiders, and the harness checks that deleting
+the inserted letter gives the source back, so any occurrence in the image
+must use that letter.  The public `monotone_injection` checks its input
+itself; the harness calls the bare insertion `_inject`.
 """
 from __future__ import annotations
 
@@ -35,6 +35,10 @@ from .perms import (
     slope,
     tail,
 )
+
+# generate_avoiders is here only for bench/tracing.py, which wraps it by name.
+__all__ = ["InjectionCase", "InjectionTag", "MonotonicityReport", "generate_avoiders",
+           "monotone_injection", "verify_monotonicity"]
 
 
 class InjectionTag(enum.Enum):
@@ -120,7 +124,8 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
     For each major index m <= m_max: the image of every avoider must avoid
     sigma, keep its major index, and be distinct from every other image; the
     column counts at n + 1 come independently from the brute table and are
-    compared with the counts at n.  One node ceiling covers both walks.
+    compared with the counts at n.  The sources are the length-n nodes of
+    that table's one walk, which the node ceiling covers.
     """
     if not descents(sigma):
         raise UnsupportedPatternError(
@@ -131,15 +136,10 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
     limit = m_max if m_max is not None else n * (n - 1) // 2
     if limit < 0:
         raise InvalidInputError(f"max_maj must be >= 0, got {limit}")
-    single = PatternSet((sigma,))
-
-    budget = _Budget(max_nodes)
-    row_next = _brute_rows(single, n + 1, min(limit, n * (n + 1) // 2), 1, budget)[n]
+    # The walk keeps every length-n avoider with maj <= limit, in preorder.
     by_m: dict[int, list[Perm]] = {}
-    for pi in generate_avoiders(n, single, max_nodes=budget.left):
-        m = major_index(pi)
-        if m <= limit:
-            by_m.setdefault(m, []).append(pi)
+    row_next = _brute_rows(PatternSet((sigma,)), n + 1, min(limit, n * (n + 1) // 2), 1,
+                           _Budget(max_nodes), by_m)[n]
 
     tally = {tag.value: 0 for tag in InjectionTag}
     counts: dict[int, tuple[int, int]] = {}

@@ -1,7 +1,8 @@
 """Independent brute-force oracles the tests check the library against.
 
-Everything here goes through itertools and raw index subsets, deliberately
-sharing no code path with the library's pruned searches.
+Everything here goes through itertools and raw index subsets, or the
+one-letter deletions of every permutation, deliberately sharing no code path
+with the library's pruned searches.
 """
 import itertools
 
@@ -80,6 +81,28 @@ def oracle_rows(patterns, max_n):
         for w in oracle_avoiders(n, patterns):
             row[oracle_maj(w)] += 1
         rows.append(row)
+    return rows
+
+
+def oracle_rows_by_deletion(patterns, max_n):
+    """oracle_rows, found faster: a permutation avoids the patterns iff it is
+    none of them and each of its one-letter deletions avoids them (an
+    occurrence in a longer permutation leaves out some letter), so each
+    length filters the full symmetric group against the avoiders one shorter.
+    """
+    patterns = set(patterns)
+    shorter = {()}
+    rows = []
+    for n in range(1, max_n + 1):
+        row = [0] * (n * (n - 1) // 2 + 1)
+        level = set()
+        for w in itertools.permutations(range(1, n + 1)):
+            if w not in patterns and all(
+                    tuple(x - (x > v) for x in w if x != v) in shorter for v in w):
+                level.add(w)
+                row[oracle_maj(w)] += 1
+        rows.append(row)
+        shorter = level
     return rows
 
 

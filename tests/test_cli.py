@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import majpat.cli
 from majpat.cli import main
 from majpat.enumeration import MajTable
 
@@ -54,6 +55,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "cores", "--maj", "3")
         assert code == 2 and "node ceiling" in err and err.count("\n") == 1
 
+    def test_deep_core_is_three_with_one_line(self, capsys):
+        # The signature walk recurses once per coordinate, and the column
+        # of 321 at m = 1000 has a core of length 999.
+        code, out, err = run(capsys, "degree", "--patterns", "321", "--maj", "1000",
+                             "--max-nodes", "3000000")
+        assert code == 3 and out == ""
+        assert err == "majpat: resource limit: Python recursion depth exhausted\n"
+
+    def test_out_of_memory_is_three_with_one_line(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(majpat.cli, "verify_monotonicity", exhausted)
+        code, out, err = run(capsys, "verify-monotonic", "--patterns", "2134", "--n", "9")
+        assert code == 3 and out == ""
+        assert err == "majpat: resource limit: memory exhausted\n"
+
     @pytest.mark.parametrize("argv", [
         ("table", "--max-n", "6", "--algorithm", "both"),
         ("verify-monotonic", "--patterns", "2134", "--n", "5"),
@@ -67,8 +85,9 @@ class TestExitCodes:
         # for the 10 cores of length <= 3, 240 pairs read off those
         # children's masks and one per unit profile of the 120 cores of
         # length 5 (360).  verify-monotonic spends the brute table at n + 1
-        # plus the avoider stream at n.
-        total = {"table": 1707, "verify-monotonic": 685}[argv[0]]
+        # only, and reads its sources off that walk: 1 + 2 + 6 + 23 + 103 =
+        # 135 nodes built and 415 units counted at n = 6, maj <= 10.
+        total = {"table": 1707, "verify-monotonic": 550}[argv[0]]
         code, _, err = run(capsys, *argv, "--max-nodes", str(total - 1))
         assert code == 3 and "resource" in err.lower()
         code, _, _ = run(capsys, *argv, "--max-nodes", str(total))

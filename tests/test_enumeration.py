@@ -417,7 +417,7 @@ class TestCores:
             # Full triangles, and a ceiling that cuts the last row but one.
             for n_max, ceiling in [(n, c) for n in range(1, 9) for c in (n * (n - 1) // 2, 4)]:
                 got = {mp: SignatureCounts(ps.cap) for mp in range(ceiling + 1)}
-                _fill_columns(got, ps, n_max - 1, n_max, _Budget(None))
+                _fill_columns(got, ps, n_max, _Budget(None))
                 want = {mp: SignatureCounts(ps.cap) for mp in range(ceiling + 1)}
                 for gamma, mp, _ in _cores(ps, ceiling, n_max - 1, _Budget(None)):
                     want[mp].add_core(gamma, ps, budget_sum=n_max - len(gamma),

@@ -11,7 +11,8 @@ from majpat.monotone import (
     monotone_injection,
     verify_monotonicity,
 )
-from majpat.perms import contains, descents, insert, major_index, slope, tail
+from majpat.perms import contains, descents, insert, major_index, parse_perm, slope, tail
+from oracles import oracle_rows, oracle_rows_by_deletion
 
 
 class TestInjectionCases:
@@ -103,6 +104,29 @@ class TestVerification:
         assert obj["verified"] is True
         assert set(obj["cases"]) == {t.value for t in InjectionTag}
         assert obj["counterexample"] is None
+
+
+@pytest.mark.parametrize("text", ["2134", "1324", "231", "321", "21"])
+def test_harness_counts_match_the_oracle(text):
+    # The harness reads its sources off the walk that counts row n + 1; the
+    # counts of both rows, and the number of sources injected, must be the
+    # oracle's, up to the triangle and past it.
+    sigma = parse_perm(text)
+    rows = [[1]] + oracle_rows_by_deletion([sigma], 8)
+    assert rows[1:7] == oracle_rows([sigma], 6)
+
+    def cell(n, m):
+        return rows[n][m] if m < len(rows[n]) else 0
+
+    for n in range(8):
+        for m_max in (None, 0, 4, n * (n + 1) // 2 + 1):
+            report = verify_monotonicity(sigma, n, m_max)
+            limit = n * (n - 1) // 2 if m_max is None else m_max
+            assert report.verified, (text, n, m_max)
+            assert report.counts == {m: (cell(n, m), cell(n + 1, m))
+                                     for m in range(limit + 1)}, (text, n, m_max)
+            assert sum(report.case_tally.values()) == sum(
+                cell(n, m) for m in range(limit + 1)), (text, n, m_max)
 
 
 class TestVerifierCatchesBadInjections:

@@ -41,14 +41,16 @@ CORPUS = [
     ("verify-monotonic", "--patterns", "2134", "--n", "7"),
     ("verify-monotonic", "--patterns", "1324", "--n", "7", "--max-maj", "12"),
     ("verify-monotonic", "--patterns", "21", "--n", "200", "--max-maj", "0"),
+    # Past the triangle: the walk's cap is n(n + 1)/2, not --max-maj.
+    ("verify-monotonic", "--patterns", "1324", "--n", "6", "--max-maj", "30"),
     # Node ceilings: each run passes at its exact spend T and exits 3 at T - 1.
     ("table", "--max-n", "7", "--max-nodes", "5913"),
     ("table", "--max-n", "7", "--max-nodes", "5912"),
     ("table", "--max-n", "7", "--max-nodes", "5912", "--parallelism", "2"),
     ("table", "--max-n", "6", "--algorithm", "both", "--max-nodes", "1707"),
     ("table", "--max-n", "6", "--algorithm", "both", "--max-nodes", "1706"),
-    ("verify-monotonic", "--patterns", "2134", "--n", "5", "--max-nodes", "685"),
-    ("verify-monotonic", "--patterns", "2134", "--n", "5", "--max-nodes", "684"),
+    ("verify-monotonic", "--patterns", "2134", "--n", "5", "--max-nodes", "550"),
+    ("verify-monotonic", "--patterns", "2134", "--n", "5", "--max-nodes", "549"),
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "10", "--max-nodes", "4329",
      "--parallelism", "2"),
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "10", "--max-nodes", "4328",
