@@ -59,7 +59,6 @@ from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .perms import (
     Perm,
     _grow,
-    dead_slots,
     embedding_plan,
     format_perm,
     magnitude,
@@ -200,11 +199,10 @@ def _site_plans(sigs: tuple[Perm, ...]) -> tuple[int, tuple[SitePlan, ...]]:
         if l == 1:
             root = 0b10
             continue
-        plan = embedding_plan(sigma, l - 2)
         # The step of slot l - 1, never grown, is what the search reads at
-        # the end, so dead_slots already counts below and above as read.
-        dead = dead_slots(sigma, l - 2)
-        plans.append((tuple((*plan[r], dead[r]) for r in range(l - 2)), *plan[l - 1]))
+        # the end, so the plan already counts below and above as read.
+        plan = embedding_plan(sigma, l - 2)
+        plans.append((plan[:l - 2], *plan[l - 1][:2]))
     return root, tuple(plans)
 
 
@@ -234,6 +232,22 @@ def _forbidden_sites(word: Perm, mask: int, plans: tuple[SitePlan, ...]) -> int:
             b = values[above]
             mask |= ((1 << (b - a)) - 1) << (a + 1)
     return mask
+
+
+def _clear_sites(word: Perm, mask: int) -> tuple[int, int]:
+    """The clear sites of a node's mask, the ranks whose appending avoids
+    every pattern, split as (rising, falling) bit sets: a rank above the
+    last letter rises, and the others, down to 1, fall.  The empty word's
+    one child falls.
+
+    >>> [bin(sites) for sites in _clear_sites((2, 1, 3), 0b01010)]
+    ['0b10000', '0b100']
+    """
+    n = len(word)
+    last = word[n - 1] if n else 1
+    clear = ~mask & ((1 << n + 2) - 2)
+    falling = clear & ((1 << last + 1) - 1)
+    return clear ^ falling, falling
 
 
 class _Relabel(dict):
@@ -275,9 +289,11 @@ def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
     A child is relabelled with one lookup in a table of its rank
     (`_Relabel`), except under the top rank, which relabels nothing and so
     needs no table: a deep walk that only ever appends its top rank builds
-    none.
+    none.  The tables are rebuilt at twice the length of the first node
+    that outgrows them, so they follow the depth the walk reaches, not the
+    length its caps allow.
     """
-    shift = _Relabel(len(caps) - 2)
+    shift = _Relabel(0)
     stack = seeds[::-1]
     while stack:
         node = stack.pop()
@@ -286,6 +302,8 @@ def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
         n = len(word)
         if n + 1 >= len(caps):
             continue
+        if n > shift.longest:
+            shift = _Relabel(2 * n)
         rise, fall = caps[n + 1]
         # Ranks above the last letter rise and keep maj; the others fall,
         # adding n.  The empty word's one child counts as falling.
@@ -316,10 +334,9 @@ def _brute_fill(rows, walk: Iterator[tuple[Perm, int, int]], max_n: int, maj_cap
         if n == max_n - 1:
             if sources is not None:
                 sources.setdefault(mj, []).append(word)
-            free = ~mask & ((1 << n + 2) - 2)
-            last = word[n - 1] if n else 0
-            ascents = (free >> last + 1).bit_count()
-            descents = (free.bit_count() - ascents) if mj + n <= maj_cap else 0
+            rising, falling = _clear_sites(word, mask)
+            ascents = rising.bit_count()
+            descents = falling.bit_count() if mj + n <= maj_cap else 0
             budget.spend(ascents + descents)
             rows[n][mj] += ascents
             if descents:
@@ -375,9 +392,10 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
     tasks = [(plans, max_n, maj_cap, budget.left, bucket) for bucket in buckets if bucket]
     if not tasks:
         return rows
-    # A forked pool starts all its workers at the first submit: one per task.
+    # A forked pool starts all its workers at the first submit: one per task,
+    # and no more than the host has processors.
     spent = 0
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
         for part, part_spent in pool.map(_subtree_task, tasks):
             _merge_rows(rows, part)
             spent += part_spent
@@ -451,7 +469,7 @@ class MajTable:
             patterns = PatternSet.of(*obj["patterns"])
             rows = tuple(tuple(int(c) for c in r["counts"]) for r in obj["rows"])
             return MajTable(patterns, int(obj["max_n"]), int(obj["max_maj"]), rows)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad table JSON: {exc}") from exc
 
     def to_csv(self) -> str:
@@ -473,7 +491,10 @@ class MajTable:
         rows = []
         for ln in lines[1:]:
             cells = ln.split(",")
-            rows.append(tuple(int(c) for c in cells[1:] if c != ""))
+            try:
+                rows.append(tuple(int(c) for c in cells[1:] if c != ""))
+            except ValueError as exc:
+                raise InvalidInputError(f"bad table CSV: {exc}") from exc
         return max_maj, tuple(rows)
 
 
@@ -523,19 +544,18 @@ Obstruction = tuple[tuple[int, int, int], ...]
 def _pattern_plan(sigma: Perm) -> tuple[tuple[tuple[int, int, bool], ...], tuple[tuple, ...]]:
     """How to embed sigma's prefixes and read off their tail demands.
 
-    steps[r]: embedding_plan(sigma)[r] and whether slot r is dead, with the
-    demands of every level counted as read.  groups[r]: the demands
-    (below, above, d) of the tail sigma[r:], one per run of tail letters
-    sharing their value_neighbours in sigma[:r], in increasing value order.
-    Both index the same layout (0, k + 1, embedded slots in order).
+    steps: embedding_plan(sigma), with the demands of every level counted as
+    read.  groups[r]: the demands (below, above, d) of the tail sigma[r:],
+    one per run of tail letters sharing their value_neighbours in sigma[:r],
+    in increasing value order.  Both index the same layout (0, k + 1,
+    embedded slots in order).
     """
     groups = []
     for r in range(len(sigma) + 1):
         demand = Counter(value_neighbours(sigma, range(r), t) for t in sorted(sigma[r:]))
         groups.append(tuple((below, above, d) for (below, above), d in demand.items()))
     reads = tuple(sorted({i for group in groups for lo, hi, _ in group for i in (lo, hi)}))
-    dead = dead_slots(sigma, None, reads)
-    return tuple((*step, dead[r]) for r, step in enumerate(embedding_plan(sigma))), tuple(groups)
+    return embedding_plan(sigma, None, reads), tuple(groups)
 
 
 def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
@@ -752,25 +772,18 @@ def count_by_core(gamma: Perm, n: int, patterns: PatternSet, *,
     return counts.count(n)
 
 
-def _unit_sites(gamma: Perm, mask: int) -> int:
-    """The avoiding unit profiles of a node, as a bit set of sites.  The unit
-    profile e_{s-1} appends rank s and is valid iff s <= gamma_k (any s for
-    the empty word), so the avoiding ones are the clear sites s <= gamma_k of
-    the node's mask; the node is a core iff there is one (avoiding profiles
-    form a down-set)."""
-    k = len(gamma)
-    top = gamma[k - 1] if k else 1
-    return ~mask & ((1 << top + 1) - 2)
-
-
 def _cores(patterns: PatternSet, ceiling: int, max_len: int,
            budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
     """The cores with len + maj <= ceiling and length <= max_len, in preorder,
-    as (gamma, len + maj, sites) with sites from `_unit_sites`."""
+    as (gamma, len + maj, sites), sites the bit set of the avoiding unit
+    profiles.  The unit profile e_{s-1} appends rank s and is valid iff
+    s <= gamma_k (any s for the empty word), so the avoiding ones are the
+    falling sites of `_clear_sites`; a node is a core iff there is one
+    (avoiding profiles form a down-set)."""
     root, plans = _site_plans(patterns.patterns)
     caps = [(ceiling - n,) * 2 for n in range(max_len + 1)]
     for gamma, mj, mask in _walk(plans, [((), 0, root)], caps, budget):
-        sites = _unit_sites(gamma, mask)
+        _, sites = _clear_sites(gamma, mask)
         if sites:
             yield gamma, len(gamma) + mj, sites
 
@@ -783,17 +796,16 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     With n_max, only the signatures that reach lengths up to n_max are
     walked, and a core one or two letters short of row n_max is counted from
     masks, one node per signature.  A core of length n_max - 1 takes its
-    units, the bits of `_unit_sites`.  For a core gamma of length n_max - 2
-    the walk goes on to length n_max - 1 with the column ceiling itself as
-    the cap on the maj of a falling child, so it builds every descent child
-    w = gamma . s (its last letter falls; (1,) is the child of the empty
-    core), and maj(w) is gamma's column len + maj.  A rising child there
-    keeps the cap ceiling - len of every other node.  The node w is the
-    unit e_{s-1}; appending rank s + 1 to it is the pair 2e_{s-1} and rank
-    t > s + 1 the pair e_{s-1} + e_{t-2}, so the pairs are its clear sites
-    above s.  Every core
-    with more room, and every core without n_max, goes through its
-    obstructions and the signature walk.
+    units, the falling sites of `_clear_sites`.  For a core gamma of length
+    n_max - 2 the walk goes on to length n_max - 1 with the column ceiling
+    itself as the cap on the maj of a falling child, so it builds every
+    descent child w = gamma . s (its last letter falls; (1,) is the child of
+    the empty core), and maj(w) is gamma's column len + maj.  A rising child
+    there keeps the cap ceiling - len of every other node.  The node w is
+    the unit e_{s-1}; appending rank s + 1 to it is the pair 2e_{s-1} and
+    rank t > s + 1 the pair e_{s-1} + e_{t-2}, so the pairs are its rising
+    sites.  Every core with more room, and every core without n_max, goes
+    through its obstructions and the signature walk.
     """
     root, plans = _site_plans(patterns.patterns)
     ceiling = max(columns)
@@ -809,10 +821,9 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
             counts = columns.get(mj)
             if counts is not None:
                 s = word[k - 1]
-                # Bit i of free is the child's site s + 1 + i, up to k + 1.
-                free = ~mask >> s + 1
-                same = free & 1
-                other = (free >> 1 & ((1 << k - s) - 1)).bit_count()
+                rising, _ = _clear_sites(word, mask)
+                same = rising >> s + 1 & 1
+                other = rising.bit_count() - same
                 budget.spend(same + other)
                 counts.add_shapes(k - 1, [(1,)] + [(2,)] * same + [(1, 1)] * other)
         counts = columns.get(k + mj)
@@ -820,7 +831,7 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
         # A core with room 2 is counted through its descent children.
         if counts is None or k > max_len or room == 2:
             continue
-        sites = _unit_sites(word, mask)
+        _, sites = _clear_sites(word, mask)
         if not sites:
             continue
         if room == 1:

@@ -18,7 +18,7 @@ in order): the floor and the ceiling first, then a pinned slot when there is
 one, since it is placed first.
 
 One search runs on that plan: `_grow` extends every partial embedding by
-the letters that can fill the next slot.  A slot is dead (`dead_slots`)
+the letters that can fill the next slot.  The plan also flags a slot dead
 when no later step of the plan reads the entry it places and neither does
 the caller at the end; `_grow` then keeps only the first fitting letter of
 each partial.  That is exact: the kept extension has the earliest start, so
@@ -167,46 +167,37 @@ def value_neighbours(sigma: Perm, placed: Sequence[int], t: int) -> tuple[int, i
 
 
 @lru_cache(maxsize=256)
-def embedding_plan(sigma: Perm, pin: int | None = None) -> tuple[tuple[int, int], ...]:
-    """For each slot j, the value_neighbours of sigma[j] among the slots
-    placed before it, as indices into a partial embedding laid out as
-    (0, n + 1, pinned letter, the other slots in order).
+def embedding_plan(sigma: Perm, pin: int | None = None,
+                   reads: tuple[int, ...] = ()) -> tuple[tuple[int, int, bool], ...]:
+    """For each slot j, (lo, hi, dead): the value_neighbours of sigma[j]
+    among the slots placed before it, as indices into a partial embedding
+    laid out as (0, n + 1, pinned letter, the other slots in order), and
+    whether the slot is dead.
 
     The slot pin, when given, is placed first; with no pin, slot i sits at
     i + 2.  A letter strictly between the entries below and above of its
-    slot is ordered against every placed slot as sigma says.
+    slot is ordered against every placed slot as sigma says.  A slot is
+    dead when no step of a slot placed after it reads the entry it places,
+    and reads, the entries the caller reads once the search is done, leave
+    it out too.
 
     >>> embedding_plan((2, 4, 1, 3))
-    ((0, 1), (2, 1), (0, 2), (2, 3))
+    ((0, 1, False), (2, 1, False), (0, 2, True), (2, 3, True))
     >>> embedding_plan((2, 4, 1, 3), 2)
-    ((2, 1), (3, 1), (0, 1), (3, 4))
+    ((2, 1, False), (3, 1, False), (0, 1, False), (3, 4, True))
+    >>> embedding_plan((1, 3, 2, 4), reads=(4,))
+    ((0, 1, False), (2, 1, False), (2, 3, False), (3, 1, True))
     """
-    order = sorted(range(len(sigma)), key=lambda j: j != pin)
-    plan = {j: value_neighbours(sigma, order[:k], sigma[j]) for k, j in enumerate(order)}
-    return tuple(plan[j] for j in range(len(sigma)))
-
-
-@lru_cache(maxsize=256)
-def dead_slots(sigma: Perm, pin: int | None = None,
-               reads: tuple[int, ...] = ()) -> tuple[bool, ...]:
-    """For each slot of embedding_plan(sigma, pin), whether it is dead: no
-    step of a slot placed after it reads the entry it places, and reads, the
-    entries the caller reads once the search is done, leave it out too.
-
-    >>> dead_slots((1, 3, 2, 4))
-    (False, False, True, True)
-    >>> dead_slots((1, 3, 2, 4), reads=(4,))
-    (False, False, False, True)
-    """
-    plan = embedding_plan(sigma, pin)
     order = sorted(range(len(sigma)), key=lambda j: j != pin)
     read = set(reads)
-    dead = [False] * len(sigma)
+    plan = [None] * len(sigma)
     # The k-th slot placed sits at entry k + 2; walk back from the last one.
     for k in range(len(sigma) - 1, -1, -1):
-        dead[order[k]] = k + 2 not in read
-        read.update(plan[order[k]])
-    return tuple(dead)
+        j = order[k]
+        lo, hi = value_neighbours(sigma, order[:k], sigma[j])
+        plan[j] = (lo, hi, k + 2 not in read)
+        read.update((lo, hi))
+    return tuple(plan)
 
 
 def _grow(word: Perm, partial: list[tuple[tuple[int, ...], int]], lo: int, hi: int,
@@ -238,20 +229,18 @@ def _embeddings(pi: Perm, sigma: Perm, slot: int | None = None, position: int = 
     (and those later steps read) cover every embedding.  Empty as soon as
     one level is."""
     l, n = len(sigma), len(pi)
-    plan = embedding_plan(sigma, slot)
-    dead = dead_slots(sigma, slot, reads)
     if slot is None:
         # Unpinned, every slot is fenced as if a pin sat past the end.
         slot, position, partial = l, n + 1, [((0, n + 1), 0)]
     else:
         partial = [((0, n + 1, pi[position - 1]), 0)]
-    for r, (lo, hi) in enumerate(plan):
+    for r, (lo, hi, dead) in enumerate(embedding_plan(sigma, slot, reads)):
         if r == slot:
             partial = [(values, position) for values, _ in partial]
             continue
         # Slot r leaves room for the slots between it and the pin, or the end.
         partial = _grow(pi, partial, lo, hi, position - slot + r if r < slot else n - l + r + 1,
-                        dead[r])
+                        dead)
         if not partial:
             break
     return partial

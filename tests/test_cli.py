@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +64,24 @@ class TestExitCodes:
                              "--max-nodes", "3000000")
         assert code == 3 and out == ""
         assert err == "majpat: resource limit: Python recursion depth exhausted\n"
+
+    def test_node_ceiling_bounds_memory(self):
+        # A column as tall as 200,000 lets the walk go deep, but 2,000 nodes
+        # stop it early, and the memory it holds follows the depth it
+        # reached.  Measured on a child process, whose peak RSS is its own.
+        src = os.path.dirname(os.path.dirname(majpat.cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "majpat.cli", "degree", "--patterns", "1324",
+             "--maj", "200000", "--max-nodes", "2000"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 3 and proc.stdout.read() == b""
+        assert proc.stderr.read().startswith(b"majpat: resource limit: search node budget")
+        proc.stdout.close()
+        proc.stderr.close()
+        assert usage.ru_maxrss < 150 * 1024  # kilobytes
 
     def test_out_of_memory_is_three_with_one_line(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -22,6 +22,7 @@ from majpat.enumeration import (
 from majpat.enumeration import (
     _Budget,
     _avoiding_signatures,
+    _clear_sites,
     _cores,
     _fill_columns,
     _forbidden_sites,
@@ -118,6 +119,9 @@ class TestForbiddenSites:
         # s whose appending avoids every pattern, and the walk reaches every
         # avoider of length <= 6.  Both are checked against the subset-scan
         # oracles, which share no code with the embedding search.
+        # _clear_sites splits them into the ranks whose child's last letter
+        # rises and those where it falls: the ranks at or below the last
+        # letter, and the one rank of the empty word.
         ps = PatternSet.from_text(text)
         root, plans = _site_plans(ps.patterns)
         level = [((), 0, root)]
@@ -129,6 +133,11 @@ class TestForbiddenSites:
                         if not any(oracle_contains(insert(word, n + 1, s), p)
                                    for p in ps.patterns)}
                 assert clear == want, (text, word)
+                rising, falling = (
+                    {s for s in range(1, n + 2) if sites >> s & 1}
+                    for sites in _clear_sites(word, mask))
+                assert rising | falling == clear and not rising & falling, (text, word)
+                assert falling == {s for s in clear if not n or s <= word[-1]}, (text, word)
             walk = _walk(plans, level, [(21, 21)] * (n + 2), _Budget(None))
             level = [node for node in walk if len(node[0]) > n]
 
@@ -247,7 +256,8 @@ class TestMajTable:
                 maj_table(7, 21, PatternSet(), parallelism=parallelism, max_nodes=5912)
 
     def test_pool_has_one_worker_per_subtree(self, monkeypatch):
-        # A stand-in pool runs the subtrees here and records its size.
+        # A stand-in pool runs the subtrees here and records its size, on a
+        # stand-in host with 8 processors, and then with 2.
         sizes = []
 
         class InProcessPool:
@@ -264,6 +274,7 @@ class TestMajTable:
                 return map(fn, tasks)
 
         monkeypatch.setattr(majpat.enumeration, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(majpat.enumeration.os, "cpu_count", lambda: 8)
         assert maj_table(1, 10, PatternSet(), parallelism=4).rows == ((1,),)
         assert sizes == [1]
         ps = PatternSet.of("1324")
@@ -272,6 +283,11 @@ class TestMajTable:
         ps = PatternSet.of("1")
         assert maj_table(5, 10, ps, parallelism=4).rows == maj_table(5, 10, ps).rows
         assert sizes == [1, 3]
+        # More tasks than processors: the pool is capped, the tasks are not.
+        monkeypatch.setattr(majpat.enumeration.os, "cpu_count", lambda: 2)
+        ps = PatternSet.of("1324")
+        assert maj_table(7, 21, ps, parallelism=10000).rows == maj_table(7, 21, ps).rows
+        assert sizes == [1, 3, 2]
 
     @pytest.mark.parametrize("text", ["1324", "3412;1324", ""])
     def test_ceiling_outcome_does_not_depend_on_parallelism(self, text):
@@ -307,6 +323,15 @@ class TestMajTable:
         assert again == t
         max_maj, rows = MajTable.rows_from_csv(t.to_csv())
         assert max_maj == t.max_maj and rows == t.rows
+        # A count that is not an integer is bad input, in either form.
+        obj = t.to_json_obj()
+        obj["rows"][2]["counts"][1] = "x"
+        with pytest.raises(InvalidInputError):
+            MajTable.from_json_obj(obj)
+        with pytest.raises(InvalidInputError):
+            MajTable.from_json_obj({**t.to_json_obj(), "max_n": "x"})
+        with pytest.raises(InvalidInputError):
+            MajTable.rows_from_csv(t.to_csv().replace("1,1,", "1,x,", 1))
 
     def test_csv_has_blanks_beyond_triangle(self):
         t = maj_table(3, 3, PatternSet())
