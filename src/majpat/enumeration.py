@@ -12,9 +12,10 @@ Two independent computation paths are provided and cross-checked:
   whose appending completes a pattern occurrence.  A child inherits its
   parent's mask (an occurrence that avoids the new letter stays one) and
   adds the sites of the occurrences of each pattern's head that end at its
-  new letter, so no candidate child is tested for containment.  The last
-  level of a table is counted from the clear sites of its parents without
-  being built.
+  new letter, so no candidate child is tested for containment.  That search
+  is one function per pattern set, compiled from the patterns' embedding
+  plans (`perms.compile_search`).  The last level of a table is counted from
+  the clear sites of its parents without being built.
 
 * cores: every permutation with major index m is core gamma + padding
   profile with maj_plus(gamma) = m.  Appending a letter never lowers
@@ -27,14 +28,15 @@ Two independent computation paths are provided and cross-checked:
   most K letters from any inserted run).  An occurrence is a prefix of the
   pattern embedded in gamma plus an increasing tail taken from the padding,
   so each core precomputes the gap-interval demands (obstructions) under
-  which gamma . c contains a pattern, and a capped signature c is tested by
-  interval sums.  Counting profiles with a fixed cap signature is stars and
-  bars, so each core's avoiding signatures collapse into one histogram that
-  gives its exact, eventually polynomial count at every length.  A table's
-  cores of length n_max - 1 and n_max - 2 have room for one or two padding
-  letters, so their avoiding signatures are the clear sites of their masks
-  and of the masks of their descent children, which the core walk builds by
-  going on to length n_max - 1.
+  which gamma . c contains a pattern, by a compiled search that records one
+  obstruction per embedding of a pattern prefix, and a capped signature c
+  is tested by interval sums.  Counting profiles with a fixed cap signature
+  is stars and bars, so each core's avoiding signatures collapse into one
+  histogram that gives its exact, eventually polynomial count at every
+  length.  A table's cores of length n_max - 1 and n_max - 2 have room for
+  one or two padding letters, so their avoiding signatures are the clear
+  sites of their masks and of the masks of their descent children, which
+  the core walk builds by going on to length n_max - 1.
 
 Both paths thus read the same masks for the permutations of length n_max
 whose last descent is at n_max - 1 or n_max - 2, and for those of length
@@ -52,13 +54,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .decomp import Profile
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .perms import (
+    Nest,
     Perm,
-    _grow,
+    compile_search,
     embedding_plan,
     format_perm,
     magnitude,
@@ -179,59 +182,35 @@ class _Budget:
             )
 
 
-# A site plan (steps, below, above) finds the occurrences of a pattern's head
-# sigma[:l-1] that end at a word's last letter.  It is embedding_plan(sigma,
-# l - 2), slot l - 2 pinned to that letter, so its indices point into a
-# partial embedding laid out as (0, n + 1, last letter, head letters...):
-# steps[r] = (lo, hi, dead) places sigma[r] between the entries lo and hi,
-# and below and above point at the entries just under and over sigma[l-1].
-SitePlan = tuple[tuple[tuple[int, int, bool], ...], int, int]
-
-
 @lru_cache(maxsize=64)
-def _site_plans(sigs: tuple[Perm, ...]) -> tuple[int, tuple[SitePlan, ...]]:
-    """The forbidden sites of the empty word, and a site plan per pattern of
-    length >= 2 (a length-1 pattern forbids the root's only site)."""
+def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[[Perm, int], int]]:
+    """The forbidden sites of the empty word, and the search sites(word,
+    mask): mask plus the sites forbidden by an occurrence of a pattern that
+    uses word's last letter (a length-1 pattern forbids the root's only site).
+
+    Appending rank s puts the new letter between the values s - 1 and s.  It
+    completes an occurrence of sigma ending at the last letter iff some
+    embedding of the head sigma[:l-1] ends there and its value neighbours of
+    sigma[l-1] are a < s <= b (0 and len(word) + 1 at the ends).  The search
+    pins slot l - 2 to the last letter, places the head slots before it and
+    sets the sites a + 1 .. b of each embedding.  Only a and b are read at
+    the end, so the plan counts them as read, and a head slot whose entry
+    neither they nor a later step read is dead: the sites come out the same
+    from its first fitting letter alone.
+    """
     root = 0
-    plans = []
+    nests = []
     for sigma in sigs:
         l = len(sigma)
         if l == 1:
             root = 0b10
             continue
-        # The step of slot l - 1, never grown, is what the search reads at
-        # the end, so the plan already counts below and above as read.
         plan = embedding_plan(sigma, l - 2)
-        plans.append((plan[:l - 2], *plan[l - 1][:2]))
-    return root, tuple(plans)
-
-
-def _forbidden_sites(word: Perm, mask: int, plans: tuple[SitePlan, ...]) -> int:
-    """mask plus the sites forbidden by an occurrence of a pattern that uses
-    word's last letter.
-
-    Appending rank s puts the new letter between the values s - 1 and s.  It
-    completes an occurrence ending at the last letter iff some embedding of
-    the head ends there and its value neighbours of sigma[l-1] are a < s <= b
-    (0 and len(word) + 1 at the ends).  Only below and above are read at
-    the end, so a head slot whose entry neither they nor a later step read
-    is dead and keeps its first fitting letter per partial (`_grow`).  That
-    letter has the earliest start, so every occurrence through a later one
-    has a twin through it with the same below and above: the sites come out
-    the same.
-    """
-    n = len(word)
-    for steps, below, above in plans:
-        # Head slot r sits before the last letter, leaving room for the rest.
-        stop = n - len(steps)
-        partial = [((0, n + 1, word[n - 1]), 0)]
-        for r, (lo, hi, dead) in enumerate(steps):
-            partial = _grow(word, partial, lo, hi, stop + r, dead)
-        for values, _ in partial:
-            a = values[below]
-            b = values[above]
-            mask |= ((1 << (b - a)) - 1) << (a + 1)
-    return mask
+        below, above, _ = plan[l - 1]
+        sites = f"mask |= (2 << e{above}) - (2 << e{below})"
+        nests.append(Nest(plan, l - 2, l - 1, {l - 1: sites}))
+    return root, compile_search(nests, "word, mask", ["q = n - 1", "e2 = word[q]"],
+                                ["return mask"], state="mask")
 
 
 def _clear_sites(word: Perm, mask: int) -> tuple[int, int]:
@@ -265,26 +244,24 @@ class _Relabel(dict):
         return table
 
 
-def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
-          caps: list[tuple[int, int]], budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
+def _walk(sites: Callable[[Perm, int], int], seeds: list[tuple[Perm, int, int]],
+          caps: tuple[Sequence[int], Sequence[int]],
+          budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
     """Each seed and then its descendants in the avoiders' prefix tree, in
     preorder with children by increasing appended rank, as (word, maj, mask).
 
-    caps[n] = (rise, fall): a descendant of length n is kept while
-    n < len(caps) and its maj is at most rise when its last letter rises
-    and at most fall when it falls (as the only letter of a word of length
-    1 does).  A node's maj decides which of its children stay, so the caps
-    bound the range of ranks appended, with no test per child.  Each
-    expansion spends one node per child it builds.
+    caps = (rises, falls), two sequences of one length: a descendant of
+    length n is kept while n < len(rises) and its maj is at most rises[n]
+    when its last letter rises and at most falls[n] when it falls (as the
+    only letter of a word of length 1 does).  A node's maj decides which of
+    its children stay, so the caps bound the range of ranks appended, with
+    no test per child.  Each expansion spends one node per child it builds.
 
     Bit s of a mask is set iff appending rank s makes the word contain a
     pattern, so the children are the clear sites.  A child inherits its
     parent's forbidden sites (appending v splits site v in two and shifts
     the sites above it up by one), and then forbids the sites of the
-    occurrences that use its new last letter.  That search keeps one letter
-    per partial embedding at a dead slot, one whose letter nothing reads
-    later: the first letter has the earliest start, so it completes
-    whatever a later one completes.
+    occurrences that use its new last letter (sites, from `_forbidden_sites`).
 
     A child is relabelled with one lookup in a table of its rank
     (`_Relabel`), except under the top rank, which relabels nothing and so
@@ -294,17 +271,19 @@ def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
     length its caps allow.
     """
     shift = _Relabel(0)
+    rises, falls = caps
     stack = seeds[::-1]
     while stack:
         node = stack.pop()
         yield node
         word, mj, mask = node
         n = len(word)
-        if n + 1 >= len(caps):
+        if n + 1 >= len(rises):
             continue
         if n > shift.longest:
             shift = _Relabel(2 * n)
-        rise, fall = caps[n + 1]
+        rise = rises[n + 1]
+        fall = falls[n + 1]
         # Ranks above the last letter rise and keep maj; the others fall,
         # adding n.  The empty word's one child counts as falling.
         last = word[n - 1] if n else 1
@@ -318,8 +297,7 @@ def _walk(plans: tuple[SitePlan, ...], seeds: list[tuple[Perm, int, int]],
                 continue
             child = relabel(shift[v]) if v <= n else word + (v,)
             inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
-            stack.append((child, mj + n if v <= last else mj,
-                          _forbidden_sites(child, inherited, plans)))
+            stack.append((child, mj + n if v <= last else mj, sites(child, inherited)))
         budget.spend(len(stack) - depth)
 
 
@@ -353,22 +331,29 @@ def _merge_rows(target: list[list[int]], source: list[list[int]]) -> None:
             row_t[i] += v
 
 
+def _flat_caps(cap: int, length: int) -> tuple[list[int], list[int]]:
+    """Caps that keep every node of maj <= cap and length < length."""
+    caps = [cap] * length
+    return caps, caps
+
+
 def _subtree_task(args) -> tuple[list[list[int]], int]:
-    plans, max_n, maj_cap, nodes_left, seeds = args
+    # The arguments are plain data that pickles: the search is compiled here.
+    sigs, max_n, maj_cap, nodes_left, seeds = args
     rows = _zero_rows(max_n, maj_cap)
     budget = _Budget(nodes_left)
-    walk = _walk(plans, seeds, [(maj_cap, maj_cap)] * max_n, budget)
+    walk = _walk(_forbidden_sites(sigs)[1], seeds, _flat_caps(maj_cap, max_n), budget)
     _brute_fill(rows, walk, max_n, maj_cap, budget)
     return rows, budget.limit - budget.left
 
 
 def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int,
                 budget: _Budget, sources: dict[int, list[Perm]] | None = None) -> list[list[int]]:
-    root, plans = _site_plans(patterns.patterns)
+    root, sites = _forbidden_sites(patterns.patterns)
     rows = _zero_rows(max_n, maj_cap)
     # Only the serial walk collects sources; workers send back counts alone.
     if parallelism <= 1 or sources is not None:
-        walk = _walk(plans, [((), 0, root)], [(maj_cap, maj_cap)] * max_n, budget)
+        walk = _walk(sites, [((), 0, root)], _flat_caps(maj_cap, max_n), budget)
         _brute_fill(rows, walk, max_n, maj_cap, budget, sources)
         return rows
 
@@ -383,13 +368,14 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
         if n:
             for _, mj, _ in frontier:
                 rows[n - 1][mj] += 1
-        walk = _walk(plans, frontier, [(maj_cap, maj_cap)] * (n + 2), budget)
+        walk = _walk(sites, frontier, _flat_caps(maj_cap, n + 2), budget)
         frontier = [node for node in walk if len(node[0]) > n]
         n += 1
     buckets: list[list[tuple[Perm, int, int]]] = [[] for _ in range(parallelism)]
     for i, seed in enumerate(frontier):
         buckets[i % parallelism].append(seed)
-    tasks = [(plans, max_n, maj_cap, budget.left, bucket) for bucket in buckets if bucket]
+    tasks = [(patterns.patterns, max_n, maj_cap, budget.left, bucket)
+             for bucket in buckets if bucket]
     if not tasks:
         return rows
     # A forked pool starts all its workers at the first submit: one per task,
@@ -408,10 +394,9 @@ def generate_avoiders(n: int, patterns: PatternSet, *,
     """Stream every pattern-avoiding permutation of length n exactly once."""
     if n < 0:
         raise InvalidInputError(f"length must be non-negative, got {n}")
-    root, plans = _site_plans(patterns.patterns)
+    root, sites = _forbidden_sites(patterns.patterns)
     # maj <= n(n - 1)/2 holds for every prefix of every avoider.
-    walk = _walk(plans, [((), 0, root)], [(_triangle(n),) * 2] * (n + 1),
-                 _Budget(max_nodes))
+    walk = _walk(sites, [((), 0, root)], _flat_caps(_triangle(n), n + 1), _Budget(max_nodes))
     return (word for word, _, _ in walk if len(word) == n)
 
 
@@ -467,10 +452,19 @@ class MajTable:
     def from_json_obj(obj: dict) -> "MajTable":
         try:
             patterns = PatternSet.of(*obj["patterns"])
+            max_n, max_maj = int(obj["max_n"]), int(obj["max_maj"])
+            numbers = [int(r["n"]) for r in obj["rows"]]
             rows = tuple(tuple(int(c) for c in r["counts"]) for r in obj["rows"])
-            return MajTable(patterns, int(obj["max_n"]), int(obj["max_maj"]), rows)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad table JSON: {exc}") from exc
+        # Rows n = 1 .. max_n in order, row n with columns 0 .. min(max_maj, n(n - 1)/2).
+        if max_n < 1 or max_maj < 0 or len(rows) != max_n \
+                or numbers != list(range(1, max_n + 1)) \
+                or any(len(row) != min(max_maj, _triangle(n)) + 1
+                       for n, row in enumerate(rows, start=1)):
+            raise InvalidInputError(
+                f"bad table JSON: rows do not match max_n={max_n}, max_maj={max_maj}")
+        return MajTable(patterns, max_n, max_maj, rows)
 
     def to_csv(self) -> str:
         header = "n," + ",".join(str(m) for m in range(self.max_maj + 1))
@@ -558,6 +552,22 @@ def _pattern_plan(sigma: Perm) -> tuple[tuple[tuple[int, int, bool], ...], tuple
     return embedding_plan(sigma, None, reads), tuple(groups)
 
 
+@lru_cache(maxsize=256)
+def _obstruction_search(sigma: Perm) -> Callable[[Perm, int, Callable], bool | None]:
+    """The search search(gamma, max_demand, add) behind `_obstructions` for
+    one pattern: it adds the obstruction of each embedding of sigma[:r] in
+    gamma at the levels r whose tail is increasing and at most max_demand
+    long, and returns True at the first occurrence of sigma in gamma."""
+    steps, groups = _pattern_plan(sigma)
+    l = len(sigma)
+    at = {l: "return True"}
+    for r in range(l - slope(sigma), l):
+        demands = "".join(f"(e{lo}, e{hi} - 1, {d}), " for lo, hi, d in groups[r])
+        at[r] = f"if first <= {r}: add(({demands}))"
+    return compile_search([Nest(steps, None, l, at, room=False)], "word, max_demand, add",
+                          [f"first = max({l - slope(sigma)}, {l} - max_demand)"])
+
+
 def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
                   max_demand: int) -> list[Obstruction] | None:
     """The demand sets under which gamma . c contains a pattern, or None when
@@ -573,27 +583,13 @@ def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
     length, which is why the capped signature decides avoidance.
     Obstructions needing more than max_demand padding letters are left out.
 
-    Every embedding of sigma[:r] is grown from those of sigma[:r-1] by one
-    `_grow` step; each gives one obstruction at the levels r whose tail is
-    increasing and short enough, and an embedding at level len(sigma) is an
-    occurrence in gamma itself.
+    Each embedding of a prefix sigma[:r] anywhere in gamma gives one
+    obstruction when its tail is increasing and short enough, and an
+    embedding of all of sigma is an occurrence in gamma itself.
     """
-    k = len(gamma)
-    found = set()
+    found: set[Obstruction] = set()
     for sigma in sigs:
-        l = len(sigma)
-        first = max(l - slope(sigma), l - max_demand)
-        steps, groups = _pattern_plan(sigma)
-        # Embeddings of sigma[:r] anywhere in gamma, laid out as
-        # embedding_plan says.
-        partial = [((0, k + 1), 0)]
-        for r, (below, above, dead) in enumerate(steps):
-            if r >= first:
-                for values, _ in partial:
-                    found.add(tuple((values[lo], values[hi] - 1, d)
-                                    for lo, hi, d in groups[r]))
-            partial = _grow(gamma, partial, below, above, k, dead)
-        if partial:
+        if _obstruction_search(sigma)(gamma, max_demand, found.add):
             return None
     return _minimal_obstructions(found)
 
@@ -780,9 +776,10 @@ def _cores(patterns: PatternSet, ceiling: int, max_len: int,
     s <= gamma_k (any s for the empty word), so the avoiding ones are the
     falling sites of `_clear_sites`; a node is a core iff there is one
     (avoiding profiles form a down-set)."""
-    root, plans = _site_plans(patterns.patterns)
-    caps = [(ceiling - n,) * 2 for n in range(max_len + 1)]
-    for gamma, mj, mask in _walk(plans, [((), 0, root)], caps, budget):
+    root, sites = _forbidden_sites(patterns.patterns)
+    # Computed from the length, so the caps take no room per unit of ceiling.
+    down = range(ceiling, ceiling - max_len - 1, -1)
+    for gamma, mj, mask in _walk(sites, [((), 0, root)], (down, down), budget):
         _, sites = _clear_sites(gamma, mask)
         if sites:
             yield gamma, len(gamma) + mj, sites
@@ -807,14 +804,16 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     sites.  Every core with more room, and every core without n_max, goes
     through its obstructions and the signature walk.
     """
-    root, plans = _site_plans(patterns.patterns)
+    root, sites = _forbidden_sites(patterns.patterns)
     ceiling = max(columns)
     max_len = ceiling if n_max is None else min(ceiling, n_max - 1)
-    caps = [(ceiling - n,) * 2 for n in range(max_len + 1)]
+    down = range(ceiling, ceiling - max_len - 1, -1)
+    caps = down, down
     short = n_max is not None and 2 <= n_max <= max_len + 2
     if short:
-        caps[n_max - 1:] = [(ceiling - n_max + 1, ceiling)]
-    for word, mj, mask in _walk(plans, [((), 0, root)], caps, budget):
+        down = range(ceiling, ceiling - n_max, -1)
+        caps = down, [*down[:n_max - 1], ceiling]
+    for word, mj, mask in _walk(sites, [((), 0, root)], caps, budget):
         k = len(word)
         if short and k == n_max - 1 and (k == 1 or word[k - 1] < word[k - 2]):
             # word = gamma . s for a core gamma of length n_max - 2.

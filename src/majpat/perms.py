@@ -17,24 +17,30 @@ partial embedding is laid out as (0, n + 1, pinned letter, the other slots
 in order): the floor and the ceiling first, then a pinned slot when there is
 one, since it is placed first.
 
-One search runs on that plan: `_grow` extends every partial embedding by
-the letters that can fill the next slot.  The plan also flags a slot dead
-when no later step of the plan reads the entry it places and neither does
-the caller at the end; `_grow` then keeps only the first fitting letter of
-each partial.  That is exact: the kept extension has the earliest start, so
-every completion of a later letter completes it too, and the entry that
-tells them apart is never read.  `_embeddings` grows them level by level and
-stops at the first empty level.  `contains`, `avoids` and `occurrences`
-read it unpinned; `contains_through` and `contains_ending_at_last` pin one
-slot to a given letter.  The prefix-tree masks and the core obstructions of
-the enumeration module call `_grow` themselves, because they read the
-embeddings of the pattern's prefixes.
+One search runs on that plan, compiled once into Python source
+(`compile_search`): one nested `for` per slot over the letters after the
+slot placed before it, with one test of the slot's value window, so the
+embeddings are found depth first with every placed letter in a local.  The
+plan also flags a slot dead when no later step of the plan reads the entry
+it places and neither does the caller at the end; its loop then stops after
+the subtree of its first fitting letter.  That is exact: that letter has the
+earliest position, so every completion of a later letter completes it too,
+and the entry that tells them apart is never read.  What a question does
+with an embedding is a statement the compiled function runs at a fixed
+depth: `contains` and `avoids` return at the first one, unpinned;
+`contains_through` and `contains_ending_at_last` pin one slot to a given
+letter and return at the first one; `occurrences` collects them all.  The
+prefix-tree masks and the core obstructions of the enumeration module
+compile their own statements, because they read the embeddings of the
+pattern's prefixes.  Each compiled search is cached with its pattern and
+built on first use.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidInputError
 
@@ -200,50 +206,160 @@ def embedding_plan(sigma: Perm, pin: int | None = None,
     return tuple(plan)
 
 
-def _grow(word: Perm, partial: list[tuple[tuple[int, ...], int]], lo: int, hi: int,
-          stop: int, dead: bool = False) -> list[tuple[tuple[int, ...], int]]:
-    """Each partial embedding (values, start) extended, in order, by the
-    letters of word[start:stop] strictly between values[lo] and values[hi],
-    with the position after it as the new start: every such letter, or only
-    the first one when the slot is dead.  An extension by a later letter
-    differs from the first only in an entry nobody reads and has a later
-    start, so all its completions complete the first one too."""
-    grown = []
-    for values, start in partial:
-        low = values[lo]
-        high = values[hi]
-        for pos in range(start, stop):
-            v = word[pos]
-            if low < v < high:
-                grown.append((values + (v,), pos + 1))
-                if dead:
-                    break
-    return grown
+class Nest(NamedTuple):
+    """A search over slots 0 .. depth - 1 of an embedding plan; compile_search
+    says what each field does."""
+
+    plan: tuple[tuple[int, int, bool], ...]
+    pin: int | None
+    depth: int
+    at: dict[int, str]
+    room: bool = True
+    guard: str = ""
 
 
-def _embeddings(pi: Perm, sigma: Perm, slot: int | None = None, position: int = 0,
-                reads: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], int]]:
-    """The embeddings of sigma in pi, laid out as embedding_plan says, with
-    slot pinned to the letter at the 1-based position when slot is given.
-    Dead slots keep one letter per partial, so only the entries in reads
-    (and those later steps read) cover every embedding.  Empty as soon as
-    one level is."""
-    l, n = len(sigma), len(pi)
-    if slot is None:
-        # Unpinned, every slot is fenced as if a pin sat past the end.
-        slot, position, partial = l, n + 1, [((0, n + 1), 0)]
-    else:
-        partial = [((0, n + 1, pi[position - 1]), 0)]
-    for r, (lo, hi, dead) in enumerate(embedding_plan(sigma, slot, reads)):
-        if r == slot:
-            partial = [(values, position) for values, _ in partial]
-            continue
-        # Slot r leaves room for the slots between it and the pin, or the end.
-        partial = _grow(pi, partial, lo, hi, position - slot + r if r < slot else n - l + r + 1,
-                        dead)
-        if not partial:
+# CPython compiles at most 20 nested blocks into one function, so a longer
+# loop nest goes on in a function defined inside the one that runs out.
+_LOOPS_PER_FUNCTION = 20
+
+
+def _plus(var: str, k: int) -> str:
+    """The source of var + k, where the empty var stands for 0."""
+    if not var:
+        return str(k)
+    if k == 0:
+        return var
+    return f"{var} + {k}" if k > 0 else f"{var} - {-k}"
+
+
+def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
+               names: Iterator[int]) -> list[str]:
+    """Source lines that place slots first .. depth - 1 of nest, the first
+    of them searched from the 0-based position _plus(*start) on."""
+    plan, pin, depth, at, room, _ = nest
+    l = len(plan)
+    entry = {j: k + 2 for k, j in enumerate(sorted(range(l), key=lambda j: j != pin))}
+    lines: list[str] = []
+    breaks: list[str] = []
+    pad = ""
+    loops = 0
+    for r in range(first, depth):
+        if loops == _LOOPS_PER_FUNCTION and r != pin:
+            name = f"_more{next(names)}"
+            more = _loop_nest(nest, r, start, state, names)
+            lines[:0] = [f"def {name}():", *[f"    nonlocal {state}"] * bool(state),
+                         *("    " + line for line in more)]
+            lines += [f"{pad}hit = {name}()", f"{pad}if hit is not None:", f"{pad}    return hit"]
             break
-    return partial
+        if r in at:
+            lines.append(pad + at[r])
+        if r == pin:
+            start = ("q", 1)
+            continue
+        i = entry[r]
+        lo, hi, dead = plan[r]
+        # Slot r leaves room for the slots between it and the pin, or the end.
+        if not room:
+            stop = "n"
+        elif pin is not None and r < pin:
+            stop = _plus("q", r + 1 - pin)
+        else:
+            stop = _plus("n", r + 1 - l)
+        var, k = start
+        letters = f"word[{_plus(var, k)}:{stop}]"
+        if r + 1 < depth and r + 1 != pin:
+            lines.append(f"{pad}for p{i}, e{i} in enumerate({letters}, {_plus(var, k + 1)}):")
+            start = (f"p{i}", 0)
+        else:
+            lines.append(f"{pad}for e{i} in {letters}:")
+        pad += "    "
+        # The floor e0 and the ceiling e1 bound every letter.
+        if lo or hi != 1:
+            below = f"e{lo} < " if lo else ""
+            above = f" < e{hi}" if hi != 1 else ""
+            lines.append(f"{pad}if {below}e{i}{above}:")
+            pad += "    "
+        if dead:
+            breaks.append(pad + "break")
+        loops += 1
+    else:
+        lines.append(pad + at[depth])
+    return lines + breaks[::-1]
+
+
+def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
+                   finish: Sequence[str] = (), state: str = "") -> Callable:
+    """One Python function that runs the embedding search of each nest.
+
+    The function takes args, among them the word, binds n = len(word), the
+    floor e0 = 0 and the ceiling e1 = n + 1, runs the setup lines, then each
+    nest in turn, then the finish lines.  A nest places slots 0 .. depth - 1
+    of its plan, an embedding_plan, left to right, where its guard holds.
+    The pinned slot, if any, is the letter e2 at the 0-based position q,
+    which the setup binds.  Every other slot is one `for` over the letters
+    after the last placed one, binding e<i> for its entry i in the plan's
+    layout (and p<i>, the position after it, when the next slot starts
+    there), with one test of the slot's window.  With room a slot stops
+    where it leaves one letter for each later slot of the plan, before the
+    pin or before the end; without it, at the end.  at[r] runs each time
+    slots 0 .. r - 1 are placed, at[depth] once per embedding.
+
+    A dead slot breaks after the subtree of its first fitting letter.  That
+    letter has the earliest position, so every completion through a later
+    letter completes it too, and the entry that tells them apart is never
+    read.
+
+    state names the variable the statements rebind, for the functions a nest
+    of more than _LOOPS_PER_FUNCTION loops goes on in; what one of those
+    returns, unless None, the whole search returns.  The source holds only
+    integers from the plans, fixed templates and the caller's statements.
+    """
+    names = itertools.count(1)
+    lines = [f"def search({args}):", "n = len(word)", "e0 = 0", "e1 = n + 1", *setup]
+    for nest in nests:
+        plan, pin, depth, _, room, guard = nest
+        # A word too short for the nest would slice from its end.
+        guards = [guard] if guard else []
+        if room and pin is None:
+            guards.append(f"{len(plan)} <= n")
+        elif room:
+            guards += [f"{pin} <= q"] * (pin > 0)
+            guards += [f"q < {_plus('n', pin + 1 - depth)}"] * (depth - 1 > pin)
+        body = _loop_nest(nest, 0, ("", 0), state, names)
+        if guards:
+            body = [f"if {' and '.join(guards)}:", *("    " + line for line in body)]
+        lines += body
+    lines += finish
+    namespace: dict = {}
+    exec("\n    ".join(lines), namespace)
+    return namespace["search"]
+
+
+@lru_cache(maxsize=256)
+def _contains_search(sigma: Perm) -> Callable[[Perm], bool]:
+    l = len(sigma)
+    return compile_search([Nest(embedding_plan(sigma), None, l, {l: "return True"})], "word",
+                          finish=["return False"])
+
+
+@lru_cache(maxsize=256)
+def _through_search(sigma: Perm) -> Callable[[Perm, int], bool]:
+    # The letter v can only play a slot j with sigma[j] - 1 letters below v
+    # and l - sigma[j] above it.
+    l = len(sigma)
+    nests = [Nest(embedding_plan(sigma, j), j, l, {l: "return True"},
+                  guard=f"{t} <= e2 <= {_plus('n', t - l)}") for j, t in enumerate(sigma)]
+    return compile_search(nests, "word, q", ["e2 = word[q]"], ["return False"])
+
+
+@lru_cache(maxsize=256)
+def _occurrence_search(sigma: Perm) -> Callable[[Perm], list[tuple[int, ...]]]:
+    l = len(sigma)
+    every = tuple(range(2, l + 2))
+    letters = "".join(f"e{i}, " for i in every)
+    nest = Nest(embedding_plan(sigma, None, every), None, l, {l: f"append(({letters}))"})
+    return compile_search([nest], "word", ["found = []", "append = found.append"],
+                          ["return found"])
 
 
 def occurrences(pi: Perm, sigma: Perm) -> list[tuple[int, ...]]:
@@ -252,9 +368,7 @@ def occurrences(pi: Perm, sigma: Perm) -> list[tuple[int, ...]]:
     >>> occurrences((3, 1, 4, 2), (2, 1))
     [(1, 2), (1, 4), (3, 4)]
     """
-    every = tuple(range(2, len(sigma) + 2))
-    return [tuple(pi.index(v) + 1 for v in values[2:])
-            for values, _ in _embeddings(pi, sigma, reads=every)]
+    return [tuple(pi.index(v) + 1 for v in letters) for letters in _occurrence_search(sigma)(pi)]
 
 
 def contains(pi: Perm, sigma: Perm) -> bool:
@@ -265,7 +379,7 @@ def contains(pi: Perm, sigma: Perm) -> bool:
     >>> contains((1, 2, 3), (2, 1))
     False
     """
-    return bool(_embeddings(pi, sigma))
+    return _contains_search(sigma)(pi)
 
 
 def avoids(pi: Perm, patterns: Iterable[Perm]) -> bool:
@@ -284,14 +398,9 @@ def contains_through(pi: Perm, sigma: Perm, position: int) -> bool:
     >>> contains_through((1, 3, 2, 4), (1, 3, 2), 4)
     False
     """
-    l, n = len(sigma), len(pi)
-    if not 1 <= position <= n:
-        raise InvalidInputError(f"position out of range: k={position}, n={n}")
-    # The letter v can only play a slot j with sigma[j] - 1 letters below v
-    # and l - sigma[j] above it.
-    v = pi[position - 1]
-    return any(t <= v and l - t <= n - v and _embeddings(pi, sigma, j, position)
-               for j, t in enumerate(sigma))
+    if not 1 <= position <= len(pi):
+        raise InvalidInputError(f"position out of range: k={position}, n={len(pi)}")
+    return _through_search(sigma)(pi, position - 1)
 
 
 def contains_ending_at_last(pi: Perm, sigma: Perm) -> bool:
@@ -301,8 +410,7 @@ def contains_ending_at_last(pi: Perm, sigma: Perm) -> bool:
     this is equivalent to full containment.  No command calls it; the
     benchmark's tracer still looks it up by name.
     """
-    return not sigma or (len(sigma) <= len(pi)
-                         and bool(_embeddings(pi, sigma, len(sigma) - 1, len(pi))))
+    return not sigma or (len(sigma) <= len(pi) and contains_through(pi, sigma, len(pi)))
 
 
 @dataclass(frozen=True, order=True)

@@ -66,22 +66,28 @@ class TestExitCodes:
         assert err == "majpat: resource limit: Python recursion depth exhausted\n"
 
     def test_node_ceiling_bounds_memory(self):
-        # A column as tall as 200,000 lets the walk go deep, but 2,000 nodes
-        # stop it early, and the memory it holds follows the depth it
-        # reached.  Measured on a child process, whose peak RSS is its own.
+        # A column as tall as 1,000,000 lets the walk go deep, but 2,000
+        # nodes stop it early, and the memory it holds follows the depth it
+        # reached, not the height of the column.  A child's peak RSS starts
+        # at the RSS of the process that started it, here the whole test
+        # session, so the run is started and measured by a small interpreter.
+        measure = (
+            "import json, os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE,"
+            " stderr=subprocess.PIPE)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss,"
+            " proc.stdout.read().decode(), proc.stderr.read().decode()]))\n")
         src = os.path.dirname(os.path.dirname(majpat.cli.__file__))
         env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "majpat.cli", "degree", "--patterns", "1324",
-             "--maj", "200000", "--max-nodes", "2000"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 3 and proc.stdout.read() == b""
-        assert proc.stderr.read().startswith(b"majpat: resource limit: search node budget")
-        proc.stdout.close()
-        proc.stderr.close()
-        assert usage.ru_maxrss < 150 * 1024  # kilobytes
+        probe = subprocess.run(
+            [sys.executable, "-c", measure, sys.executable, "-m", "majpat.cli", "degree",
+             "--patterns", "1324", "--maj", "1000000", "--max-nodes", "2000"],
+            env=env, capture_output=True, text=True, check=True)
+        code, maxrss, out, err = json.loads(probe.stdout)
+        assert code == 3 and out == ""
+        assert err.startswith("majpat: resource limit: search node budget")
+        assert maxrss < 40 * 1024  # kilobytes
 
     def test_out_of_memory_is_three_with_one_line(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
@@ -186,6 +192,15 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--max-n", "3", "--output", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("n,")
+
+    def test_pattern_longer_than_one_function_of_loops(self, capsys):
+        # Every permutation of length <= 5 avoids a 24-letter pattern, whose
+        # compiled searches nest more loops than one function holds.
+        long = ",".join(str(v) for v in (2, 1, *range(3, 25))) + ";"
+        code, out, _ = run(capsys, "table", "--patterns", long, "--max-n", "5",
+                           "--algorithm", "both")
+        assert code == 0
+        assert out == run(capsys, "table", "--max-n", "5")[1]
 
     def test_parallelism_matches_serial(self, capsys):
         base = ("table", "--patterns", "132", "--max-n", "7")

@@ -28,12 +28,11 @@ from majpat.enumeration import (
     _forbidden_sites,
     _obstructions,
     _pattern_plan,
-    _site_plans,
     _unit_profiles,
     _walk,
 )
 from majpat.errors import InvalidInputError, ResourceLimitError, VerificationError
-from majpat.perms import avoids, contains, insert, major_index
+from majpat.perms import avoids, contains, delete_at, embedding_plan, insert, major_index
 from majpat.poly import Polynomial
 
 from oracles import (
@@ -42,6 +41,7 @@ from oracles import (
     oracle_cores,
     oracle_last_two_patterns,
     oracle_minimal_obstructions,
+    oracle_occurrences,
     oracle_rows,
 )
 
@@ -123,7 +123,7 @@ class TestForbiddenSites:
         # rises and those where it falls: the ranks at or below the last
         # letter, and the one rank of the empty word.
         ps = PatternSet.from_text(text)
-        root, plans = _site_plans(ps.patterns)
+        root, sites = _forbidden_sites(ps.patterns)
         level = [((), 0, root)]
         for n in range(0, 7):
             assert sorted(w for w, _, _ in level) == oracle_avoiders(n, ps.patterns), (text, n)
@@ -138,29 +138,45 @@ class TestForbiddenSites:
                     for sites in _clear_sites(word, mask))
                 assert rising | falling == clear and not rising & falling, (text, word)
                 assert falling == {s for s in clear if not n or s <= word[-1]}, (text, word)
-            walk = _walk(plans, level, [(21, 21)] * (n + 2), _Budget(None))
+            walk = _walk(sites, level, ([21] * (n + 2),) * 2, _Budget(None))
             level = [node for node in walk if len(node[0]) > n]
 
     def test_sites_of_every_word_match_subset_scan(self):
         # Every pattern of length 3-5 on every word of length <= 7, avoider
-        # or not: the sites _forbidden_sites adds are the ranks whose
-        # appending completes an occurrence through the word's last letter.
+        # or not: the sites the search of _forbidden_sites adds are the
+        # ranks whose appending completes an occurrence through the word's
+        # last letter.
         sigmas = [s for l in (3, 4, 5) for s in itertools.permutations(range(1, l + 1))]
-        plans = {sigma: _site_plans((sigma,))[1] for sigma in sigmas}
+        searches = {sigma: _forbidden_sites((sigma,))[1] for sigma in sigmas}
         for n in range(1, 8):
             for word in itertools.permutations(range(1, n + 1)):
                 want = oracle_last_two_patterns(word, (3, 4, 5))
                 for sigma in sigmas:
-                    assert _forbidden_sites(word, 0, plans[sigma]) == want.get(sigma, 0), \
+                    assert searches[sigma](word, 0) == want.get(sigma, 0), \
                         (word, sigma)
 
+    def test_sites_of_a_pattern_longer_than_one_function_of_loops(self):
+        # The 22 head loops of a 24-letter pattern go on in an inner function
+        # that sets the mask of the outer one.
+        sigma = (2, 1, *range(3, 25))
+        _, sites = _forbidden_sites((sigma,))
+        words = [sigma[:23], sigma, tuple(range(24, 0, -1)), insert(sigma[:23], 1, 23)]
+        words += [delete_at(sigma, k) for k in (1, 5, 24)]
+        assert any(sites(word, 0) for word in words)
+        for word in words:
+            want = oracle_last_two_patterns(word, (24,)).get(sigma, 0)
+            assert sites(word, 0) == want, word
+
     def test_dead_slots_leave_out_what_is_read(self):
-        # A site plan's head slot is dead iff no later head step and neither
-        # below nor above reads its entry; an obstruction step's slot is
-        # dead iff no later step and no later level's demands read it.
+        # The site search's plan pins slot l - 2 and reads below and above,
+        # the window of slot l - 1, at the end: a head slot is dead iff no
+        # later head step and neither below nor above reads its entry.  An
+        # obstruction step's slot is dead iff no later step and no later
+        # level's demands read it.
         for l in range(2, 7):
             for sigma in itertools.permutations(range(1, l + 1)):
-                ((steps, below, above),) = _site_plans((sigma,))[1]
+                plan = embedding_plan(sigma, l - 2)
+                steps, (below, above, _) = plan[:l - 2], plan[l - 1]
                 # Layout (0, n + 1, last letter, head slots 0 .. l - 3).
                 for r, (_, _, dead) in enumerate(steps):
                     read = {i for lo, hi, _ in steps[r + 1:] for i in (lo, hi)}
@@ -330,6 +346,21 @@ class TestMajTable:
             MajTable.from_json_obj(obj)
         with pytest.raises(InvalidInputError):
             MajTable.from_json_obj({**t.to_json_obj(), "max_n": "x"})
+        # Rows that do not match max_n and max_maj are bad input too: missing,
+        # extra, misnumbered, short or long.
+        good = t.to_json_obj()
+        rows = good["rows"]
+        longer = [*rows[4]["counts"], 0]
+        for bad in ({"patterns": [], "max_n": 3, "max_maj": 2, "rows": []},
+                    {**good, "rows": rows[:4]},
+                    {**good, "rows": [*rows, {"n": 6, "counts": [1]}]},
+                    {**good, "rows": [rows[1], rows[0], *rows[2:]]},
+                    {**good, "rows": [*rows[:4], {"n": 5, "counts": longer}]},
+                    {**good, "rows": [*rows[:4], {"n": 5, "counts": longer[:-2]}]},
+                    {**good, "max_maj": 5},
+                    {**good, "max_n": 0, "rows": []}):
+            with pytest.raises(InvalidInputError):
+                MajTable.from_json_obj(bad)
         with pytest.raises(InvalidInputError):
             MajTable.rows_from_csv(t.to_csv().replace("1,1,", "1,x,", 1))
 
@@ -340,6 +371,25 @@ class TestMajTable:
         assert lines[1] == "1,1,,,"
         assert lines[2] == "2,1,1,,"
         assert lines[3] == "3,1,2,2,1"
+
+
+class TestComplementSymmetry:
+    @pytest.mark.parametrize("algorithm,max_n", [("brute", 10), ("cores", 9)])
+    @pytest.mark.parametrize("text", ["1324", "3412,1324"])
+    def test_complement_reverses_every_row(self, text, algorithm, max_n):
+        # maj(pi^c) = C(n,2) - maj(pi), and pi avoids a set iff pi^c avoids
+        # the complements, so row n of the table read backwards is row n of
+        # the complements' table (1324 against 4231, 3412,1324 against
+        # 2143,4231).  The two come from different trees, with their own site
+        # plans and masks, so this checks the mask-read cells of both paths
+        # at lengths the itertools oracles cannot reach.
+        ps = PatternSet.from_text(text)
+        complements = PatternSet(tuple(tuple(len(p) + 1 - v for v in p) for p in ps))
+        top = max_n * (max_n - 1) // 2
+        table = maj_table(max_n, top, ps, algorithm=algorithm)
+        mirror = maj_table(max_n, top, complements, algorithm=algorithm)
+        assert [row[::-1] for row in table.rows] == list(mirror.rows), (text, complements.texts())
+        assert table.rows != mirror.rows
 
 
 def minimal_avoiding_profiles(gamma, patterns):
@@ -489,6 +539,28 @@ class TestObstructions:
                         composed = compose(gamma, c)
                         want = any(contains(composed, s) for s in ps.patterns)
                         assert met == want, (text, gamma, c)
+
+    def test_a_pattern_longer_than_one_function_of_loops(self):
+        # Cores of length 21 and 22 embed 21 slots of a 24-letter pattern,
+        # past the loops one function holds; random signatures of at most
+        # three letters against the subset scan of the composed word.
+        sigma = (2, 1, *range(3, 25))
+        assert _obstructions(sigma, (sigma,), 3) is None
+        rng = random.Random(7)
+        outcomes = set()
+        for gamma in (sigma[:21], insert(sigma[:21], 2, 1)):
+            k = len(gamma)
+            obstructions = _obstructions(gamma, (sigma,), 3)
+            for _ in range(20):
+                c = [0] * (k + 1)
+                for _ in range(rng.randint(1, 3)):
+                    c[rng.choice((0, k - 1, k, k, rng.randint(0, k)))] += 1
+                met = any(all(sum(c[lo:hi + 1]) >= d for lo, hi, d in ob)
+                          for ob in obstructions)
+                assert met == bool(oracle_occurrences(compose(gamma, tuple(c)), sigma)), \
+                    (gamma, c)
+                outcomes.add(met)
+        assert outcomes == {False, True}
 
     def test_minimal_obstructions_match_all_pairs_filter(self, monkeypatch):
         # The sorted single pass keeps what comparing every pair keeps, on

@@ -28,7 +28,7 @@ from majpat.perms import (
     tail,
 )
 
-from oracles import oracle_occurrences
+from oracles import oracle_contains, oracle_occurrences
 
 
 def perms_upto(max_n):
@@ -100,6 +100,23 @@ class TestContains:
                 for k in range(1, n + 1):
                     assert contains_through(pi, s, k) == (k in used), (pi, s, k)
         assert oracle_occurrences((3, 1, 4, 2), (2, 1)) == [(1, 2), (1, 4), (3, 4)]
+
+    def test_patterns_longer_than_one_function_of_loops(self):
+        # A 24-letter pattern takes more nested loops than CPython compiles
+        # into one function, so each search goes on in an inner function.
+        # Five 25-letter words that contain it (one letter inserted) and two
+        # that avoid it, against the subset scans.
+        sigma = (2, 1, *range(3, 25))
+        words = [insert(sigma, k, v) for k, v in ((1, 1), (3, 13), (12, 2), (25, 25), (25, 1))]
+        words += [tuple(range(1, 26)), tuple(range(25, 0, -1))]
+        for pi in words:
+            want = oracle_occurrences(pi, sigma)
+            assert occurrences(pi, sigma) == want, pi
+            assert contains(pi, sigma) == oracle_contains(pi, sigma) == bool(want), pi
+            used = set(itertools.chain.from_iterable(want))
+            for k in range(1, 26):
+                assert contains_through(pi, sigma, k) == (k in used), (pi, k)
+        assert [contains(pi, sigma) for pi in words] == [True] * 5 + [False] * 2
 
     def test_occurrences_are_exactly_the_witnessing_subsets(self):
         pi = (3, 8, 7, 1, 2, 4, 5, 6, 9)

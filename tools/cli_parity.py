@@ -30,14 +30,20 @@ CORPUS = [
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "12", "--algorithm", "both"),
     ("table", "--patterns", "132,213", "--max-n", "9", "--algorithm", "both",
      "--parallelism", "2"),
+    # A 24-letter pattern: its searches nest more loops than one function holds.
+    ("table", "--patterns", ",".join(str(v) for v in (2, 1, *range(3, 25))) + ";",
+     "--max-n", "5"),
     ("degree", "--patterns", "1324", "--maj", "9"),
     ("degree", "--patterns", "3412,1324", "--maj", "6", "--max-n", "10"),
     ("degree", "--patterns", "123", "--maj", "4"),
     ("degree", "--patterns", "1432", "--maj", "6"),
     ("degree", "--patterns", "1324", "--maj", "5", "--max-n", "9", "--algorithm", "brute"),
+    # A length-5 pattern through the obstruction route.
+    ("degree", "--patterns", "21354", "--maj", "7"),
     ("cores", "--patterns", "1324", "--maj", "7"),
     ("cores", "--patterns", "1324", "--maj", "7", "--format", "json"),
     ("cores", "--patterns", "132,213", "--maj", "6", "--format", "json"),
+    ("cores", "--patterns", "2413,3142", "--maj", "6"),
     ("verify-monotonic", "--patterns", "2134", "--n", "7"),
     ("verify-monotonic", "--patterns", "1324", "--n", "7", "--max-maj", "12"),
     ("verify-monotonic", "--patterns", "21", "--n", "200", "--max-maj", "0"),
