@@ -31,8 +31,8 @@ Two independent computation paths are provided and cross-checked:
   which gamma . c contains a pattern, by a compiled search that records one
   obstruction per embedding of a pattern prefix, and a capped signature c
   is tested by interval sums.  Counting profiles with a fixed cap signature
-  is stars and bars, so each core's avoiding signatures collapse into one
-  histogram that gives its exact, eventually polynomial count at every
+  is stars and bars, so each core's avoiding signatures are counted into
+  one histogram that gives its exact, eventually polynomial count at every
   length.  A table's cores of length n_max - 1 and n_max - 2 have room for
   one or two padding letters, so their avoiding signatures are the clear
   sites of their masks and of the masks of their descent children, which
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .decomp import Profile
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
@@ -627,25 +627,24 @@ def _implies(a: Obstruction, b: Obstruction) -> bool:
     return True
 
 
-def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *,
-                         budget_sum: int | None = None,
-                         node_budget: _Budget) -> Iterator[Profile]:
-    """All cap signatures c (coordinates <= cap) of valid decompositions
-    (some c_i > 0 with i < gamma_k, so that k is the last descent) whose
-    composed permutation avoids the patterns, optionally restricted to
-    sum(c) <= budget_sum.
+def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *, hist: Counter,
+                         budget_sum: int | None = None, node_budget: _Budget) -> None:
+    """Count in hist, at cell (k + |c|, #{c_i = cap}), every cap signature c
+    (coordinates <= cap) of a valid decomposition (some c_i > 0 with
+    i < gamma_k, so that k is the last descent) whose composed permutation
+    avoids the patterns, optionally restricted to sum(c) <= budget_sum.
 
     Coordinates are fixed left to right with the later ones still zero, so
     the only obstructions a larger c_j can complete are those whose last
     demand covers j and whose earlier demands already hold; each of them
-    caps c_j just below its threshold.
+    caps c_j just below its threshold.  The last one is counted, not walked.
     """
     cap = patterns.cap
     k = len(gamma)
     room = cap * (k + 1) if budget_sum is None else budget_sum
     obstructions = _obstructions(gamma, patterns.patterns, room)
     if obstructions is None:
-        return iter(())
+        return
     # closing[j]: for the obstructions whose last demand (lo, hi, d) covers
     # coordinate j, grouped by their earlier demands, the least d per lo.
     closing: list[dict] = [{} for _ in range(k + 1)]
@@ -656,9 +655,8 @@ def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *,
     checks = [[(earlier, tuple(least.items())) for earlier, least in at_j.items()]
               for at_j in closing]
     gk = gamma[k - 1] if k else 0
-    c = [0] * (k + 1)
     prefix = [0] * (k + 1)  # prefix[j] = c[0] + ... + c[j - 1]
-    found: list[Profile] = []
+    full = [0] * (k + 1)  # full[j] = #{i < j : c[i] = cap}
 
     def rec(j: int) -> None:
         used = prefix[j]
@@ -674,17 +672,18 @@ def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *,
                 for lo, d in least:
                     top = min(top, d - 1 - used + prefix[lo])
         if j == k:
-            head = tuple(c[:k])
-            found.extend(head + (v,) for v in range(top + 1))
+            saturated = full[k]
+            for v in range(min(top, cap - 1) + 1):
+                hist[k + used + v, saturated] += 1
+            if top == cap:
+                hist[k + used + cap, saturated + 1] += 1
             return
         for v in range(top + 1):
-            c[j] = v
             prefix[j + 1] = used + v
+            full[j + 1] = full[j] + (v == cap)
             rec(j + 1)
-        c[j] = 0
 
     rec(0)
-    return iter(found)
 
 
 class SignatureCounts:
@@ -695,7 +694,8 @@ class SignatureCounts:
     s - 1) permutations of length n (stars and bars over the saturated
     coordinates; exactly one at n = k + |c| when s = 0).  The counts, the
     eventual polynomial and its onset all come from this one object.  Built
-    with a size budget, the counts are exact only up to that length.
+    with a size budget, the counts are exact only up to that length.  No
+    cell is written with zero, so every key of hist is a nonzero cell.
     """
 
     def __init__(self, cap: int):
@@ -706,23 +706,10 @@ class SignatureCounts:
     def add_core(self, gamma: Perm, patterns: PatternSet, *,
                  budget_sum: int | None = None,
                  node_budget: _Budget) -> None:
+        _avoiding_signatures(gamma, patterns, hist=self.hist, budget_sum=budget_sum,
+                             node_budget=node_budget)
         k = len(gamma)
-        self.add(k, _avoiding_signatures(gamma, patterns, budget_sum=budget_sum,
-                                         node_budget=node_budget))
         self.bound = max(self.bound, k + self.cap * (k + 1))
-
-    def add(self, k: int, signatures: Iterable[Profile]) -> None:
-        """Count each signature c of a core of length k in cell
-        (k + |c|, #{c_i = cap}); c may leave out its zero coordinates."""
-        cap, hist = self.cap, self.hist
-        for c in signatures:
-            hist[k + sum(c), c.count(cap)] += 1
-
-    def add_shapes(self, k: int, shapes: list[Profile]) -> None:
-        """Count the shapes of padding read off masks that are signatures: a
-        shape with a coordinate above cap is none (with cap 1, the pair 2e_i
-        is the unit e_i, which already stands for its whole gap)."""
-        self.add(k, [c for c in shapes if max(c) <= self.cap])
 
     def count(self, n: int) -> int:
         total = 0
@@ -801,8 +788,9 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     there keeps the cap ceiling - len of every other node.  The node w is
     the unit e_{s-1}; appending rank s + 1 to it is the pair 2e_{s-1} and
     rank t > s + 1 the pair e_{s-1} + e_{t-2}, so the pairs are its rising
-    sites.  Every core with more room, and every core without n_max, goes
-    through its obstructions and the signature walk.
+    sites.  Units and pairs go straight into the column's histogram.  Every
+    core with more room, and every core without n_max, goes through its
+    obstructions and the signature walk.
     """
     root, sites = _forbidden_sites(patterns.patterns)
     ceiling = max(columns)
@@ -824,7 +812,12 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
                 same = rising >> s + 1 & 1
                 other = rising.bit_count() - same
                 budget.spend(same + other)
-                counts.add_shapes(k - 1, [(1,)] + [(2,)] * same + [(1, 1)] * other)
+                hist, cap = counts.hist, counts.cap
+                hist[k, int(cap == 1)] += 1
+                if same and cap >= 2:  # with cap 1, 2e_{s-1} is the unit e_{s-1}
+                    hist[k + 1, int(cap == 2)] += same
+                if other:
+                    hist[k + 1, 2 if cap == 1 else 0] += other
         counts = columns.get(k + mj)
         room = None if n_max is None else n_max - k
         # A core with room 2 is counted through its descent children.
@@ -836,7 +829,7 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
         if room == 1:
             units = sites.bit_count()
             budget.spend(units)
-            counts.add_shapes(k, [(1,)] * units)
+            counts.hist[k + 1, int(counts.cap == 1)] += units
         else:
             counts.add_core(word, patterns, node_budget=budget, budget_sum=room)
 

@@ -12,19 +12,22 @@ def read_integer_file(path: str) -> list[int]:
     """One integer per line; blank lines and '#' comments are skipped.
 
     b-file style lines ("index value") are accepted by taking the last token.
-    Malformed lines raise with their line number.
+    Malformed lines raise with their line number, a non-UTF-8 file with its path.
     """
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            token = line.split()[-1]
-            try:
-                values.append(int(token))
-            except ValueError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: not an integer: {line!r}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                token = line.split()[-1]
+                try:
+                    values.append(int(token))
+                except ValueError as exc:
+                    raise InvalidInputError(f"{path}:{lineno}: not an integer: {line!r}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     return values
 
 

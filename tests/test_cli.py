@@ -18,6 +18,27 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def peak_rss(*argv):
+    """Run majpat in a child process: (exit code, peak RSS in kB, stdout, stderr).
+
+    A child's peak RSS starts at the RSS of the process that started it,
+    here the whole test session, so the run is started and measured by a
+    small interpreter.
+    """
+    measure = (
+        "import json, os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE,"
+        " stderr=subprocess.PIPE)\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss,"
+        " proc.stdout.read().decode(), proc.stderr.read().decode()]))\n")
+    src = os.path.dirname(os.path.dirname(majpat.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = subprocess.run([sys.executable, "-c", measure, sys.executable, "-m", "majpat.cli",
+                            *argv], env=env, capture_output=True, text=True, check=True)
+    return json.loads(probe.stdout)
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, out, _ = run(capsys, "table", "--max-n", "4", "--max-maj", "3")
@@ -68,25 +89,18 @@ class TestExitCodes:
     def test_node_ceiling_bounds_memory(self):
         # A column as tall as 1,000,000 lets the walk go deep, but 2,000
         # nodes stop it early, and the memory it holds follows the depth it
-        # reached, not the height of the column.  A child's peak RSS starts
-        # at the RSS of the process that started it, here the whole test
-        # session, so the run is started and measured by a small interpreter.
-        measure = (
-            "import json, os, subprocess, sys\n"
-            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE,"
-            " stderr=subprocess.PIPE)\n"
-            "_, status, usage = os.wait4(proc.pid, 0)\n"
-            "print(json.dumps([os.waitstatus_to_exitcode(status), usage.ru_maxrss,"
-            " proc.stdout.read().decode(), proc.stderr.read().decode()]))\n")
-        src = os.path.dirname(os.path.dirname(majpat.cli.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        probe = subprocess.run(
-            [sys.executable, "-c", measure, sys.executable, "-m", "majpat.cli", "degree",
-             "--patterns", "1324", "--maj", "1000000", "--max-nodes", "2000"],
-            env=env, capture_output=True, text=True, check=True)
-        code, maxrss, out, err = json.loads(probe.stdout)
+        # reached, not the height of the column.
+        code, maxrss, out, err = peak_rss("degree", "--patterns", "1324", "--maj", "1000000",
+                                          "--max-nodes", "2000")
         assert code == 3 and out == ""
         assert err.startswith("majpat: resource limit: search node budget")
+        assert maxrss < 40 * 1024  # kilobytes
+
+    def test_signature_walk_holds_no_signature_list(self):
+        # The 1432 column at m = 7 has about 850,000 avoiding signatures;
+        # each is counted into its core's histogram, not kept.
+        code, maxrss, out, _ = peak_rss("degree", "--patterns", "1432", "--maj", "7")
+        assert code == 0 and json.loads(out)["maj"] == 7
         assert maxrss < 40 * 1024  # kilobytes
 
     def test_out_of_memory_is_three_with_one_line(self, capsys, monkeypatch):
@@ -307,6 +321,13 @@ class TestCheckOeis:
         bad.write_text("1\n1\nx7\n")
         code, _, err = run(capsys, "check-oeis", "--file", str(bad), "--max-n", "3")
         assert code == 2 and ":3:" in err
+
+    def test_non_utf8_file_is_exit_two_with_one_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1\n\xff\n")
+        code, out, err = run(capsys, "check-oeis", "--file", str(bad), "--max-n", "3")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(bad) in err and "UTF-8" in err
 
     def test_missing_file_is_exit_two(self, capsys):
         code, _, err = run(capsys, "check-oeis", "--file", "/nonexistent", "--max-n", "3")

@@ -28,6 +28,9 @@ CORPUS = [
     ("table", "--patterns", "2413,3142", "--max-n", "8", "--format", "json"),
     ("table", "--patterns", "3412,1324", "--max-n", "8", "--algorithm", "cores"),
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "12", "--algorithm", "both"),
+    ("table", "--patterns", "1432", "--max-n", "9", "--algorithm", "cores"),
+    # A cap-2 set: its cores' same-gap pairs are read off masks.
+    ("table", "--patterns", "21", "--max-n", "8", "--algorithm", "both"),
     ("table", "--patterns", "132,213", "--max-n", "9", "--algorithm", "both",
      "--parallelism", "2"),
     # A 24-letter pattern: its searches nest more loops than one function holds.
@@ -37,6 +40,7 @@ CORPUS = [
     ("degree", "--patterns", "3412,1324", "--maj", "6", "--max-n", "10"),
     ("degree", "--patterns", "123", "--maj", "4"),
     ("degree", "--patterns", "1432", "--maj", "6"),
+    ("degree", "--patterns", "1432", "--maj", "7"),
     ("degree", "--patterns", "1324", "--maj", "5", "--max-n", "9", "--algorithm", "brute"),
     # A length-5 pattern through the obstruction route.
     ("degree", "--patterns", "21354", "--maj", "7"),
