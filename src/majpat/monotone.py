@@ -7,32 +7,38 @@ length n + 1 with the same major index, by one of three insertions selected
 from tail(sigma) and slope(pi).  The harness walks the prefix tree once, to
 count length n + 1 by the brute-force table; the avoiders of length n are
 that walk's nodes one letter short, each with the major index it carries.
-It checks injectivity, avoidance and major-index preservation directly.
+It checks each image in one pass, every check read off the image itself:
+its major index is the source's, it is a permutation and deleting the
+inserted letter gives the source back, no occurrence of sigma goes through
+the inserted letter, and no other image of the column equals it.
 
 Avoidance of an image is checked only through its inserted letter, and that
 is exact: the walk yields only avoiders, and the harness checks that deleting
 the inserted letter gives the source back, so any occurrence in the image
 must use that letter.  The public `monotone_injection` checks its input
 itself; the harness calls the bare insertion `_inject`.
+
+An image is built, and its deletion checked, by one `itemgetter` over the
+relabel table of its inserted letter, as the prefix-tree walk appends a
+letter (`enumeration._Relabel`); tail(sigma) and sigma's compiled search
+through one letter are looked up once per pattern (`_plan`).
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
-from .enumeration import PatternSet, _brute_rows, _Budget, generate_avoiders
+from .enumeration import PatternSet, _brute_rows, _Budget, _Relabel, generate_avoiders
 from .errors import InvalidInputError, PreconditionError, UnsupportedPatternError
 from .perms import (
     Perm,
+    _through_search,
     contains,
-    contains_through,
-    delete_at,
     descents,
     format_perm,
-    insert,
-    major_index,
-    slope,
     tail,
 )
 
@@ -47,8 +53,11 @@ class InjectionTag(enum.Enum):
     INSERT_MIN_INTO_SLOPE = "insert_min_into_slope"
 
 
-@dataclass(frozen=True)
-class InjectionCase:
+# A global lookup costs less than a member lookup on the Enum class.
+_APPEND_MAX, _EXPAND_AT_TAIL, _INSERT_MIN_INTO_SLOPE = InjectionTag
+
+
+class InjectionCase(NamedTuple):
     tag: InjectionTag
     position: int
     value: int
@@ -71,6 +80,23 @@ def monotone_injection(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
     return _inject(pi, sigma)
 
 
+class _Plan(NamedTuple):
+    tail: int
+    through: Callable[[Perm, int], bool]
+
+
+@lru_cache(maxsize=256)
+def _plan(sigma: Perm) -> _Plan:
+    """tail(sigma), which selects every case of the injection, and sigma's
+    compiled search for an occurrence through one letter."""
+    return _Plan(tail(sigma), _through_search(sigma))
+
+
+# _raising(n)[v] inserts the letter v into a word of length <= n (`_Relabel`):
+# the injection builds its images with it, and the harness checks them.
+_raising = lru_cache(maxsize=16)(_Relabel)
+
+
 def _inject(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
     """The column injection on a sigma-avoider pi, for sigma with a descent.
 
@@ -78,17 +104,28 @@ def _inject(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
     letter at position n + 1 - tail(sigma) when the slope of pi reaches
     tail(sigma); otherwise insert the letter 1 at the leftmost end of the
     slope, the rightmost position that creates no descent.
+
+    The image is `insert(pi, position, value)`: pi with the index 0 put at
+    the position, looked up by one itemgetter in the relabel table of the
+    value, which maps 0 to the value and raises every letter >= value by
+    one.  Only the last tail(sigma) letters of pi are read to choose the case.
     """
     n = len(pi)
-    t = tail(sigma)
+    t = _plan(sigma).tail
     if t == 0:
-        case = InjectionCase(InjectionTag.APPEND_MAX, n + 1, n + 1)
-    elif slope(pi) >= t:
-        pos = n + 1 - t
-        case = InjectionCase(InjectionTag.EXPAND_AT_TAIL, pos, pi[pos - 1])
+        return pi + (n + 1,), InjectionCase(_APPEND_MAX, n + 1, n + 1)
+    # An itemgetter of one index returns a bare letter, not a word.
+    if n == 0:
+        return (1,), InjectionCase(_INSERT_MIN_INTO_SLOPE, 1, 1)
+    # Walk back over the slope of pi, at most t letters: pi[k:] rises.
+    k = n - 1
+    while k > n - t and k and pi[k - 1] < pi[k]:
+        k -= 1
+    if k == n - t:
+        case = InjectionCase(_EXPAND_AT_TAIL, k + 1, pi[k])
     else:
-        case = InjectionCase(InjectionTag.INSERT_MIN_INTO_SLOPE, n + 1 - slope(pi), 1)
-    return insert(pi, case.position, case.value), case
+        case = InjectionCase(_INSERT_MIN_INTO_SLOPE, k + 1, 1)
+    return itemgetter(*(pi[:k] + (0,) + pi[k:]))(_raising(n)[case.value]), case
 
 
 @dataclass(frozen=True)
@@ -121,11 +158,16 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
                         max_nodes: int | None = None) -> MonotonicityReport:
     """Exhaustively check the injection on every avoider of length n.
 
-    For each major index m <= m_max: the image of every avoider must avoid
-    sigma, keep its major index, and be distinct from every other image; the
-    column counts at n + 1 come independently from the brute table and are
-    compared with the counts at n.  The sources are the length-n nodes of
-    that table's one walk, which the node ceiling covers.
+    For each major index m <= m_max, the image `_inject` gives each avoider
+    must keep its major index m, computed by a loop over the image; be a
+    permutation that gives the avoider back when the letter r at the case's
+    position is deleted, that is, hold the avoider raised past r, by one
+    itemgetter over r's relabel table, around r; have no occurrence of
+    sigma through r, by sigma's compiled search; and differ from every
+    other image of the column.  The column counts at n + 1 come
+    independently from the brute table and are compared with the counts at
+    n.  The sources are the length-n nodes of that table's one walk, which
+    the node ceiling covers.
     """
     if not descents(sigma):
         raise UnsupportedPatternError(
@@ -141,6 +183,9 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
     row_next = _brute_rows(PatternSet((sigma,)), n + 1, min(limit, n * (n + 1) // 2), 1,
                            _Budget(max_nodes), by_m)[n]
 
+    through = _plan(sigma).through
+    raising = _raising(n)
+    letters = range(1, n + 1)
     tally = {tag.value: 0 for tag in InjectionTag}
     counts: dict[int, tuple[int, int]] = {}
 
@@ -154,12 +199,29 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
         images = set()
         for pi in source:
             image, case = _inject(pi, sigma)
-            tally[case.tag.value] += 1
-            if major_index(image) != m:
-                return failed(pi, f"image changes major index to {major_index(image)}")
-            if delete_at(image, case.position) != pi:
+            # _value_ is the plain attribute behind the property .value.
+            tally[case.tag._value_] += 1
+            if len(image) != n + 1:
                 return failed(pi, "image is not the avoider plus one letter")
-            if contains_through(image, sigma, case.position):
+            mj = 0
+            a = image[0]
+            for i in letters:
+                b = image[i]
+                if a > b:
+                    mj += i
+                a = b
+            if mj != m:
+                return failed(pi, f"image changes major index to {mj}")
+            k = case.position - 1
+            r = image[k]
+            # Deleting r gives pi back, and the image is a permutation, iff r
+            # is a letter of length n + 1 and the other letters are pi's
+            # raised past r.  (An itemgetter of one index returns a bare
+            # letter, and of none raises.)
+            if not 0 < r <= n + 1 or image[:k] + image[k + 1:] != (
+                    itemgetter(*pi)(raising[r]) if n > 1 else tuple(raising[r][v] for v in pi)):
+                return failed(pi, "image is not the avoider plus one letter")
+            if through(image, k):
                 return failed(pi, "image contains the pattern")
             if image in images:
                 return failed(pi, "image collides with another avoider")

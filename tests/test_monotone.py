@@ -1,4 +1,6 @@
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -47,22 +49,26 @@ class TestInjectionCases:
         assert image == (1,)
 
     def test_case_selection_is_forced_by_statistics(self):
-        patterns = [p for p in itertools.permutations(range(1, 5)) if descents(p)]
+        # The case is the one tail(sigma) and slope(pi) force, and the image,
+        # read off relabel tables, is the spec's insertion for that case.
+        patterns = [p for l in (3, 4) for p in itertools.permutations(range(1, l + 1))
+                    if descents(p)]
         for sigma in patterns:
             t = tail(sigma)
-            for n in range(0, 6):
+            for n in range(0, 7):
                 for pi in itertools.permutations(range(1, n + 1)):
                     if contains(pi, sigma):
                         continue
-                    image, case = monotone_injection(pi, sigma)
-                    assert major_index(image) == major_index(pi)
+                    image, case = majpat.monotone._inject(pi, sigma)
                     if t == 0:
-                        expected = InjectionTag.APPEND_MAX
+                        expected = (InjectionTag.APPEND_MAX, n + 1, n + 1)
                     elif slope(pi) >= t:
-                        expected = InjectionTag.EXPAND_AT_TAIL
+                        expected = (InjectionTag.EXPAND_AT_TAIL, n + 1 - t, pi[n - t])
                     else:
-                        expected = InjectionTag.INSERT_MIN_INTO_SLOPE
-                    assert case.tag is expected
+                        expected = (InjectionTag.INSERT_MIN_INTO_SLOPE, n + 1 - slope(pi), 1)
+                    assert case == InjectionCase(*expected), (sigma, pi)
+                    assert image == insert(pi, case.position, case.value), (sigma, pi)
+                    assert major_index(image) == major_index(pi)
 
 
 class TestErrors:
@@ -131,7 +137,7 @@ def test_harness_counts_match_the_oracle(text):
 
 class TestVerifierCatchesBadInjections:
     # The verifier checks an image only through its inserted letter; these
-    # injections break it in the two ways that check must still see.
+    # injections break it in the ways each of its checks must still see.
 
     def test_image_with_an_occurrence_through_the_inserted_letter(self, monkeypatch):
         sigma = (2, 1, 3, 4)
@@ -168,6 +174,103 @@ class TestVerifierCatchesBadInjections:
         report = verify_monotonicity(sigma, 5)
         assert not report.verified
         assert report.counterexample[1] == "image is not the avoider plus one letter"
+
+    @pytest.mark.parametrize("extra", [(10,), ()])
+    def test_image_that_is_not_a_permutation(self, monkeypatch, extra):
+        # pi followed by 10 keeps the major index and gives pi back when its
+        # last letter is deleted, but it is no permutation of length 6; pi
+        # alone is one letter short.
+        def bad(pi, s):
+            return pi + extra, InjectionCase(InjectionTag.APPEND_MAX, len(pi) + 1, 10)
+
+        monkeypatch.setattr(majpat.monotone, "_inject", bad)
+        report = verify_monotonicity((2, 1, 3, 4), 5)
+        assert report.verified is False
+        assert report.counterexample == ((1, 2, 3, 4, 5),
+                                         "image is not the avoider plus one letter")
+
+    def test_image_that_changes_the_major_index(self, monkeypatch):
+        sigma = (2, 1, 3, 4)
+        real = majpat.monotone._inject
+
+        def bad(pi, s):
+            # The right letter, moved to the front: deleting it still gives
+            # pi back, but 12345 -> 412356 gains a descent.
+            _, case = real(pi, s)
+            return insert(pi, 1, case.value), InjectionCase(case.tag, 1, case.value)
+
+        monkeypatch.setattr(majpat.monotone, "_inject", bad)
+        report = verify_monotonicity(sigma, 5)
+        assert report.verified is False
+        assert report.counterexample == ((1, 2, 3, 4, 5), "image changes major index to 1")
+
+    def test_two_avoiders_with_one_image(self, monkeypatch):
+        sigma, n = (2, 1, 3, 4), 5
+        real = majpat.monotone._inject
+        # The first word that extends two avoiders of one column, keeping
+        # their major index and avoiding sigma, is the image of both.
+        extends: dict = {}
+        shared = None
+        for pi in itertools.permutations(range(1, n + 1)):
+            if contains(pi, sigma):
+                continue
+            for k, l in itertools.product(range(1, n + 2), repeat=2):
+                word = insert(pi, k, l)
+                if major_index(word) == major_index(pi) and not contains(word, sigma):
+                    first = extends.setdefault(word, (pi, k, l))
+                    if first[0] != pi:
+                        shared = {first[0]: first[1:], pi: (k, l)}
+                        break
+            if shared:
+                break
+
+        def bad(pi, s):
+            if pi in shared:
+                k, l = shared[pi]
+                return insert(pi, k, l), InjectionCase(InjectionTag.APPEND_MAX, k, l)
+            return real(pi, s)
+
+        monkeypatch.setattr(majpat.monotone, "_inject", bad)
+        report = verify_monotonicity(sigma, n)
+        assert report.verified is False
+        assert report.counterexample[0] in shared
+        assert report.counterexample[1] == "image collides with another avoider"
+
+    def test_column_that_drops(self, monkeypatch):
+        # Row n + 1 one short in column 0, where both rows hold the identity.
+        real = majpat.monotone._brute_rows
+
+        def short(*args):
+            rows = real(*args)
+            rows[-1][0] -= 1
+            return rows
+
+        monkeypatch.setattr(majpat.monotone, "_brute_rows", short)
+        report = verify_monotonicity((2, 1, 3, 4), 5)
+        assert report.verified is False
+        assert report.counterexample == ((1, 2, 3, 4, 5), "column drops: 1 > 0 at m=0")
+
+
+class TestMonotonicityCensus:
+    # tools/monotone_census.py writes the fixture: verify_monotonicity at
+    # n = 9 on every length-4 pattern with a descent.
+    CENSUS = json.loads((Path(__file__).parent / "data" / "monotone_census_n9.json").read_text())
+
+    def test_every_pattern_verifies(self):
+        reports = {r["pattern"]: r for r in self.CENSUS["reports"]}
+        assert sorted(reports) == sorted(
+            "".join(map(str, p)) for p in itertools.permutations(range(1, 5)) if descents(p))
+        for text, report in reports.items():
+            assert report["verified"] and report["counterexample"] is None, text
+            assert all(a <= b for a, b in report["counts"].values()), text
+            assert sum(report["cases"].values()) == sum(
+                a for a, _ in report["counts"].values()), text
+
+    @pytest.mark.parametrize("text", ["2143", "2134"])
+    def test_recomputed_reports_match(self, text):
+        # 2143 appends the maximum to every avoider; 2134 takes two branches.
+        expected = next(r for r in self.CENSUS["reports"] if r["pattern"] == text)
+        assert verify_monotonicity(parse_perm(text), 9).to_json_obj() == expected
 
 
 def test_single_pattern_columns_weakly_increase():

@@ -49,6 +49,9 @@ CORPUS = [
     ("cores", "--patterns", "132,213", "--maj", "6", "--format", "json"),
     ("cores", "--patterns", "2413,3142", "--maj", "6"),
     ("verify-monotonic", "--patterns", "2134", "--n", "7"),
+    # Every source of 2143 takes append_max; every source of 1324 expand_at_tail.
+    ("verify-monotonic", "--patterns", "2143", "--n", "7"),
+    ("verify-monotonic", "--patterns", "1324", "--n", "8"),
     ("verify-monotonic", "--patterns", "1324", "--n", "7", "--max-maj", "12"),
     ("verify-monotonic", "--patterns", "21", "--n", "200", "--max-maj", "0"),
     # Past the triangle: the walk's cap is n(n + 1)/2, not --max-maj.
