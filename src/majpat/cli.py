@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--algorithm", choices=list(algorithms), default=algorithms[0])
         if parallelism:
             p.add_argument("--parallelism", type=int, default=None,
-                           help="worker processes (default MAJPAT_PARALLELISM or 1)")
+                           help="shares of the exhaustive search, walked by at most as many "
+                                "processes as processors (default MAJPAT_PARALLELISM or 1)")
         p.add_argument("--max-nodes", type=int, default=None,
                        help="search node ceiling for the whole run "
                             "(default MAJPAT_MAX_NODES or builtin)")

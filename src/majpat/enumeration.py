@@ -48,13 +48,14 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import signal
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 from .decomp import Profile
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
@@ -337,55 +338,89 @@ def _flat_caps(cap: int, length: int) -> tuple[list[int], list[int]]:
     return caps, caps
 
 
-def _subtree_task(args) -> tuple[list[list[int]], int]:
-    # The arguments are plain data that pickles: the search is compiled here.
-    sigs, max_n, maj_cap, nodes_left, seeds = args
+def _walk_share(sites: Callable[[Perm, int], int], max_n: int, maj_cap: int, nodes_left: int,
+                seeds: list[tuple[Perm, int, int]]) -> tuple[list[list[int]], int]:
+    """The rows of the subtrees under seeds, and the nodes they spent of nodes_left."""
     rows = _zero_rows(max_n, maj_cap)
     budget = _Budget(nodes_left)
-    walk = _walk(_forbidden_sites(sigs)[1], seeds, _flat_caps(maj_cap, max_n), budget)
+    walk = _walk(sites, seeds, _flat_caps(maj_cap, max_n), budget)
     _brute_fill(rows, walk, max_n, maj_cap, budget)
     return rows, budget.limit - budget.left
+
+
+def _fork_share(args: tuple) -> tuple[int, BinaryIO]:
+    """(pid, read end of a pipe) of a forked child that pipes back the pickled
+    result of _walk_share(*args), or what it raised.  It ends by os._exit (0
+    once all is sent), never by returning into the caller's stack or stdio."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                result = _walk_share(*args)
+            except Exception as exc:
+                result = exc
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    return pid, open(read, "rb")
 
 
 def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int,
                 budget: _Budget, sources: dict[int, list[Perm]] | None = None) -> list[list[int]]:
     root, sites = _forbidden_sites(patterns.patterns)
     rows = _zero_rows(max_n, maj_cap)
-    # Only the serial walk collects sources; workers send back counts alone.
-    if parallelism <= 1 or sources is not None:
+    # The caller counts as a worker.  Only the serial walk collects sources.
+    workers = min(parallelism, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    if workers <= 1 or sources is not None:
         walk = _walk(sites, [((), 0, root)], _flat_caps(maj_cap, max_n), budget)
         _brute_fill(rows, walk, max_n, maj_cap, budget, sources)
         return rows
 
-    # Expand a frontier wide enough to share, record the interior here, and
-    # farm the subtrees out; the merge is a cell-wise sum, so the result is
-    # identical for every parallelism degree.  Each worker gets the nodes the
-    # frontier left over and reports what it spent, so the ceiling holds for
-    # the whole walk exactly as on one process.
+    # Deal a frontier deep enough for even shares round-robin, after counting its
+    # interior.  The caller walks share 0 and a forked child each other one, each
+    # under what the frontier left; rows and spends add up exactly as on one process.
     frontier: list[tuple[Perm, int, int]] = [((), 0, root)]
     n = 0
-    while len(frontier) < 4 * parallelism and frontier and n < max_n:
+    while len(frontier) < 64 * workers and frontier and n < max_n:
         if n:
             for _, mj, _ in frontier:
                 rows[n - 1][mj] += 1
         walk = _walk(sites, frontier, _flat_caps(maj_cap, n + 2), budget)
         frontier = [node for node in walk if len(node[0]) > n]
         n += 1
-    buckets: list[list[tuple[Perm, int, int]]] = [[] for _ in range(parallelism)]
-    for i, seed in enumerate(frontier):
-        buckets[i % parallelism].append(seed)
-    tasks = [(patterns.patterns, max_n, maj_cap, budget.left, bucket)
-             for bucket in buckets if bucket]
-    if not tasks:
-        return rows
-    # A forked pool starts all its workers at the first submit: one per task,
-    # and no more than the host has processors.
-    spent = 0
-    with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
-        for part, part_spent in pool.map(_subtree_task, tasks):
-            _merge_rows(rows, part)
-            spent += part_spent
-    budget.spend(spent)
+    workers = max(1, min(workers, len(frontier)))
+    job = (sites, max_n, maj_cap, budget.left)
+    children, statuses = [], []
+    try:
+        for i in range(1, workers):
+            children.append(_fork_share(job + (frontier[i::workers],)))
+        parts = [_walk_share(*job, frontier[::workers])]
+        sent = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        # On every path out: a reaped child leaves no process behind.
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for data, status in zip(sent, statuses):
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise ResourceLimitError(f"a worker process ended without its result (exit {code})")
+        part = pickle.loads(data)
+        if isinstance(part, Exception):
+            raise part
+        parts.append(part)
+    for part, _ in parts:
+        _merge_rows(rows, part)
+    budget.spend(sum(spent for _, spent in parts))
     return rows
 
 

@@ -1,13 +1,16 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 
 import pytest
 
 import majpat.cli
+import majpat.enumeration
 from majpat.cli import main
 from majpat.enumeration import MajTable
+from majpat.errors import ResourceLimitError
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "a008302.txt")
 
@@ -111,6 +114,37 @@ class TestExitCodes:
         code, out, err = run(capsys, "verify-monotonic", "--patterns", "2134", "--n", "9")
         assert code == 3 and out == ""
         assert err == "majpat: resource limit: memory exhausted\n"
+
+    @pytest.mark.parametrize("end,message", [
+        ("killed", "a worker process ended without its result (exit -9)"),
+        ("unpicklable", "a worker process ended without its result (exit 1)"),
+        (MemoryError(), "memory exhausted"),
+        (RecursionError("maximum recursion depth exceeded"), "Python recursion depth exhausted"),
+        (ResourceLimitError("the share's own ceiling"), "the share's own ceiling"),
+    ], ids=["killed", "unpicklable", "memory", "recursion", "ceiling"])
+    def test_worker_that_fails_is_three_with_one_line(self, capsys, monkeypatch, end, message):
+        # A forked child that is killed (as by the out-of-memory killer), or
+        # that cannot send its result, exits without one; one that raises
+        # sends its exception, which the caller raises again with the same
+        # type and message.
+        caller = os.getpid()
+        walk_share = majpat.enumeration._walk_share
+
+        def share(*args):
+            if os.getpid() != caller:
+                if end == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if end == "unpicklable":
+                    return (lambda: None), 0
+                raise end
+            return walk_share(*args)
+
+        monkeypatch.setattr(majpat.enumeration, "_walk_share", share)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, err = run(capsys, "table", "--patterns", "1324", "--max-n", "8",
+                             "--parallelism", "2")
+        assert code == 3 and out == ""
+        assert err == f"majpat: resource limit: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ("table", "--max-n", "6", "--algorithm", "both"),

@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from collections import Counter
 
 import pytest
@@ -33,7 +37,9 @@ from majpat.enumeration import (
     _walk,
 )
 from majpat.errors import InvalidInputError, ResourceLimitError, VerificationError
-from majpat.perms import avoids, contains, delete_at, embedding_plan, insert, major_index
+from majpat.perms import (
+    avoids, contains, delete_at, descents, embedding_plan, insert, major_index,
+)
 from majpat.poly import Polynomial
 
 from oracles import (
@@ -272,40 +278,6 @@ class TestMajTable:
             with pytest.raises(ResourceLimitError):
                 maj_table(7, 21, PatternSet(), parallelism=parallelism, max_nodes=5912)
 
-    def test_pool_has_one_worker_per_subtree(self, monkeypatch):
-        # A stand-in pool runs the subtrees here and records its size, on a
-        # stand-in host with 8 processors, and then with 2.
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(majpat.enumeration, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(majpat.enumeration.os, "cpu_count", lambda: 8)
-        assert maj_table(1, 10, PatternSet(), parallelism=4).rows == ((1,),)
-        assert sizes == [1]
-        ps = PatternSet.of("1324")
-        assert maj_table(7, 21, ps, parallelism=3).rows == maj_table(7, 21, ps).rows
-        assert sizes == [1, 3]
-        ps = PatternSet.of("1")
-        assert maj_table(5, 10, ps, parallelism=4).rows == maj_table(5, 10, ps).rows
-        assert sizes == [1, 3]
-        # More tasks than processors: the pool is capped, the tasks are not.
-        monkeypatch.setattr(majpat.enumeration.os, "cpu_count", lambda: 2)
-        ps = PatternSet.of("1324")
-        assert maj_table(7, 21, ps, parallelism=10000).rows == maj_table(7, 21, ps).rows
-        assert sizes == [1, 3, 2]
-
     @pytest.mark.parametrize("text", ["1324", "3412;1324", ""])
     def test_ceiling_outcome_does_not_depend_on_parallelism(self, text):
         # The walker spends a node batch per expansion, so a ceiling can be
@@ -374,6 +346,113 @@ class TestMajTable:
         assert lines[3] == "3,1,2,2,1"
 
 
+class TestParallelSplit:
+    """The brute table split into shares: the caller walks one, a forked
+    child each other one."""
+
+    def test_one_process_per_share(self, monkeypatch):
+        # The processes, the caller included, number min(P, processors,
+        # frontier nodes), on a stand-in host with 8 processors, then 2, then
+        # one without fork.
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        def processes(max_n, text, parallelism):
+            forks.clear()
+            ps = PatternSet.from_text(text)
+            split = maj_table(max_n, 21, ps, parallelism=parallelism)
+            assert split.rows == maj_table(max_n, 21, ps).rows, (max_n, text, parallelism)
+            return len(forks) + 1
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert processes(1, "", 4) == 1  # a frontier of one node
+        assert processes(7, "12", 4) == 1  # one node on every level
+        assert processes(5, "1", 4) == 1  # an empty frontier
+        assert processes(7, "1324", 3) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert processes(7, "1324", 10000) == 2
+        monkeypatch.delattr(os, "fork")
+        assert processes(7, "1324", 3) == 1
+
+    @pytest.mark.parametrize("text", ["", "1", "12", "321", "1324", "3412;1324"])
+    def test_split_is_exact_for_every_degree(self, monkeypatch, text):
+        # A deep frontier can take a small table whole or leave fewer nodes
+        # than shares.  At every degree the rows are the serial ones, the
+        # serial spend T (one node per counted permutation) passes and T - 1
+        # stops the run.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        ps = PatternSet.from_text(text)
+        for max_n in range(1, 9):
+            for max_maj in (max_n * (max_n - 1) // 2, 3):
+                rows = maj_table(max_n, max_maj, ps).rows
+                spend = sum(map(sum, rows))
+                for parallelism in (1, 2, 3):
+                    case = (max_n, max_maj, parallelism)
+                    split = maj_table(max_n, max_maj, ps, parallelism=parallelism,
+                                      max_nodes=spend)
+                    assert split.rows == rows, case
+                    if spend:
+                        with pytest.raises(ResourceLimitError):
+                            maj_table(max_n, max_maj, ps, parallelism=parallelism,
+                                      max_nodes=spend - 1)
+
+    @pytest.mark.parametrize("fails", [None, "child", "caller", "interrupt"],
+                             ids=["success", "child", "caller", "interrupt"])
+    def test_no_child_is_left(self, monkeypatch, fails):
+        # Whether the run succeeds, a child's share fails, or the caller's
+        # share fails or is interrupted while the children still walk, every
+        # child is reaped before maj_table returns or raises.  A child
+        # that is still walking when the caller fails is killed, not waited
+        # for.
+        caller = os.getpid()
+        walk_share = majpat.enumeration._walk_share
+
+        def share(*args):
+            if os.getpid() != caller:
+                if fails == "child":
+                    raise ResourceLimitError("the child's share failed")
+                if fails in ("caller", "interrupt"):
+                    time.sleep(60)
+            elif fails == "caller":
+                raise ResourceLimitError("the caller's share failed")
+            elif fails == "interrupt":
+                raise KeyboardInterrupt
+            return walk_share(*args)
+
+        monkeypatch.setattr(majpat.enumeration, "_walk_share", share)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        ps = PatternSet.of("1324")
+        start = time.monotonic()
+        if fails is None:
+            assert maj_table(8, 28, ps, parallelism=3).rows == maj_table(8, 28, ps).rows
+        else:
+            with pytest.raises(KeyboardInterrupt if fails == "interrupt" else ResourceLimitError,
+                               match=None if fails == "interrupt" else fails):
+                maj_table(8, 28, ps, parallelism=3)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_never_flush_the_callers_output(self):
+        # Text printed before the split and not yet flushed sits in the
+        # buffer that each forked child copies; it appears once.
+        script = ("import os\n"
+                  "from majpat.enumeration import PatternSet, maj_table\n"
+                  "os.cpu_count = lambda: 2\n"
+                  "print('before the split')\n"
+                  "maj_table(8, 28, PatternSet.of('1324'), parallelism=2)\n")
+        src = os.path.dirname(os.path.dirname(majpat.enumeration.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True, timeout=60)
+        assert done.stdout == "before the split\n" and done.stderr == ""
+
+
 class TestComplementSymmetry:
     @pytest.mark.parametrize("algorithm,max_n", [("brute", 10), ("cores", 9)])
     @pytest.mark.parametrize("text", ["1324", "3412,1324"])
@@ -391,6 +470,21 @@ class TestComplementSymmetry:
         mirror = maj_table(max_n, top, complements, algorithm=algorithm)
         assert [row[::-1] for row in table.rows] == list(mirror.rows), (text, complements.texts())
         assert table.rows != mirror.rows
+
+    @pytest.mark.parametrize("text", ["1342", "2413", "1243", "3412;1324", "132;213", "21354"])
+    def test_reverse_complement_reflects_maj_within_each_descent_count(self, text):
+        # rc(pi) has a descent at n - i iff pi has one at i, so des is kept and
+        # maj(rc pi) = n des(pi) - maj(pi); pi avoids a set iff rc(pi) avoids
+        # the reverse-complements.  So M(n, d, m) of a set is M(n, d, nd - m)
+        # of its reverse-complements, a symmetry of the avoider stream that
+        # the major index alone does not show.
+        ps = PatternSet.from_text(text)
+        rc = PatternSet(tuple(tuple(len(p) + 1 - v for v in reversed(p)) for p in ps))
+        for n in range(1, 9):
+            counts = [Counter((len(d), sum(d)) for d in map(descents, generate_avoiders(n, s)))
+                      for s in (ps, rc)]
+            assert counts[1] == Counter({(d, n * d - m): c for (d, m), c in counts[0].items()}), \
+                (text, n)
 
 
 def minimal_avoiding_profiles(gamma, patterns):

@@ -1,5 +1,9 @@
-"""Every name a module of the package or of the tests imports is used."""
+"""Every name a module of the package or of the tests imports is used, and
+importing the command line loads no process pool."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,14 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_loads_no_process_pool():
+    # Every command pays for what `import majpat.cli` loads; the table's
+    # split forks its processes itself.
+    script = ("import sys, majpat.cli\n"
+              "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"

@@ -17,11 +17,18 @@ import os
 import sys
 import time
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = [
     # The brute table on one process and on two, the cores path, and both.
     ("table", "--patterns", "1324", "--max-n", "9", "--parallelism", "1"),
     ("table", "--patterns", "1324", "--max-n", "9", "--parallelism", "2"),
     ("table", "--patterns", "1324", "--max-n", "10", "--parallelism", "2"),
+    ("table", "--patterns", "3412,1324", "--max-n", "9", "--parallelism", "2"),
+    ("table", "--patterns", "321", "--max-n", "11", "--parallelism", "2"),
+    # More shares than a 2-processor host has processors, and a frontier
+    # that takes the whole tree.
+    ("table", "--patterns", "1324", "--max-n", "9", "--parallelism", "3"),
+    ("table", "--patterns", "1324", "--max-n", "4", "--parallelism", "2"),
     ("table", "--patterns", "4231", "--max-n", "10"),
     ("table", "--patterns", "2134", "--max-n", "9", "--algorithm", "both"),
     ("table", "--patterns", "21354", "--max-n", "8", "--max-maj", "10"),
@@ -67,6 +74,9 @@ CORPUS = [
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "10", "--max-nodes", "4329",
      "--parallelism", "2"),
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "10", "--max-nodes", "4328",
+     "--parallelism", "2"),
+    # The no-pattern table against the file of its rows 1-6 (41 entries).
+    ("check-oeis", "--file", os.path.join(ROOT, "tests", "data", "a008302.txt"), "--max-n", "6",
      "--parallelism", "2"),
     # Invalid input.
     ("table", "--max-n", "4", "--patterns", "120"),
