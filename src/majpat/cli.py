@@ -23,7 +23,7 @@ from .enumeration import (
 from .decomp import format_profile
 from .errors import InvalidInputError, MajpatError, ResourceLimitError, VerificationError
 from .monotone import verify_monotonicity
-from .oeis import diff_triangle, read_integer_file
+from .oeis import diff_triangle, read_integer_file, rows_holding
 from .perms import format_perm, maj_plus
 
 EXIT_OK = 0
@@ -115,11 +115,13 @@ def cmd_cores(args: argparse.Namespace) -> int:
 def cmd_check_oeis(args: argparse.Namespace) -> int:
     parallelism = _parallelism(args)
     reference = read_integer_file(args.file)
+    # The rows past the file's last entry are not computed, only counted as unmatched.
+    max_n = min(args.max_n, rows_holding(len(reference)))
     table = maj_table(
-        args.max_n, args.max_n * (args.max_n - 1) // 2, PatternSet(),
+        max_n, max_n * (max_n - 1) // 2, PatternSet(),
         algorithm=args.algorithm, parallelism=parallelism, max_nodes=args.max_nodes,
     )
-    diff = diff_triangle(table, reference)
+    diff = diff_triangle(table, reference, args.max_n)
     if diff.mismatch is not None:
         n, m, ours, theirs = diff.mismatch
         _emit(args, f"MISMATCH at (n={n}, m={m}): computed {ours}, file has {theirs}\n")

@@ -5,17 +5,18 @@ Two independent computation paths are provided and cross-checked:
 
 * brute force: an iterative walk of the prefix tree that extends prefix
   patterns by appending the next relative rank.  The core path and the
-  avoider stream share it, and it is the only code that builds a child.
-  Appending never disturbs the descents already present, so the major index
-  is monotone along the tree and the search can prune on a major-index
-  ceiling.  Each node carries a bitmask of its forbidden sites, the ranks
-  whose appending completes a pattern occurrence.  A child inherits its
-  parent's mask (an occurrence that avoids the new letter stays one) and
-  adds the sites of the occurrences of each pattern's head that end at its
-  new letter, so no candidate child is tested for containment.  That search
-  is one function per pattern set, compiled from the patterns' embedding
-  plans (`perms.compile_search`).  The last level of a table is counted from
-  the clear sites of its parents without being built.
+  avoider stream share one walker (`_walk`); the brute table builds its
+  children in a loop of its own (`_brute_fill`), which a test cross-checks
+  against the walker.  Appending never disturbs the descents already
+  present, so the major index is monotone along the tree and the search can
+  prune on a major-index ceiling.  Each node carries a bitmask of its
+  forbidden sites, the ranks whose appending completes a pattern
+  occurrence.  A child inherits its parent's mask (an occurrence that avoids
+  the new letter stays one) and adds the sites of the occurrences of each
+  pattern's head that end at its new letter, so no candidate child is tested
+  for containment.  That search is one function per pattern set, compiled
+  from the patterns' embedding plans (`perms.compile_search`).  The brute
+  loop counts a table's last two rows at their grandparents, pushing neither.
 
 * cores: every permutation with major index m is core gamma + padding
   profile with maj_plus(gamma) = m.  Appending a letter never lowers
@@ -250,6 +251,7 @@ def _walk(sites: Callable[[Perm, int], int], seeds: list[tuple[Perm, int, int]],
           budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
     """Each seed and then its descendants in the avoiders' prefix tree, in
     preorder with children by increasing appended rank, as (word, maj, mask).
+    `_brute_fill` builds the same children in a loop of its own.
 
     caps = (rises, falls), two sequences of one length: a descendant of
     length n is kept while n < len(rises) and its maj is at most rises[n]
@@ -302,40 +304,67 @@ def _walk(sites: Callable[[Perm, int], int], seeds: list[tuple[Perm, int, int]],
         budget.spend(len(stack) - depth)
 
 
-def _brute_fill(rows, walk: Iterator[tuple[Perm, int, int]], max_n: int, maj_cap: int,
+def _brute_fill(rows: list[list[int]], sites: Callable[[Perm, int], int],
+                seeds: list[tuple[Perm, int, int]], max_n: int, maj_cap: int,
                 budget: _Budget, sources: dict[int, list[Perm]] | None = None) -> None:
-    # Record every walked node; count the last level, unbuilt, from the clear
-    # sites of its parents, and collect those into sources by maj if given.
-    for word, mj, mask in walk:
+    """Tally into rows each seed and its descendants of length <= max_n and
+    maj <= maj_cap, built as `_walk` builds them under flat caps, in one loop.
+    A node two letters short of row max_n builds its children by increasing
+    rank (the walk's preorder), tallies each, collects it into sources by
+    maj if given and counts its clear sites into row max_n; a seed one letter
+    short counts its own.  Each expansion spends what it builds and counts."""
+    shift = _Relabel(0)
+    stack = seeds[::-1]
+    while stack:
+        word, mj, mask = stack.pop()
         n = len(word)
         if n:
             rows[n - 1][mj] += 1
-        if n == max_n - 1:
+        if n >= max_n - 1:
+            if n < max_n:  # a seed one letter short
+                if sources is not None:
+                    sources.setdefault(mj, []).append(word)
+                rising, falling = _clear_sites(word, mask)
+                descents = falling.bit_count() if mj + n <= maj_cap else 0
+                budget.spend(rising.bit_count() + descents)
+                rows[n][mj] += rising.bit_count()
+                if descents:
+                    rows[n][mj + n] += descents
+            continue
+        if n > shift.longest:
+            shift = _Relabel(2 * n)
+        last = word[n - 1] if n else 1
+        bottom = 1 if mj + n <= maj_cap else last + 1
+        relabel = itemgetter(*word, 0)
+        tail = n == max_n - 2
+        row, leaves, full = rows[n], rows[n + 1], (1 << n + 3) - 2
+        depth, spent = len(stack), 0
+        # Pushed children go highest rank first, so that the stack pops them in order.
+        for v in range(bottom, n + 2) if tail else range(n + 1, bottom - 1, -1):
+            if mask >> v & 1:
+                continue
+            child = relabel(shift[v]) if v <= n else word + (v,)
+            inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
+            cm = mj + n if v <= last else mj
+            if not tail:
+                stack.append((child, cm, sites(child, inherited)))
+                continue
+            row[cm] += 1
             if sources is not None:
-                sources.setdefault(mj, []).append(word)
-            rising, falling = _clear_sites(word, mask)
-            ascents = rising.bit_count()
-            descents = falling.bit_count() if mj + n <= maj_cap else 0
-            budget.spend(ascents + descents)
-            rows[n][mj] += ascents
+                sources.setdefault(cm, []).append(child)
+            # The child's last letter is v: the ranks above it rise, the others fall.
+            clear = ~sites(child, inherited) & full
+            ascents = (clear >> v + 1).bit_count()
+            descents = (clear & ((2 << v) - 1)).bit_count() if cm + n < maj_cap else 0
+            leaves[cm] += ascents
             if descents:
-                rows[n][mj + n] += descents
+                leaves[cm + n + 1] += descents
+            spent += 1 + ascents + descents
+        budget.spend(len(stack) - depth + spent)
 
 
 def _zero_rows(max_n: int, maj_cap: int) -> list[list[int]]:
     return [[0] * (min(maj_cap, _triangle(n)) + 1) for n in range(1, max_n + 1)]
-
-
-def _merge_rows(target: list[list[int]], source: list[list[int]]) -> None:
-    for row_t, row_s in zip(target, source):
-        for i, v in enumerate(row_s):
-            row_t[i] += v
-
-
-def _flat_caps(cap: int, length: int) -> tuple[list[int], list[int]]:
-    """Caps that keep every node of maj <= cap and length < length."""
-    caps = [cap] * length
-    return caps, caps
 
 
 def _walk_share(sites: Callable[[Perm, int], int], max_n: int, maj_cap: int, nodes_left: int,
@@ -343,8 +372,7 @@ def _walk_share(sites: Callable[[Perm, int], int], max_n: int, maj_cap: int, nod
     """The rows of the subtrees under seeds, and the nodes they spent of nodes_left."""
     rows = _zero_rows(max_n, maj_cap)
     budget = _Budget(nodes_left)
-    walk = _walk(sites, seeds, _flat_caps(maj_cap, max_n), budget)
-    _brute_fill(rows, walk, max_n, maj_cap, budget)
+    _brute_fill(rows, sites, seeds, max_n, maj_cap, budget)
     return rows, budget.limit - budget.left
 
 
@@ -377,8 +405,7 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
     # The caller counts as a worker.  Only the serial walk collects sources.
     workers = min(parallelism, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if workers <= 1 or sources is not None:
-        walk = _walk(sites, [((), 0, root)], _flat_caps(maj_cap, max_n), budget)
-        _brute_fill(rows, walk, max_n, maj_cap, budget, sources)
+        _brute_fill(rows, sites, [((), 0, root)], max_n, maj_cap, budget, sources)
         return rows
 
     # Deal a frontier deep enough for even shares round-robin, after counting its
@@ -390,7 +417,7 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
         if n:
             for _, mj, _ in frontier:
                 rows[n - 1][mj] += 1
-        walk = _walk(sites, frontier, _flat_caps(maj_cap, n + 2), budget)
+        walk = _walk(sites, frontier, ([maj_cap] * (n + 2),) * 2, budget)
         frontier = [node for node in walk if len(node[0]) > n]
         n += 1
     workers = max(1, min(workers, len(frontier)))
@@ -418,9 +445,11 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
         if isinstance(part, Exception):
             raise part
         parts.append(part)
-    for part, _ in parts:
-        _merge_rows(rows, part)
-    budget.spend(sum(spent for _, spent in parts))
+    for part, spent in parts:
+        budget.spend(spent)
+        for row, cells in zip(rows, part):
+            for m, count in enumerate(cells):
+                row[m] += count
     return rows
 
 
@@ -431,7 +460,8 @@ def generate_avoiders(n: int, patterns: PatternSet, *,
         raise InvalidInputError(f"length must be non-negative, got {n}")
     root, sites = _forbidden_sites(patterns.patterns)
     # maj <= n(n - 1)/2 holds for every prefix of every avoider.
-    walk = _walk(sites, [((), 0, root)], _flat_caps(_triangle(n), n + 1), _Budget(max_nodes))
+    caps = ([_triangle(n)] * (n + 1),) * 2
+    walk = _walk(sites, [((), 0, root)], caps, _Budget(max_nodes))
     return (word for word, _, _ in walk if len(word) == n)
 
 

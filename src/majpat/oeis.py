@@ -42,11 +42,25 @@ class TriangleDiff:
         return self.mismatch is None and self.missing_cells == 0
 
 
-def diff_triangle(table: MajTable, reference: list[int]) -> TriangleDiff:
-    """Compare the table, read row by row over full rows, to the flat file."""
+def rows_holding(entries: int) -> int:
+    """The fewest full rows of the triangle (at least one) that hold entries cells."""
+    n = cells = 1
+    while cells < entries:
+        n += 1
+        cells += n * (n - 1) // 2 + 1
+    return n
+
+
+def diff_triangle(table: MajTable, reference: list[int],
+                  max_n: int | None = None) -> TriangleDiff:
+    """Compare the triangle of rows 1 .. max_n (the table's by default), read
+    row by row over full rows, to the flat file.  The table may stop short of
+    row max_n once it holds every entry of the file: the cells of the rows it
+    leaves out count as unmatched."""
+    max_n = table.max_n if max_n is None else max_n
     idx = 0
     matched = 0
-    for n in range(1, table.max_n + 1):
+    for n in range(1, min(table.max_n, max_n) + 1):
         width = n * (n - 1) // 2 + 1
         if width - 1 > table.max_maj:
             raise InvalidInputError(
@@ -54,17 +68,16 @@ def diff_triangle(table: MajTable, reference: list[int]) -> TriangleDiff:
             )
         for m in range(width):
             if idx >= len(reference):
-                return TriangleDiff(matched, None, _cells_left(table, n, m))
+                return TriangleDiff(matched, None, _cells_left(max_n, n, m))
             if table.entry(n, m) != reference[idx]:
                 return TriangleDiff(matched, (n, m, table.entry(n, m), reference[idx]), 0)
             matched += 1
             idx += 1
-    return TriangleDiff(matched, None, 0)
+    if idx < len(reference) and table.max_n < max_n:
+        raise InvalidInputError(f"table stops at row {table.max_n}, before the file's end")
+    return TriangleDiff(matched, None, _cells_left(max_n, table.max_n + 1, 0))
 
 
-def _cells_left(table: MajTable, n0: int, m0: int) -> int:
-    total = 0
-    for n in range(n0, table.max_n + 1):
-        start = m0 if n == n0 else 0
-        total += n * (n - 1) // 2 + 1 - start
-    return total
+def _cells_left(max_n: int, n0: int, m0: int) -> int:
+    """The cells of rows n0 .. max_n from cell (n0, m0) on."""
+    return sum(n * (n - 1) // 2 + 1 for n in range(n0, max_n + 1)) - m0

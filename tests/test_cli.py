@@ -9,8 +9,9 @@ import pytest
 import majpat.cli
 import majpat.enumeration
 from majpat.cli import main
-from majpat.enumeration import MajTable
-from majpat.errors import ResourceLimitError
+from majpat.enumeration import MajTable, PatternSet, maj_table
+from majpat.errors import InvalidInputError, ResourceLimitError
+from majpat.oeis import diff_triangle, rows_holding
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "a008302.txt")
 
@@ -373,6 +374,21 @@ class TestCheckOeis:
         bfile.write_text("".join(f"{i} {v}\n" for i, v in enumerate(rows, 1)))
         code, out, _ = run(capsys, "check-oeis", "--file", str(bfile), "--max-n", "3")
         assert code == 0
+
+    def test_rows_past_the_file_are_counted_not_computed(self, capsys):
+        # The file ends with row 6, so no row past it is walked: row 12 alone
+        # has 12! leaves, far over the ceiling.  Its cells still count.
+        for max_n, cells in (("9", 88), ("12", 257)):
+            code, out, _ = run(capsys, "check-oeis", "--file", DATA, "--max-n", max_n,
+                               "--max-nodes", "10000")
+            assert (code, out) == (1, f"file too short: {cells} cells unmatched after 41 matches\n")
+
+    def test_a_table_short_of_the_file_is_refused(self):
+        table = maj_table(2, 1, PatternSet())
+        assert rows_holding(4) == 3 and rows_holding(3) == 2 and rows_holding(0) == 1
+        assert diff_triangle(table, [1, 1, 1], 5).missing_cells == 4 + 7 + 11
+        with pytest.raises(InvalidInputError):
+            diff_triangle(table, [1, 1, 1, 1], 5)
 
 
 def test_env_override_for_max_nodes(capsys, monkeypatch):

@@ -27,12 +27,14 @@ from majpat.enumeration import (
 from majpat.enumeration import (
     _Budget,
     _avoiding_signatures,
+    _brute_rows,
     _clear_sites,
     _cores,
     _fill_columns,
     _forbidden_sites,
     _obstructions,
     _pattern_plan,
+    _triangle,
     _unit_profiles,
     _walk,
 )
@@ -49,7 +51,7 @@ from oracles import (
     oracle_last_two_patterns,
     oracle_minimal_obstructions,
     oracle_occurrences,
-    oracle_rows,
+    oracle_rows_by_deletion,
 )
 
 OBSTRUCTION_SETS = ("1324", "3412;1324", "2134", "321", "1342;2413", "21354;21453")
@@ -207,13 +209,32 @@ class TestMajTable:
         assert t.column(2)[2:] == [2, 4, 6, 8, 10]
 
     def test_matches_oracle_rows(self):
-        for pats in [(), ((1, 3, 2),), ((2, 3, 1), (1, 3, 2))]:
-            ps = PatternSet(pats)
-            want = oracle_rows(pats, 5)
-            t = maj_table(5, 10, ps, algorithm="both")
-            for n in range(1, 6):
-                for m in range(n * (n - 1) // 2 + 1):
-                    assert t.entry(n, m) == want[n - 1][m]
+        # The brute path counts the last two rows at their grandparents, so
+        # each max_n puts that step at another depth: at max_n = 2 the root
+        # builds row 1, and at max_n = 1 the root counts row 1 itself.
+        for text in ("", "1", "1324", "2134", "3412;1324", "132;213"):
+            ps = PatternSet.from_text(text)
+            want = oracle_rows_by_deletion(ps.patterns, 7)
+            for max_n in range(1, 8):
+                for max_maj in (_triangle(max_n), 3):
+                    t = maj_table(max_n, max_maj, ps, algorithm="both")
+                    assert [list(row) for row in t.rows] == \
+                        [row[:max_maj + 1] for row in want[:max_n]], (text, max_n, max_maj)
+
+    def test_table_sources_are_the_avoider_stream_by_maj(self):
+        # The brute loop builds the nodes one letter short of its last row
+        # itself, not through _walk, which builds the avoider stream.  Both
+        # give the same words, and in the same order within each maj, which
+        # verify_monotonicity relies on to report the first failing source.
+        for text in ("2134", "1324", "321", "21"):
+            ps = PatternSet.of(text)
+            for n in range(8):
+                sources = {}
+                _brute_rows(ps, n + 1, _triangle(n + 1), 1, _Budget(None), sources)
+                want = {}
+                for word in generate_avoiders(n, ps):
+                    want.setdefault(major_index(word), []).append(word)
+                assert sources == want, (text, n)
 
     def test_row_sums_and_first_column(self):
         ps = PatternSet.of("132")

@@ -29,6 +29,12 @@ CORPUS = [
     # that takes the whole tree.
     ("table", "--patterns", "1324", "--max-n", "9", "--parallelism", "3"),
     ("table", "--patterns", "1324", "--max-n", "4", "--parallelism", "2"),
+    # The last two rows are counted at their grandparents: at max_n = 3 the
+    # root's children, at 2 the root, and at 1 the root counts its own sites.
+    *(("table", "--patterns", "1324", "--max-n", str(n), "--parallelism", str(p))
+      for n in (1, 2, 3) for p in (1, 2)),
+    # The cap cuts falling children in both of those rows.
+    ("table", "--patterns", "2134", "--max-n", "10", "--max-maj", "15", "--parallelism", "2"),
     ("table", "--patterns", "4231", "--max-n", "10"),
     ("table", "--patterns", "2134", "--max-n", "9", "--algorithm", "both"),
     ("table", "--patterns", "21354", "--max-n", "8", "--max-maj", "10"),
@@ -61,6 +67,9 @@ CORPUS = [
     ("verify-monotonic", "--patterns", "1324", "--n", "8"),
     ("verify-monotonic", "--patterns", "1324", "--n", "7", "--max-maj", "12"),
     ("verify-monotonic", "--patterns", "21", "--n", "200", "--max-maj", "0"),
+    # Sources at the root, and at the root's children.
+    ("verify-monotonic", "--patterns", "1324", "--n", "0"),
+    ("verify-monotonic", "--patterns", "1324", "--n", "1"),
     # Past the triangle: the walk's cap is n(n + 1)/2, not --max-maj.
     ("verify-monotonic", "--patterns", "1324", "--n", "6", "--max-maj", "30"),
     # Node ceilings: each run passes at its exact spend T and exits 3 at T - 1.
@@ -78,6 +87,8 @@ CORPUS = [
     # The no-pattern table against the file of its rows 1-6 (41 entries).
     ("check-oeis", "--file", os.path.join(ROOT, "tests", "data", "a008302.txt"), "--max-n", "6",
      "--parallelism", "2"),
+    # Two rows past the file's end.
+    ("check-oeis", "--file", os.path.join(ROOT, "tests", "data", "a008302.txt"), "--max-n", "8"),
     # Invalid input.
     ("table", "--max-n", "4", "--patterns", "120"),
 ]
