@@ -16,6 +16,7 @@ import sys
 from .asymptotics import Verdict, degree_report
 from .enumeration import (
     PatternSet,
+    _triangle,
     core_set,
     maj_table,
     parallelism_default,
@@ -54,7 +55,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"--max-n must be >= 1, got {args.max_n}")
     max_maj = args.max_maj
     if max_maj is None:
-        max_maj = args.max_n * (args.max_n - 1) // 2
+        max_maj = _triangle(args.max_n)
     table = maj_table(
         args.max_n, max_maj, patterns,
         algorithm=args.algorithm, parallelism=parallelism, max_nodes=args.max_nodes,
@@ -118,7 +119,7 @@ def cmd_check_oeis(args: argparse.Namespace) -> int:
     # The rows past the file's last entry are not computed, only counted as unmatched.
     max_n = min(args.max_n, rows_holding(len(reference)))
     table = maj_table(
-        max_n, max_n * (max_n - 1) // 2, PatternSet(),
+        max_n, _triangle(max_n), PatternSet(),
         algorithm=args.algorithm, parallelism=parallelism, max_nodes=args.max_nodes,
     )
     diff = diff_triangle(table, reference, args.max_n)

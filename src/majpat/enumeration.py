@@ -63,6 +63,7 @@ from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .perms import (
     Nest,
     Perm,
+    check_perm,
     compile_search,
     embedding_plan,
     format_perm,
@@ -103,7 +104,7 @@ class PatternSet:
     patterns: tuple[Perm, ...] = ()
 
     def __post_init__(self):
-        seen = sorted(set(self.patterns), key=lambda p: (len(p), p))
+        seen = sorted({check_perm(p) for p in self.patterns}, key=lambda p: (len(p), p))
         if any(len(p) == 0 for p in seen):
             raise InvalidInputError("the empty permutation is not a valid pattern")
         object.__setattr__(self, "patterns", tuple(seen))
@@ -164,6 +165,7 @@ class PatternSet:
 
 
 def _triangle(n: int) -> int:
+    """The largest major index of length n: row n spans m = 0 .. _triangle(n)."""
     return n * (n - 1) // 2
 
 

@@ -31,11 +31,12 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .enumeration import PatternSet, _brute_rows, _Budget, _Relabel, generate_avoiders
+from .enumeration import PatternSet, _brute_rows, _Budget, _Relabel, _triangle, generate_avoiders
 from .errors import InvalidInputError, PreconditionError, UnsupportedPatternError
 from .perms import (
     Perm,
     _through_search,
+    check_perm,
     contains,
     descents,
     format_perm,
@@ -65,7 +66,8 @@ class InjectionCase(NamedTuple):
 
 def monotone_injection(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
     """The image of pi under the column injection for the pattern sigma,
-    refusing an increasing sigma and a pi that contains sigma."""
+    refusing a non-permutation or increasing sigma and a pi that contains sigma."""
+    sigma = check_perm(sigma)
     if not descents(sigma):
         raise UnsupportedPatternError(
             f"pattern {format_perm(sigma) or '(empty)'} is increasing: its columns are "
@@ -169,18 +171,19 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
     n.  The sources are the length-n nodes of that table's one walk, which
     the node ceiling covers.
     """
+    sigma = check_perm(sigma)
     if not descents(sigma):
         raise UnsupportedPatternError(
             f"pattern {format_perm(sigma)} is increasing; see monotone_injection"
         )
     if n < 0:
         raise InvalidInputError(f"length must be non-negative, got {n}")
-    limit = m_max if m_max is not None else n * (n - 1) // 2
+    limit = m_max if m_max is not None else _triangle(n)
     if limit < 0:
         raise InvalidInputError(f"max_maj must be >= 0, got {limit}")
     # The walk keeps every length-n avoider with maj <= limit, in preorder.
     by_m: dict[int, list[Perm]] = {}
-    row_next = _brute_rows(PatternSet((sigma,)), n + 1, min(limit, n * (n + 1) // 2), 1,
+    row_next = _brute_rows(PatternSet((sigma,)), n + 1, min(limit, _triangle(n + 1)), 1,
                            _Budget(max_nodes), by_m)[n]
 
     through = _plan(sigma).through

@@ -1,10 +1,15 @@
-"""Ingesting local OEIS-style reference files and diffing tables against them."""
+"""Ingesting local OEIS-style reference files and diffing tables against them.
+
+`diff_triangle` reads a table's rows 1, 2, ... in full, each row's span from
+`enumeration._triangle`, through `MajTable.entry`, which refuses a cell
+outside the table.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .enumeration import MajTable
+from .enumeration import MajTable, _triangle
 from .errors import InvalidInputError
 
 
@@ -47,37 +52,23 @@ def rows_holding(entries: int) -> int:
     n = cells = 1
     while cells < entries:
         n += 1
-        cells += n * (n - 1) // 2 + 1
+        cells += _triangle(n) + 1
     return n
 
 
 def diff_triangle(table: MajTable, reference: list[int],
                   max_n: int | None = None) -> TriangleDiff:
     """Compare the triangle of rows 1 .. max_n (the table's by default), read
-    row by row over full rows, to the flat file.  The table may stop short of
-    row max_n once it holds every entry of the file: the cells of the rows it
-    leaves out count as unmatched."""
-    max_n = table.max_n if max_n is None else max_n
-    idx = 0
+    row by row over full rows, to the flat file, and stop at the first
+    mismatch.  Only the cells the file reaches are read, so the table may
+    stop short of row max_n once it holds them: the cells past the file's
+    end count as unmatched.  A cell outside the table raises."""
+    rows = range(1, (table.max_n if max_n is None else max_n) + 1)
+    cells = ((n, m) for n in rows for m in range(_triangle(n) + 1))
     matched = 0
-    for n in range(1, min(table.max_n, max_n) + 1):
-        width = n * (n - 1) // 2 + 1
-        if width - 1 > table.max_maj:
-            raise InvalidInputError(
-                f"table only reaches m={table.max_maj}, row n={n} needs m={width - 1}"
-            )
-        for m in range(width):
-            if idx >= len(reference):
-                return TriangleDiff(matched, None, _cells_left(max_n, n, m))
-            if table.entry(n, m) != reference[idx]:
-                return TriangleDiff(matched, (n, m, table.entry(n, m), reference[idx]), 0)
-            matched += 1
-            idx += 1
-    if idx < len(reference) and table.max_n < max_n:
-        raise InvalidInputError(f"table stops at row {table.max_n}, before the file's end")
-    return TriangleDiff(matched, None, _cells_left(max_n, table.max_n + 1, 0))
-
-
-def _cells_left(max_n: int, n0: int, m0: int) -> int:
-    """The cells of rows n0 .. max_n from cell (n0, m0) on."""
-    return sum(n * (n - 1) // 2 + 1 for n in range(n0, max_n + 1)) - m0
+    for (n, m), theirs in zip(cells, reference):
+        ours = table.entry(n, m)
+        if ours != theirs:
+            return TriangleDiff(matched, (n, m, ours, theirs), 0)
+        matched += 1
+    return TriangleDiff(matched, None, sum(_triangle(n) + 1 for n in rows) - matched)

@@ -64,6 +64,16 @@ def oracle_maj(word):
     return sum(i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1])
 
 
+def oracle_mahonian(max_n):
+    """Rows 1 .. max_n of the Mahonian triangle, from its recurrence
+    T(n, k) = T(n - 1, k) + T(n - 1, k - 1) + ... + T(n - 1, k - n + 1)."""
+    rows = [[1]]
+    for n in range(2, max_n + 1):
+        prev = rows[-1]
+        rows.append([sum(prev[max(0, k - n + 1):k + 1]) for k in range(len(prev) + n - 1)])
+    return rows
+
+
 def oracle_avoiders(n, patterns):
     """All avoiders of length n, by filtering the full symmetric group."""
     out = []

@@ -9,9 +9,10 @@ import pytest
 import majpat.cli
 import majpat.enumeration
 from majpat.cli import main
-from majpat.enumeration import MajTable, PatternSet, maj_table
+from majpat.enumeration import MajTable, PatternSet, _triangle, maj_table
 from majpat.errors import InvalidInputError, ResourceLimitError
 from majpat.oeis import diff_triangle, rows_holding
+from oracles import oracle_mahonian
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "a008302.txt")
 
@@ -382,6 +383,36 @@ class TestCheckOeis:
             code, out, _ = run(capsys, "check-oeis", "--file", DATA, "--max-n", max_n,
                                "--max-nodes", "10000")
             assert (code, out) == (1, f"file too short: {cells} cells unmatched after 41 matches\n")
+
+    def test_diff_agrees_with_the_recurrence(self):
+        # Each table holds the rows that hold a file entry, as check-oeis builds it.
+        rows = oracle_mahonian(10)
+        flat = [c for row in rows for c in row]
+        cells = [(n, m) for n, row in enumerate(rows, 1) for m in range(len(row))]
+        upto = [sum(map(len, rows[:n])) for n in range(11)]
+        tables = {}
+
+        def diff(file, max_n):
+            table_n = min(max_n, rows_holding(len(file)))
+            if table_n not in tables:
+                tables[table_n] = maj_table(table_n, _triangle(table_n), PatternSet())
+            got = diff_triangle(tables[table_n], file, max_n)
+            return got.matched, got.mismatch, got.missing_cells
+
+        for length in range(upto[8] + 1):
+            for max_n in range(1, 11):
+                matched = min(length, upto[max_n])
+                assert diff(flat[:length], max_n) == (matched, None, upto[max_n] - matched)
+        for wrong in (0, 1, 5, 40, upto[8] - 1):
+            for length in (wrong + 1, upto[8]):
+                file = flat[:length]
+                file[wrong] += 1
+                for max_n in range(1, 11):
+                    if wrong < upto[max_n]:
+                        expected = (wrong, (*cells[wrong], flat[wrong], file[wrong]), 0)
+                    else:
+                        expected = (upto[max_n], None, 0)
+                    assert diff(file, max_n) == expected
 
     def test_a_table_short_of_the_file_is_refused(self):
         table = maj_table(2, 1, PatternSet())

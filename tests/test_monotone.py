@@ -84,6 +84,15 @@ class TestErrors:
         with pytest.raises(InvalidInputError):
             verify_monotonicity((2, 1, 3, 4), -2)
 
+    def test_non_permutations_rejected(self):
+        # The library refuses them itself, not only the CLI's parser.
+        for call in (lambda: maj_table(3, 3, PatternSet(((1, 1),))),
+                     lambda: maj_table(3, 3, PatternSet(((1, 3),))),
+                     lambda: verify_monotonicity((3, 1), 3),
+                     lambda: monotone_injection((1,), (3, 1))):
+            with pytest.raises(InvalidInputError, match="not a permutation"):
+                call()
+
     def test_containing_permutation_rejected(self):
         with pytest.raises(PreconditionError):
             monotone_injection((1, 3, 2), (1, 3, 2))

@@ -18,6 +18,7 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+A008302 = os.path.join(ROOT, "tests", "data", "a008302.txt")
 CORPUS = [
     # The brute table on one process and on two, the cores path, and both.
     ("table", "--patterns", "1324", "--max-n", "9", "--parallelism", "1"),
@@ -85,10 +86,14 @@ CORPUS = [
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "10", "--max-nodes", "4328",
      "--parallelism", "2"),
     # The no-pattern table against the file of its rows 1-6 (41 entries).
-    ("check-oeis", "--file", os.path.join(ROOT, "tests", "data", "a008302.txt"), "--max-n", "6",
-     "--parallelism", "2"),
+    ("check-oeis", "--file", A008302, "--max-n", "6", "--parallelism", "2"),
     # Two rows past the file's end.
-    ("check-oeis", "--file", os.path.join(ROOT, "tests", "data", "a008302.txt"), "--max-n", "8"),
+    ("check-oeis", "--file", A008302, "--max-n", "8"),
+    # Row 1 alone; six rows past the file's end, under a ceiling that only the
+    # file's rows fit; and both paths on two shares.
+    ("check-oeis", "--file", A008302, "--max-n", "1"),
+    ("check-oeis", "--file", A008302, "--max-n", "12", "--max-nodes", "10000"),
+    ("check-oeis", "--file", A008302, "--max-n", "6", "--algorithm", "both", "--parallelism", "2"),
     # Invalid input.
     ("table", "--max-n", "4", "--patterns", "120"),
 ]
