@@ -10,9 +10,8 @@ search seeded with isqrt, never by floating point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import isqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .decomp import co_layered, decompose
 from .enumeration import PatternSet, column_counts, major_count_series
@@ -139,8 +138,7 @@ class PredictionKind(enum.Enum):
     ZERO_SEQUENCE = "zero_sequence"
 
 
-@dataclass(frozen=True)
-class DegreePrediction:
+class DegreePrediction(NamedTuple):
     kind: PredictionKind
     degree: int
     side_index: Optional[int] = None  # certified profile coordinate for magnitude-2 sets
@@ -197,8 +195,7 @@ def predicted_degree(m: int, patterns: PatternSet) -> DegreePrediction:
     return DegreePrediction(PredictionKind.UPPER_BOUND, bound)
 
 
-@dataclass(frozen=True)
-class DetectedDegree:
+class DetectedDegree(NamedTuple):
     degree: Optional[int]
     polynomial: Optional[Polynomial]
     onset: Optional[int]
@@ -267,8 +264,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     m: int
     patterns: PatternSet
     prediction: DegreePrediction

@@ -50,13 +50,11 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import signal
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
 from .decomp import Profile
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
@@ -97,17 +95,26 @@ def parallelism_default() -> int:
     return _env_int("MAJPAT_PARALLELISM", 1)
 
 
-@dataclass(frozen=True)
 class PatternSet:
-    """A deduplicated finite set of nonempty patterns, sorted for determinism."""
+    """A deduplicated finite set of nonempty patterns, sorted for determinism.
+    Equal and hashed by value; not a tuple, since it iterates its patterns."""
 
-    patterns: tuple[Perm, ...] = ()
+    __slots__ = ("patterns",)
 
-    def __post_init__(self):
-        seen = sorted({check_perm(p) for p in self.patterns}, key=lambda p: (len(p), p))
+    def __init__(self, patterns: tuple[Perm, ...] = ()):
+        seen = sorted({check_perm(p) for p in patterns}, key=lambda p: (len(p), p))
         if any(len(p) == 0 for p in seen):
             raise InvalidInputError("the empty permutation is not a valid pattern")
-        object.__setattr__(self, "patterns", tuple(seen))
+        self.patterns = tuple(seen)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PatternSet) and self.patterns == other.patterns
+
+    def __hash__(self) -> int:
+        return hash(self.patterns)
+
+    def __repr__(self) -> str:
+        return f"PatternSet(patterns={self.patterns!r})"
 
     @staticmethod
     def of(*patterns: Perm | str) -> "PatternSet":
@@ -432,7 +439,7 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
         sent = [pipe.read() for _, pipe in children]
     except BaseException:
         for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, 9)  # SIGKILL, without importing signal on every start
         raise
     finally:
         # On every path out: a reaped child leaves no process behind.
@@ -478,8 +485,7 @@ def count_avoiders(n: int, patterns: PatternSet, *,
     return sum(rows[n - 1])
 
 
-@dataclass(frozen=True)
-class MajTable:
+class MajTable(NamedTuple):
     """Exact counts of avoiders by length (rows, n >= 1) and major index (columns).
 
     Row n stores columns m = 0 .. min(max_maj, n(n-1)/2); cells beyond the
@@ -912,8 +918,7 @@ def _core_rows(patterns: PatternSet, max_n: int, maj_cap: int,
     return rows
 
 
-@dataclass(frozen=True)
-class CoreSet:
+class CoreSet(NamedTuple):
     """All distinct cores of avoiders with a given extended major index, each
     with its minimal avoiding profiles (the admissible unit profiles)."""
 

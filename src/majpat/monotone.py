@@ -26,7 +26,6 @@ through one letter are looked up once per pattern (`_plan`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
@@ -130,15 +129,14 @@ def _inject(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
     return itemgetter(*(pi[:k] + (0,) + pi[k:]))(_raising(n)[case.value]), case
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     sigma: Perm
     n: int
     m_max: int
     verified: bool
     counterexample: Optional[tuple[Perm, str]]
-    case_tally: dict[str, int] = field(default_factory=dict)
-    counts: dict[int, tuple[int, int]] = field(default_factory=dict)
+    case_tally: dict[str, int]
+    counts: dict[int, tuple[int, int]]
 
     def to_json_obj(self) -> dict:
         return {
@@ -169,7 +167,7 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
     other image of the column.  The column counts at n + 1 come
     independently from the brute table and are compared with the counts at
     n.  The sources are the length-n nodes of that table's one walk, which
-    the node ceiling covers.
+    the node ceiling covers, and each m past n(n + 1)/2 costs it one node.
     """
     sigma = check_perm(sigma)
     if not descents(sigma):
@@ -181,10 +179,13 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
     limit = m_max if m_max is not None else _triangle(n)
     if limit < 0:
         raise InvalidInputError(f"max_maj must be >= 0, got {limit}")
+    # The (0, 0) cells past the triangle of row n + 1 are charged up front.
+    budget = _Budget(max_nodes)
+    budget.spend(max(0, limit - _triangle(n + 1)))
     # The walk keeps every length-n avoider with maj <= limit, in preorder.
     by_m: dict[int, list[Perm]] = {}
     row_next = _brute_rows(PatternSet((sigma,)), n + 1, min(limit, _triangle(n + 1)), 1,
-                           _Budget(max_nodes), by_m)[n]
+                           budget, by_m)[n]
 
     through = _plan(sigma).through
     raising = _raising(n)

@@ -6,8 +6,7 @@ outside the table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .enumeration import MajTable, _triangle
 from .errors import InvalidInputError
@@ -36,8 +35,7 @@ def read_integer_file(path: str) -> list[int]:
     return values
 
 
-@dataclass(frozen=True)
-class TriangleDiff:
+class TriangleDiff(NamedTuple):
     matched: int
     mismatch: Optional[tuple[int, int, int, int]]  # (n, m, table value, file value)
     missing_cells: int  # table cells with no file entry left

@@ -38,7 +38,6 @@ built on first use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -413,8 +412,7 @@ def contains_ending_at_last(pi: Perm, sigma: Perm) -> bool:
     return not sigma or (len(sigma) <= len(pi) and contains_through(pi, sigma, len(pi)))
 
 
-@dataclass(frozen=True, order=True)
-class Magnitude:
+class Magnitude(NamedTuple):
     """Three-valued pattern statistic: 0, a single descent position k, or infinite.
 
     Ordering places the infinite value above every finite one; internally the
@@ -422,8 +420,8 @@ class Magnitude:
     integer.
     """
 
-    _rank: int  # 0 = finite, 1 = infinite; leading sort key
-    _value: int
+    rank: int  # 0 = finite, 1 = infinite; leading sort key
+    k: int  # the finite value; 0 when infinite
 
     @staticmethod
     def finite(k: int) -> "Magnitude":
@@ -437,21 +435,21 @@ class Magnitude:
 
     @property
     def is_finite(self) -> bool:
-        return self._rank == 0
+        return self.rank == 0
 
     @property
     def value(self) -> int:
         """The finite value; raises on the infinite magnitude."""
         if not self.is_finite:
             raise InvalidInputError("infinite magnitude has no finite value")
-        return self._value
+        return self.k
 
     def exceeds(self, m: int) -> bool:
         """True iff this magnitude is strictly greater than the integer m."""
-        return not self.is_finite or self._value > m
+        return not self.is_finite or self.k > m
 
     def __str__(self) -> str:
-        return "inf" if not self.is_finite else str(self._value)
+        return "inf" if not self.is_finite else str(self.k)
 
 
 MAGNITUDE_INFINITE = Magnitude.infinite()

@@ -1,7 +1,6 @@
 """Exact polynomials with rational coefficients, for eventual-count formulas."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Sequence
@@ -9,15 +8,27 @@ from typing import Sequence
 from .errors import InvalidInputError
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Coefficients in ascending order, normalized (no trailing zeros).
 
     The zero polynomial is the empty coefficient tuple; its reported degree is
-    0, matching the convention used for degrees of counting sequences.
+    0, matching the convention used for degrees of counting sequences.  Equal
+    and hashed by value; not a tuple, whose + and * would clash with its own.
     """
 
-    coeffs: tuple[Fraction, ...] = ()
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...] = ()):
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"Polynomial(coeffs={self.coeffs!r})"
 
     @staticmethod
     def of(*coeffs: int | Fraction) -> "Polynomial":

@@ -151,6 +151,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("table", "--max-n", "6", "--algorithm", "both"),
         ("verify-monotonic", "--patterns", "2134", "--n", "5"),
+        ("verify-monotonic", "--patterns", "2134", "--n", "5", "--max-maj", "1015"),
     ])
     def test_one_node_ceiling_per_run(self, capsys, argv):
         # Each run's walks spend this many nodes together, one node per
@@ -162,8 +163,10 @@ class TestExitCodes:
         # children's masks and one per unit profile of the 120 cores of
         # length 5 (360).  verify-monotonic spends the brute table at n + 1
         # only, and reads its sources off that walk: 1 + 2 + 6 + 23 + 103 =
-        # 135 nodes built and 415 units counted at n = 6, maj <= 10.
-        total = {"table": 1707, "verify-monotonic": 550}[argv[0]]
+        # 135 nodes built and 415 units counted at n = 6, maj <= 10.  At
+        # --max-maj 1015 the walk runs to row 6's last maj, 15, in 648 nodes,
+        # and the 1000 cells past it cost one node each.
+        total = {"both": 1707, "5": 550, "1015": 1648}[argv[-1]]
         code, _, err = run(capsys, *argv, "--max-nodes", str(total - 1))
         assert code == 3 and "resource" in err.lower()
         code, _, _ = run(capsys, *argv, "--max-nodes", str(total))

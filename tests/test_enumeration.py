@@ -75,6 +75,9 @@ class TestPatternSet:
         ps = PatternSet.of("321", "132", "321")
         assert ps.texts() == ["132", "321"]
         assert len(ps) == 2
+        # Equal and hashed by value, and never equal to a bare tuple.
+        assert ps == PatternSet.of("132", "321") and hash(ps) == hash(PatternSet.of("132", "321"))
+        assert ps != PatternSet.of("132") and ps != ps.patterns and PatternSet() != ()
 
     def test_rejects_empty_pattern(self):
         with pytest.raises(InvalidInputError):
@@ -330,7 +333,7 @@ class TestMajTable:
     def test_csv_json_round_trip(self):
         t = maj_table(5, 4, PatternSet.of("132"))
         again = MajTable.from_json_obj(json.loads(t.to_json()))
-        assert again == t
+        assert again == t and MajTable.from_json_obj(t.to_json_obj()) == t
         max_maj, rows = MajTable.rows_from_csv(t.to_csv())
         assert max_maj == t.max_maj and rows == t.rows
         # A count that is not an integer is bad input, in either form.

@@ -1,5 +1,5 @@
 """Every name a module of the package or of the tests imports is used, and
-importing the command line loads no process pool."""
+importing the command line loads no process pool, dataclasses or signal."""
 import ast
 import os
 import subprocess
@@ -43,11 +43,13 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_cli_import_loads_no_process_pool():
-    # Every command pays for what `import majpat.cli` loads; the table's
-    # split forks its processes itself.
-    script = ("import sys, majpat.cli\n"
-              "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+def test_cli_import_loads_no_pool_dataclasses_or_signal():
+    # Every command pays for what `import majpat.cli` loads: the table's
+    # split forks its processes itself, the records are NamedTuples (the
+    # dataclasses module loads inspect, ast, dis and tokenize), and the
+    # split's kill on failure names SIGKILL by its number.
+    heavy = {"multiprocessing", "concurrent.futures", "dataclasses", "inspect", "signal"}
+    script = f"import sys, majpat.cli\nprint(sorted({heavy!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True, timeout=60)

@@ -10,6 +10,7 @@ from majpat.errors import InvalidInputError, PreconditionError, UnsupportedPatte
 from majpat.monotone import (
     InjectionCase,
     InjectionTag,
+    MonotonicityReport,
     monotone_injection,
     verify_monotonicity,
 )
@@ -113,12 +114,16 @@ class TestVerification:
             assert at_n <= at_n1
 
     def test_report_json_shape(self):
-        obj = verify_monotonicity((1, 3, 2), 4).to_json_obj()
+        report = verify_monotonicity((1, 3, 2), 4)
+        obj = report.to_json_obj()
         assert obj["schema"] == 1
         assert obj["pattern"] == "132"
         assert obj["verified"] is True
         assert set(obj["cases"]) == {t.value for t in InjectionTag}
         assert obj["counterexample"] is None
+        again = MonotonicityReport(report.sigma, report.n, report.m_max, report.verified,
+                                   report.counterexample, report.case_tally, report.counts)
+        assert again == report and again.to_json_obj() == obj
 
 
 @pytest.mark.parametrize("text", ["2134", "1324", "231", "321", "21"])

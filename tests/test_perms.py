@@ -274,6 +274,7 @@ class TestMagnitude:
         assert Magnitude.finite(1) < Magnitude.finite(2)
         assert Magnitude.infinite().exceeds(10 ** 9)
         assert not Magnitude.finite(3).exceeds(3)
+        assert str(Magnitude.finite(3)) == "3" and str(Magnitude.infinite()) == "inf"
         with pytest.raises(InvalidInputError):
             Magnitude.infinite().value
 

@@ -38,3 +38,9 @@ def test_pairs_round_trip_and_str():
     assert str(p) == "1/2*n^2 + 3/2*n - 8"
     assert str(ZERO) == "0"
     assert str(Polynomial.of(-1, 1)) == "n - 1"
+
+
+def test_equal_and_hashed_by_value():
+    p = Polynomial.of(1, 2)
+    assert p == Polynomial.from_pairs([[1, 1], [2, 1]]) and hash(p) == hash(Polynomial.of(1, 2))
+    assert p != Polynomial.of(1) and p != p.coeffs and ZERO != ()

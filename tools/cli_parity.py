@@ -71,8 +71,12 @@ CORPUS = [
     # Sources at the root, and at the root's children.
     ("verify-monotonic", "--patterns", "1324", "--n", "0"),
     ("verify-monotonic", "--patterns", "1324", "--n", "1"),
-    # Past the triangle: the walk's cap is n(n + 1)/2, not --max-maj.
+    # Past the triangle: the walk's cap is n(n + 1)/2, not --max-maj, and
+    # each m past it costs one node, so the last of these exits 3.
     ("verify-monotonic", "--patterns", "1324", "--n", "6", "--max-maj", "30"),
+    ("verify-monotonic", "--patterns", "21", "--n", "3", "--max-maj", "40"),
+    ("verify-monotonic", "--patterns", "21", "--n", "3", "--max-maj", "100000",
+     "--max-nodes", "100"),
     # Node ceilings: each run passes at its exact spend T and exits 3 at T - 1.
     ("table", "--max-n", "7", "--max-nodes", "5913"),
     ("table", "--max-n", "7", "--max-nodes", "5912"),
