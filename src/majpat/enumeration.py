@@ -819,7 +819,9 @@ class SignatureCounts:
 
 def count_by_core(gamma: Perm, n: int, patterns: PatternSet, *,
                   max_nodes: int | None = None) -> int:
-    """Exact number of avoiders of length n whose core is gamma."""
+    """Exact number of avoiders of length n whose core is gamma, refusing a
+    gamma that is not a permutation."""
+    gamma = check_perm(gamma)
     k = len(gamma)
     if n < k:
         return 0
@@ -968,8 +970,10 @@ def core_polynomial(gamma: Perm, patterns: PatternSet) -> tuple[Polynomial, int]
     The per-signature term C(n - k - |c| + s - 1, s - 1) (s = saturated
     coordinates) is exact once n clears k + |c| - s + 1; signatures with no
     saturated coordinate only contribute at the single length k + |c|.  The
-    onset returned is minimal for the full sum.
+    onset returned is minimal for the full sum.  A gamma that is not a
+    permutation is refused.
     """
+    gamma = check_perm(gamma)
     counts = SignatureCounts(patterns.cap)
     counts.add_core(gamma, patterns, node_budget=_Budget(None))
     return counts.eventual_polynomial(0, f"core {format_perm(gamma) or '(empty)'}")

@@ -16,12 +16,13 @@ Avoidance of an image is checked only through its inserted letter, and that
 is exact: the walk yields only avoiders, and the harness checks that deleting
 the inserted letter gives the source back, so any occurrence in the image
 must use that letter.  The public `monotone_injection` checks its input
-itself; the harness calls the bare insertion `_inject`.
+itself; the harness binds the bare injection once per run (`_injection`),
+which reads tail(sigma) and the relabel table of length n then, and it
+reads sigma's compiled search through one letter once per run too.
 
 An image is built, and its deletion checked, by one `itemgetter` over the
 relabel table of its inserted letter, as the prefix-tree walk appends a
-letter (`enumeration._Relabel`); tail(sigma) and sigma's compiled search
-through one letter are looked up once per pattern (`_plan`).
+letter (`enumeration._Relabel`).
 """
 from __future__ import annotations
 
@@ -65,8 +66,10 @@ class InjectionCase(NamedTuple):
 
 def monotone_injection(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
     """The image of pi under the column injection for the pattern sigma,
-    refusing a non-permutation or increasing sigma and a pi that contains sigma."""
+    refusing a non-permutation or increasing sigma, a non-permutation pi and
+    a pi that contains sigma."""
     sigma = check_perm(sigma)
+    pi = check_perm(pi)
     if not descents(sigma):
         raise UnsupportedPatternError(
             f"pattern {format_perm(sigma) or '(empty)'} is increasing: its columns are "
@@ -78,19 +81,8 @@ def monotone_injection(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
             f"{format_perm(pi)} contains {format_perm(sigma)}; the injection is only "
             "defined on avoiders"
         )
-    return _inject(pi, sigma)
-
-
-class _Plan(NamedTuple):
-    tail: int
-    through: Callable[[Perm, int], bool]
-
-
-@lru_cache(maxsize=256)
-def _plan(sigma: Perm) -> _Plan:
-    """tail(sigma), which selects every case of the injection, and sigma's
-    compiled search for an occurrence through one letter."""
-    return _Plan(tail(sigma), _through_search(sigma))
+    image, tag, k = _injection(sigma, len(pi))(pi)
+    return image, InjectionCase(tag, k + 1, image[k])
 
 
 # _raising(n)[v] inserts the letter v into a word of length <= n (`_Relabel`):
@@ -98,35 +90,44 @@ def _plan(sigma: Perm) -> _Plan:
 _raising = lru_cache(maxsize=16)(_Relabel)
 
 
-def _inject(pi: Perm, sigma: Perm) -> tuple[Perm, InjectionCase]:
-    """The column injection on a sigma-avoider pi, for sigma with a descent.
+def _injection(sigma: Perm, n: int) -> Callable[[Perm], tuple[Perm, InjectionTag, int]]:
+    """The column injection on the sigma-avoiders of length n, for sigma with
+    a descent, as inject(pi) -> (image, tag, k), k the 0-based index of the
+    inserted letter.
 
     Case selection: append the new maximum when tail(sigma) = 0; expand the
     letter at position n + 1 - tail(sigma) when the slope of pi reaches
     tail(sigma); otherwise insert the letter 1 at the leftmost end of the
     slope, the rightmost position that creates no descent.
 
-    The image is `insert(pi, position, value)`: pi with the index 0 put at
-    the position, looked up by one itemgetter in the relabel table of the
-    value, which maps 0 to the value and raises every letter >= value by
-    one.  Only the last tail(sigma) letters of pi are read to choose the case.
+    The image is `insert(pi, k + 1, value)`: pi with the index 0 put at k,
+    looked up by one itemgetter in the relabel table of the value, which
+    maps 0 to the value and raises every letter >= value by one.  Only the
+    last tail(sigma) letters of pi are read to choose the case.
     """
-    n = len(pi)
-    t = _plan(sigma).tail
+    t = tail(sigma)
     if t == 0:
-        return pi + (n + 1,), InjectionCase(_APPEND_MAX, n + 1, n + 1)
+        top = (n + 1,)
+        return lambda pi: (pi + top, _APPEND_MAX, n)
     # An itemgetter of one index returns a bare letter, not a word.
     if n == 0:
-        return (1,), InjectionCase(_INSERT_MIN_INTO_SLOPE, 1, 1)
-    # Walk back over the slope of pi, at most t letters: pi[k:] rises.
-    k = n - 1
-    while k > n - t and k and pi[k - 1] < pi[k]:
-        k -= 1
-    if k == n - t:
-        case = InjectionCase(_EXPAND_AT_TAIL, k + 1, pi[k])
-    else:
-        case = InjectionCase(_INSERT_MIN_INTO_SLOPE, k + 1, 1)
-    return itemgetter(*(pi[:k] + (0,) + pi[k:]))(_raising(n)[case.value]), case
+        return lambda pi: ((1,), _INSERT_MIN_INTO_SLOPE, 0)
+    raising = _raising(n)
+    stop = n - t
+    floor = max(stop, 0)
+
+    def inject(pi: Perm) -> tuple[Perm, InjectionTag, int]:
+        # Walk back over the slope of pi, at most t letters: pi[k:] rises.
+        k = n - 1
+        while k > floor and pi[k - 1] < pi[k]:
+            k -= 1
+        if k == stop:
+            tag, value = _EXPAND_AT_TAIL, pi[k]
+        else:
+            tag, value = _INSERT_MIN_INTO_SLOPE, 1
+        return itemgetter(*(pi[:k] + (0,) + pi[k:]))(raising[value]), tag, k
+
+    return inject
 
 
 class MonotonicityReport(NamedTuple):
@@ -158,13 +159,14 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
                         max_nodes: int | None = None) -> MonotonicityReport:
     """Exhaustively check the injection on every avoider of length n.
 
-    For each major index m <= m_max, the image `_inject` gives each avoider
-    must keep its major index m, computed by a loop over the image; be a
-    permutation that gives the avoider back when the letter r at the case's
-    position is deleted, that is, hold the avoider raised past r, by one
-    itemgetter over r's relabel table, around r; have no occurrence of
-    sigma through r, by sigma's compiled search; and differ from every
-    other image of the column.  The column counts at n + 1 come
+    For each major index m <= m_max, the image that the injection, bound
+    once for the run (`_injection`), gives each avoider must keep its major
+    index m, computed by a loop over the image; be a permutation that gives
+    the avoider back when its inserted letter r is deleted, that is, hold
+    the avoider raised past r, by one itemgetter over r's relabel table,
+    around r; have no occurrence of sigma through r, by sigma's compiled
+    search; and differ from every other image of the column, by one hash
+    into the column's set.  The cases are tallied by tag.  The column counts at n + 1 come
     independently from the brute table and are compared with the counts at
     n.  The sources are the length-n nodes of that table's one walk, which
     the node ceiling covers, and each m past n(n + 1)/2 costs it one node.
@@ -187,10 +189,13 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
     row_next = _brute_rows(PatternSet((sigma,)), n + 1, min(limit, _triangle(n + 1)), 1,
                            budget, by_m)[n]
 
-    through = _plan(sigma).through
+    inject = _injection(sigma, n)
+    through = _through_search(sigma)
     raising = _raising(n)
     letters = range(1, n + 1)
-    tally = {tag.value: 0 for tag in InjectionTag}
+    # Keyed by _value_, the plain attribute behind .value: a member's own
+    # hash is a Python-level call.
+    tally = {tag._value_: 0 for tag in InjectionTag}
     counts: dict[int, tuple[int, int]] = {}
 
     def failed(pi: Perm, reason: str) -> MonotonicityReport:
@@ -200,11 +205,11 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
         source = by_m.get(m, [])
         count_next = row_next[m] if m < len(row_next) else 0
         counts[m] = (len(source), count_next)
-        images = set()
-        for pi in source:
-            image, case = _inject(pi, sigma)
-            # _value_ is the plain attribute behind the property .value.
-            tally[case.tag._value_] += 1
+        images: set[Perm] = set()
+        add = images.add
+        for seen, pi in enumerate(source, 1):
+            image, tag, k = inject(pi)
+            tally[tag._value_] += 1
             if len(image) != n + 1:
                 return failed(pi, "image is not the avoider plus one letter")
             mj = 0
@@ -216,7 +221,6 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
                 a = b
             if mj != m:
                 return failed(pi, f"image changes major index to {mj}")
-            k = case.position - 1
             r = image[k]
             # Deleting r gives pi back, and the image is a permutation, iff r
             # is a letter of length n + 1 and the other letters are pi's
@@ -227,9 +231,10 @@ def verify_monotonicity(sigma: Perm, n: int, m_max: int | None = None, *,
                 return failed(pi, "image is not the avoider plus one letter")
             if through(image, k):
                 return failed(pi, "image contains the pattern")
-            if image in images:
+            # One hash per image: the set grows unless the image is already in it.
+            add(image)
+            if len(images) < seen:
                 return failed(pi, "image collides with another avoider")
-            images.add(image)
         if len(source) > count_next:
             return failed(source[0] if source else (),
                           f"column drops: {len(source)} > {count_next} at m={m}")

@@ -283,6 +283,9 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
         loops += 1
     else:
         lines.append(pad + at[depth])
+        # A break straight after a return would never be reached.
+        if breaks and breaks[-1] == pad + "break" and at[depth].startswith("return"):
+            breaks.pop()
     return lines + breaks[::-1]
 
 
@@ -306,7 +309,8 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
     A dead slot breaks after the subtree of its first fitting letter.  That
     letter has the earliest position, so every completion through a later
     letter completes it too, and the entry that tells them apart is never
-    read.
+    read.  Where that subtree is at[depth] alone and it returns, no break
+    is written.
 
     state names the variable the statements rebind, for the functions a nest
     of more than _LOOPS_PER_FUNCTION loops goes on in; what one of those

@@ -558,6 +558,11 @@ class TestCores:
         assert count_by_core((), 5, PatternSet.of("123")) == 0
         assert count_by_core((2, 1), 1, empty) == 0
 
+    @pytest.mark.parametrize("gamma", [(1, 1), (3,), (0, 1)])
+    def test_count_by_core_refuses_a_non_permutation(self, gamma):
+        with pytest.raises(InvalidInputError, match="not a permutation"):
+            count_by_core(gamma, 5, PatternSet.of("1324"))
+
     def test_core_sums_match_table(self):
         for text in ("", "1324", "3412;1324"):
             ps = PatternSet.from_text(text)
@@ -771,6 +776,11 @@ class TestEventualPolynomial:
         assert p.degree == 2 and onset <= 2
         for n in range(onset, onset + 6):
             assert p(n) == n * (n - 1) // 2 - 1
+
+    @pytest.mark.parametrize("gamma", [(1, 1), (3,), (0, 1)])
+    def test_core_polynomial_refuses_a_non_permutation(self, gamma):
+        with pytest.raises(InvalidInputError, match="not a permutation"):
+            core_polynomial(gamma, PatternSet.of("1324"))
 
     def test_core_polynomial_obeys_the_node_ceiling(self, monkeypatch):
         monkeypatch.setenv("MAJPAT_MAX_NODES", "1")

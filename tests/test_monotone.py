@@ -51,24 +51,27 @@ class TestInjectionCases:
 
     def test_case_selection_is_forced_by_statistics(self):
         # The case is the one tail(sigma) and slope(pi) force, and the image,
-        # read off relabel tables, is the spec's insertion for that case.
+        # read off relabel tables, is the spec's insertion for that case,
+        # from the injection bound once per (sigma, n) and from the public call.
         patterns = [p for l in (3, 4) for p in itertools.permutations(range(1, l + 1))
                     if descents(p)]
         for sigma in patterns:
             t = tail(sigma)
             for n in range(0, 7):
+                inject = majpat.monotone._injection(sigma, n)
                 for pi in itertools.permutations(range(1, n + 1)):
                     if contains(pi, sigma):
                         continue
-                    image, case = majpat.monotone._inject(pi, sigma)
+                    image, tag, k = inject(pi)
                     if t == 0:
                         expected = (InjectionTag.APPEND_MAX, n + 1, n + 1)
                     elif slope(pi) >= t:
                         expected = (InjectionTag.EXPAND_AT_TAIL, n + 1 - t, pi[n - t])
                     else:
                         expected = (InjectionTag.INSERT_MIN_INTO_SLOPE, n + 1 - slope(pi), 1)
-                    assert case == InjectionCase(*expected), (sigma, pi)
-                    assert image == insert(pi, case.position, case.value), (sigma, pi)
+                    assert (tag, k + 1, image[k]) == expected, (sigma, pi)
+                    assert monotone_injection(pi, sigma) == (image, InjectionCase(*expected))
+                    assert image == insert(pi, k + 1, image[k]), (sigma, pi)
                     assert major_index(image) == major_index(pi)
 
 
@@ -93,6 +96,11 @@ class TestErrors:
                      lambda: monotone_injection((1,), (3, 1))):
             with pytest.raises(InvalidInputError, match="not a permutation"):
                 call()
+
+    @pytest.mark.parametrize("pi", [(1, 1), (3,), (0, 1)])
+    def test_non_permutation_avoider_rejected(self, pi):
+        with pytest.raises(InvalidInputError, match="not a permutation"):
+            monotone_injection(pi, (2, 1, 3))
 
     def test_containing_permutation_rejected(self):
         with pytest.raises(PreconditionError):
@@ -149,43 +157,49 @@ def test_harness_counts_match_the_oracle(text):
                 cell(n, m) for m in range(limit + 1)), (text, n, m_max)
 
 
+def _substitute(monkeypatch, bad):
+    """Put in `_injection`'s place a factory whose inject(pi) is
+    bad(pi, sigma, inject), inject the real injection bound for the run."""
+    real = majpat.monotone._injection
+
+    def injection(sigma, n):
+        inject = real(sigma, n)
+        return lambda pi: bad(pi, sigma, inject)
+
+    monkeypatch.setattr(majpat.monotone, "_injection", injection)
+
+
 class TestVerifierCatchesBadInjections:
     # The verifier checks an image only through its inserted letter; these
     # injections break it in the ways each of its checks must still see.
 
     def test_image_with_an_occurrence_through_the_inserted_letter(self, monkeypatch):
-        sigma = (2, 1, 3, 4)
-        real = majpat.monotone._inject
-
-        def bad(pi, s):
+        def bad(pi, s, inject):
             # An insertion that keeps the major index and completes sigma.
             n = len(pi)
             for k in range(1, n + 2):
                 for l in range(1, n + 2):
                     image = insert(pi, k, l)
                     if major_index(image) == major_index(pi) and contains(image, s):
-                        return image, InjectionCase(InjectionTag.APPEND_MAX, k, l)
-            return real(pi, s)
+                        return image, InjectionTag.APPEND_MAX, k - 1
+            return inject(pi)
 
-        monkeypatch.setattr(majpat.monotone, "_inject", bad)
-        report = verify_monotonicity(sigma, 5)
+        _substitute(monkeypatch, bad)
+        report = verify_monotonicity((2, 1, 3, 4), 5)
         assert not report.verified
         assert report.counterexample[1] == "image contains the pattern"
 
     def test_image_that_changes_another_letter(self, monkeypatch):
-        sigma = (2, 1, 3, 4)
-        real = majpat.monotone._inject
-
-        def bad(pi, s):
+        def bad(pi, s, inject):
             # The image of another avoider with the same major index: it
             # avoids sigma and keeps the major index, but deleting the
             # inserted letter does not give pi back.
             others = [q for q in itertools.permutations(range(1, len(pi) + 1))
                       if q != pi and major_index(q) == major_index(pi) and not contains(q, s)]
-            return real(others[0] if others else pi, s)
+            return inject(others[0] if others else pi)
 
-        monkeypatch.setattr(majpat.monotone, "_inject", bad)
-        report = verify_monotonicity(sigma, 5)
+        _substitute(monkeypatch, bad)
+        report = verify_monotonicity((2, 1, 3, 4), 5)
         assert not report.verified
         assert report.counterexample[1] == "image is not the avoider plus one letter"
 
@@ -194,33 +208,27 @@ class TestVerifierCatchesBadInjections:
         # pi followed by 10 keeps the major index and gives pi back when its
         # last letter is deleted, but it is no permutation of length 6; pi
         # alone is one letter short.
-        def bad(pi, s):
-            return pi + extra, InjectionCase(InjectionTag.APPEND_MAX, len(pi) + 1, 10)
-
-        monkeypatch.setattr(majpat.monotone, "_inject", bad)
+        _substitute(monkeypatch, lambda pi, s, inject: (pi + extra, InjectionTag.APPEND_MAX,
+                                                        len(pi)))
         report = verify_monotonicity((2, 1, 3, 4), 5)
         assert report.verified is False
         assert report.counterexample == ((1, 2, 3, 4, 5),
                                          "image is not the avoider plus one letter")
 
     def test_image_that_changes_the_major_index(self, monkeypatch):
-        sigma = (2, 1, 3, 4)
-        real = majpat.monotone._inject
-
-        def bad(pi, s):
+        def bad(pi, s, inject):
             # The right letter, moved to the front: deleting it still gives
             # pi back, but 12345 -> 412356 gains a descent.
-            _, case = real(pi, s)
-            return insert(pi, 1, case.value), InjectionCase(case.tag, 1, case.value)
+            image, tag, k = inject(pi)
+            return insert(pi, 1, image[k]), tag, 0
 
-        monkeypatch.setattr(majpat.monotone, "_inject", bad)
-        report = verify_monotonicity(sigma, 5)
+        _substitute(monkeypatch, bad)
+        report = verify_monotonicity((2, 1, 3, 4), 5)
         assert report.verified is False
         assert report.counterexample == ((1, 2, 3, 4, 5), "image changes major index to 1")
 
     def test_two_avoiders_with_one_image(self, monkeypatch):
         sigma, n = (2, 1, 3, 4), 5
-        real = majpat.monotone._inject
         # The first word that extends two avoiders of one column, keeping
         # their major index and avoiding sigma, is the image of both.
         extends: dict = {}
@@ -238,13 +246,13 @@ class TestVerifierCatchesBadInjections:
             if shared:
                 break
 
-        def bad(pi, s):
+        def bad(pi, s, inject):
             if pi in shared:
                 k, l = shared[pi]
-                return insert(pi, k, l), InjectionCase(InjectionTag.APPEND_MAX, k, l)
-            return real(pi, s)
+                return insert(pi, k, l), InjectionTag.APPEND_MAX, k - 1
+            return inject(pi)
 
-        monkeypatch.setattr(majpat.monotone, "_inject", bad)
+        _substitute(monkeypatch, bad)
         report = verify_monotonicity(sigma, n)
         assert report.verified is False
         assert report.counterexample[0] in shared

@@ -1,9 +1,11 @@
+import ast
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import majpat.perms
 from majpat.errors import InvalidInputError
 from majpat.perms import (
     Magnitude,
@@ -152,6 +154,28 @@ class TestContains:
                     # The end reads change the dead flags, never the windows.
                     want = tuple((*plan[j], want[j]) for j in range(l))
                     assert embedding_plan(sigma, pin, reads) == want, (sigma, pin, reads)
+
+    def test_no_statement_follows_a_return(self, monkeypatch):
+        # The sources of the contains and through searches for every pattern
+        # of length <= 5 hold no dead code after a return in any block.
+        sources = []
+
+        def capture(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(majpat.perms, "exec", capture, raising=False)
+        for sigma in perms_upto(5):
+            majpat.perms._contains_search.__wrapped__(sigma)
+            majpat.perms._through_search.__wrapped__(sigma)
+        assert len(sources) == 2 * 154
+        for source in sources:
+            for node in ast.walk(ast.parse(source)):
+                for field in ("body", "orelse", "finalbody"):
+                    block = getattr(node, field, None)
+                    if isinstance(block, list):
+                        returns = [i for i, s in enumerate(block) if isinstance(s, ast.Return)]
+                        assert not returns or returns[0] == len(block) - 1, source
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_through_rejects_positions_outside(self, k):

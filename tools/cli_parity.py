@@ -67,6 +67,8 @@ CORPUS = [
     ("verify-monotonic", "--patterns", "2143", "--n", "7"),
     ("verify-monotonic", "--patterns", "1324", "--n", "8"),
     ("verify-monotonic", "--patterns", "1324", "--n", "7", "--max-maj", "12"),
+    # A tail of 3, the longest walk back over the slope the injection takes.
+    ("verify-monotonic", "--patterns", "21345", "--n", "7"),
     ("verify-monotonic", "--patterns", "21", "--n", "200", "--max-maj", "0"),
     # Sources at the root, and at the root's children.
     ("verify-monotonic", "--patterns", "1324", "--n", "0"),
