@@ -4,8 +4,8 @@ Eventual-polynomial degrees of the fixed-major-index columns.
 Closed-form predictions by the minimal pattern magnitude, explicit core
 constructions achieving the predicted degree, and an independent empirical
 detector that reads the degree off exact count series by finite differences.
-All arithmetic is exact: the quadratic parameter d is found by integer
-search seeded with isqrt, never by floating point.
+All arithmetic is exact: the quadratic parameter d comes from a closed form
+in isqrt, never from floating point.
 """
 from __future__ import annotations
 
@@ -30,11 +30,10 @@ from .poly import Polynomial, ZERO
 
 
 def _smallest_d(m: int, k: int) -> int:
-    """Smallest positive d with d(d+1)(k-1)/2 >= m."""
-    d = max(1, (isqrt(1 + 8 * m // (k - 1)) - 1) // 2 - 1)
-    while d * (d + 1) * (k - 1) < 2 * m:
-        d += 1
-    return d
+    """Smallest positive d with d(d+1)(k-1)/2 >= m, for m >= 1: the least d
+    with d(d+1) >= q = ceil(2m/(k-1)), that is (2d+1)^2 > 4q - 3."""
+    q = -(-2 * m // (k - 1))
+    return (isqrt(4 * q - 3) + 1) // 2
 
 
 def degree_for_magnitude(m: int, k: int) -> int:
@@ -51,10 +50,7 @@ def degree_for_magnitude(m: int, k: int) -> int:
 
 def largest_triangular_index(m: int) -> int:
     """Largest l with l(l+1)/2 <= m, i.e. floor((-1 + sqrt(1+8m)) / 2)."""
-    l = max(0, (isqrt(1 + 8 * m) - 1) // 2 - 1)
-    while (l + 1) * (l + 2) <= 2 * m:
-        l += 1
-    return l
+    return (isqrt(8 * m + 1) - 1) // 2
 
 
 def max_length_core(m: int, k: int) -> Perm:

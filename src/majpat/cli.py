@@ -42,23 +42,17 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _parallelism(args: argparse.Namespace) -> int:
-    parallelism = parallelism_default() if args.parallelism is None else args.parallelism
-    if parallelism < 1:
-        raise InvalidInputError(f"parallelism must be >= 1, got {parallelism}")
-    return parallelism
+    return parallelism_default() if args.parallelism is None else args.parallelism
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     patterns = PatternSet.from_text(args.patterns)
-    parallelism = _parallelism(args)
-    if args.max_n < 1:
-        raise InvalidInputError(f"--max-n must be >= 1, got {args.max_n}")
     max_maj = args.max_maj
     if max_maj is None:
         max_maj = _triangle(args.max_n)
     table = maj_table(
         args.max_n, max_maj, patterns,
-        algorithm=args.algorithm, parallelism=parallelism, max_nodes=args.max_nodes,
+        algorithm=args.algorithm, parallelism=_parallelism(args), max_nodes=args.max_nodes,
     )
     _emit(args, table.to_csv() if args.format == "csv" else table.to_json() + "\n")
     return EXIT_OK
@@ -114,13 +108,12 @@ def cmd_cores(args: argparse.Namespace) -> int:
 
 
 def cmd_check_oeis(args: argparse.Namespace) -> int:
-    parallelism = _parallelism(args)
     reference = read_integer_file(args.file)
     # The rows past the file's last entry are not computed, only counted as unmatched.
     max_n = min(args.max_n, rows_holding(len(reference)))
     table = maj_table(
         max_n, _triangle(max_n), PatternSet(),
-        algorithm=args.algorithm, parallelism=parallelism, max_nodes=args.max_nodes,
+        algorithm=args.algorithm, parallelism=_parallelism(args), max_nodes=args.max_nodes,
     )
     diff = diff_triangle(table, reference, args.max_n)
     if diff.mismatch is not None:

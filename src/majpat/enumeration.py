@@ -378,7 +378,7 @@ def _zero_rows(max_n: int, maj_cap: int) -> list[list[int]]:
 
 def _walk_share(sites: Callable[[Perm, int], int], max_n: int, maj_cap: int, nodes_left: int,
                 seeds: list[tuple[Perm, int, int]]) -> tuple[list[list[int]], int]:
-    """The rows of the subtrees under seeds, and the nodes they spent of nodes_left."""
+    """A child's rows of the subtrees under seeds, and the nodes they spent of nodes_left."""
     rows = _zero_rows(max_n, maj_cap)
     budget = _Budget(nodes_left)
     _brute_fill(rows, sites, seeds, max_n, maj_cap, budget)
@@ -411,18 +411,15 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
                 budget: _Budget, sources: dict[int, list[Perm]] | None = None) -> list[list[int]]:
     root, sites = _forbidden_sites(patterns.patterns)
     rows = _zero_rows(max_n, maj_cap)
-    # The caller counts as a worker.  Only the serial walk collects sources.
+    # The caller counts as a worker.  With more than one, deal a frontier deep
+    # enough for even shares round-robin, after counting its interior.  The
+    # caller walks share 0 straight into rows (and sources, whole with one
+    # worker) under the run's ceiling, and a forked child each other one under
+    # what the frontier left; rows and spends add up exactly as on one process.
     workers = min(parallelism, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    if workers <= 1 or sources is not None:
-        _brute_fill(rows, sites, [((), 0, root)], max_n, maj_cap, budget, sources)
-        return rows
-
-    # Deal a frontier deep enough for even shares round-robin, after counting its
-    # interior.  The caller walks share 0 and a forked child each other one, each
-    # under what the frontier left; rows and spends add up exactly as on one process.
     frontier: list[tuple[Perm, int, int]] = [((), 0, root)]
     n = 0
-    while len(frontier) < 64 * workers and frontier and n < max_n:
+    while workers > 1 and len(frontier) < 64 * workers and frontier and n < max_n:
         if n:
             for _, mj, _ in frontier:
                 rows[n - 1][mj] += 1
@@ -435,7 +432,7 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
     try:
         for i in range(1, workers):
             children.append(_fork_share(job + (frontier[i::workers],)))
-        parts = [_walk_share(*job, frontier[::workers])]
+        _brute_fill(rows, sites, frontier[::workers], max_n, maj_cap, budget, sources)
         sent = [pipe.read() for _, pipe in children]
     except BaseException:
         for pid, _ in children:
@@ -453,11 +450,10 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
         part = pickle.loads(data)
         if isinstance(part, Exception):
             raise part
-        parts.append(part)
-    for part, spent in parts:
+        cells, spent = part
         budget.spend(spent)
-        for row, cells in zip(rows, part):
-            for m, count in enumerate(cells):
+        for row, counts in zip(rows, cells):
+            for m, count in enumerate(counts):
                 row[m] += count
     return rows
 
@@ -572,7 +568,7 @@ def maj_table(max_n: int, max_maj: int, patterns: PatternSet, *,
 
     algorithm is "brute", "cores", or "both"; both-mode raises
     VerificationError on the first differing cell.  One node ceiling covers
-    every walk.
+    every walk, and parallelism below 1 is refused.
     """
     if max_n < 1:
         raise InvalidInputError(f"max_n must be >= 1, got {max_n}")
@@ -580,6 +576,8 @@ def maj_table(max_n: int, max_maj: int, patterns: PatternSet, *,
         raise InvalidInputError(f"max_maj must be >= 0, got {max_maj}")
     if algorithm not in ("brute", "cores", "both"):
         raise InvalidInputError(f"unknown algorithm {algorithm!r}")
+    if parallelism < 1:
+        raise InvalidInputError(f"parallelism must be >= 1, got {parallelism}")
     maj_cap = min(max_maj, _triangle(max_n))
     budget = _Budget(max_nodes)
     brute = cores = None
@@ -637,7 +635,7 @@ def _obstruction_search(sigma: Perm) -> Callable[[Perm, int, Callable], bool | N
     for r in range(l - slope(sigma), l):
         demands = "".join(f"(e{lo}, e{hi} - 1, {d}), " for lo, hi, d in groups[r])
         at[r] = f"if first <= {r}: add(({demands}))"
-    return compile_search([Nest(steps, None, l, at, room=False)], "word, max_demand, add",
+    return compile_search([Nest(steps, None, l, at)], "word, max_demand, add",
                           [f"first = max({l - slope(sigma)}, {l} - max_demand)"])
 
 
@@ -869,16 +867,15 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     """
     root, sites = _forbidden_sites(patterns.patterns)
     ceiling = max(columns)
-    max_len = ceiling if n_max is None else min(ceiling, n_max - 1)
-    down = range(ceiling, ceiling - max_len - 1, -1)
-    caps = down, down
-    short = n_max is not None and 2 <= n_max <= max_len + 2
-    if short:
-        down = range(ceiling, ceiling - n_max, -1)
-        caps = down, [*down[:n_max - 1], ceiling]
-    for word, mj, mask in _walk(sites, [((), 0, root)], caps, budget):
+    # A node of length k is kept while maj <= ceiling - k.  When n_max <=
+    # ceiling + 2 (short) the walk also stops at length n_max - 1, where a
+    # falling child takes the ceiling as its cap; otherwise the caps stay ranges.
+    short = n_max is not None and n_max <= ceiling + 2
+    down = range(ceiling, ceiling - n_max if short else -1, -1)
+    falls = [*down[:-1], ceiling] if short else down
+    for word, mj, mask in _walk(sites, [((), 0, root)], (down, falls), budget):
         k = len(word)
-        if short and k == n_max - 1 and (k == 1 or word[k - 1] < word[k - 2]):
+        if short and k == n_max - 1 > 0 and (k == 1 or word[k - 1] < word[k - 2]):
             # word = gamma . s for a core gamma of length n_max - 2.
             counts = columns.get(mj)
             if counts is not None:
@@ -896,7 +893,7 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
         counts = columns.get(k + mj)
         room = None if n_max is None else n_max - k
         # A core with room 2 is counted through its descent children.
-        if counts is None or k > max_len or room == 2:
+        if counts is None or room == 2:
             continue
         _, sites = _clear_sites(word, mask)
         if not sites:
@@ -959,6 +956,8 @@ def column_counts(m: int, patterns: PatternSet, *, n_max: int | None = None,
     """
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
+    if n_max is not None and n_max < 1:
+        raise InvalidInputError(f"n_max must be >= 1, got {n_max}")
     counts = SignatureCounts(patterns.cap)
     _fill_columns({m: counts}, patterns, n_max, _Budget(max_nodes))
     return counts

@@ -213,7 +213,6 @@ class Nest(NamedTuple):
     pin: int | None
     depth: int
     at: dict[int, str]
-    room: bool = True
     guard: str = ""
 
 
@@ -235,7 +234,7 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
                names: Iterator[int]) -> list[str]:
     """Source lines that place slots first .. depth - 1 of nest, the first
     of them searched from the 0-based position _plus(*start) on."""
-    plan, pin, depth, at, room, _ = nest
+    plan, pin, depth, at, _ = nest
     l = len(plan)
     entry = {j: k + 2 for k, j in enumerate(sorted(range(l), key=lambda j: j != pin))}
     lines: list[str] = []
@@ -258,7 +257,7 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
         i = entry[r]
         lo, hi, dead = plan[r]
         # Slot r leaves room for the slots between it and the pin, or the end.
-        if not room:
+        if min(at) < depth:
             stop = "n"
         elif pin is not None and r < pin:
             stop = _plus("q", r + 1 - pin)
@@ -301,10 +300,12 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
     which the setup binds.  Every other slot is one `for` over the letters
     after the last placed one, binding e<i> for its entry i in the plan's
     layout (and p<i>, the position after it, when the next slot starts
-    there), with one test of the slot's window.  With room a slot stops
-    where it leaves one letter for each later slot of the plan, before the
-    pin or before the end; without it, at the end.  at[r] runs each time
-    slots 0 .. r - 1 are placed, at[depth] once per embedding.
+    there), with one test of the slot's window.  at[r] runs each time slots
+    0 .. r - 1 are placed, at[depth] once per embedding.  When every
+    statement sits at full depth, a slot stops where it leaves one letter
+    for each later slot of the plan, before the pin or before the end;
+    otherwise at the end, since a statement at a lower r runs for
+    placements that no embedding completes.
 
     A dead slot breaks after the subtree of its first fitting letter.  That
     letter has the earliest position, so every completion through a later
@@ -320,7 +321,8 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
     names = itertools.count(1)
     lines = [f"def search({args}):", "n = len(word)", "e0 = 0", "e1 = n + 1", *setup]
     for nest in nests:
-        plan, pin, depth, _, room, guard = nest
+        plan, pin, depth, at, guard = nest
+        room = min(at) == depth
         # A word too short for the nest would slice from its end.
         guards = [guard] if guard else []
         if room and pin is None:

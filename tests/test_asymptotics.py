@@ -5,6 +5,7 @@ from math import factorial, isqrt
 import pytest
 
 from majpat.asymptotics import (
+    _smallest_d,
     DegreePrediction,
     PredictionKind,
     Verdict,
@@ -39,6 +40,21 @@ class TestDegreeFormula:
     def test_triangular_index_matches_isqrt_formula(self):
         for m in range(0, 2000):
             assert largest_triangular_index(m) == (isqrt(1 + 8 * m) - 1) // 2
+
+    def test_closed_forms_meet_their_definitions(self):
+        # l is the largest with l(l + 1)/2 <= m, and d the least d >= 1 with
+        # d(d + 1)(k - 1) >= 2m: on every m < 5000 and around 10^18, where
+        # the boundaries m = l(l + 1)/2 and 2m = d(d + 1)(k - 1) are hit exactly.
+        big = [t + e for t in (10 ** 18, (10 ** 9) * (10 ** 9 + 1) // 2,
+                               (10 ** 9 - 7) * (10 ** 9 - 6)) for e in (-1, 0, 1)]
+        for m in [*range(5000), *big]:
+            l = largest_triangular_index(m)
+            assert l * (l + 1) // 2 <= m < (l + 1) * (l + 2) // 2, m
+            for k in range(2, 12):
+                if m:
+                    d = _smallest_d(m, k)
+                    assert d * (d + 1) * (k - 1) >= 2 * m, (m, k)
+                    assert d == 1 or (d - 1) * d * (k - 1) < 2 * m, (m, k)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -15,6 +15,7 @@ from majpat.enumeration import (
     MajTable,
     PatternSet,
     SignatureCounts,
+    column_counts,
     core_polynomial,
     core_set,
     count_avoiders,
@@ -289,6 +290,12 @@ class TestMajTable:
         with pytest.raises(InvalidInputError):
             maj_table(3, 3, PatternSet(), algorithm="magic")
 
+    @pytest.mark.parametrize("parallelism", [0, -1])
+    def test_parallelism_below_one_is_refused(self, parallelism):
+        # The library refuses it, not only the command line.
+        with pytest.raises(InvalidInputError, match=f"must be >= 1, got {parallelism}"):
+            maj_table(7, 12, PatternSet.of("1324"), parallelism=parallelism)
+
     def test_parallel_result_identical(self):
         ps = PatternSet.of("1324")
         serial = maj_table(7, 21, ps, parallelism=1)
@@ -432,11 +439,12 @@ class TestParallelSplit:
         # share fails or is interrupted while the children still walk, every
         # child is reaped before maj_table returns or raises.  A child
         # that is still walking when the caller fails is killed, not waited
-        # for.
+        # for.  Each process walks its share by _brute_fill: the caller
+        # straight into the table, a child under _walk_share.
         caller = os.getpid()
-        walk_share = majpat.enumeration._walk_share
+        brute_fill = majpat.enumeration._brute_fill
 
-        def share(*args):
+        def fill(*args):
             if os.getpid() != caller:
                 if fails == "child":
                     raise ResourceLimitError("the child's share failed")
@@ -446,9 +454,9 @@ class TestParallelSplit:
                 raise ResourceLimitError("the caller's share failed")
             elif fails == "interrupt":
                 raise KeyboardInterrupt
-            return walk_share(*args)
+            return brute_fill(*args)
 
-        monkeypatch.setattr(majpat.enumeration, "_walk_share", share)
+        monkeypatch.setattr(majpat.enumeration, "_brute_fill", fill)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         ps = PatternSet.of("1324")
         start = time.monotonic()
@@ -804,6 +812,9 @@ class TestSeries:
             major_count_series(1, PatternSet(), 0)
         with pytest.raises(InvalidInputError):
             major_count_series(1, PatternSet(), 5, algorithm="magic")
+        for n_max in (0, -1):
+            with pytest.raises(InvalidInputError, match="n_max must be >= 1"):
+                column_counts(0, PatternSet(), n_max=n_max)
 
 
 class TestTwoPatternFamily:

@@ -58,6 +58,8 @@ CORPUS = [
     ("degree", "--patterns", "1324", "--maj", "5", "--max-n", "9", "--algorithm", "brute"),
     # A length-5 pattern through the obstruction route.
     ("degree", "--patterns", "21354", "--maj", "7"),
+    # A magnitude-3 set, whose witness is max_length_core.
+    ("degree", "--patterns", "1243", "--maj", "6"),
     ("cores", "--patterns", "1324", "--maj", "7"),
     ("cores", "--patterns", "1324", "--maj", "7", "--format", "json"),
     ("cores", "--patterns", "132,213", "--maj", "6", "--format", "json"),
@@ -91,6 +93,12 @@ CORPUS = [
      "--parallelism", "2"),
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "10", "--max-nodes", "4328",
      "--parallelism", "2"),
+    # The core walk at n_max = ceiling + 2, where a falling child at length
+    # n_max - 1 takes the raised cap, and one row further, where none does.
+    ("degree", "--patterns", "1324", "--maj", "6", "--max-n", "8", "--max-nodes", "784"),
+    ("degree", "--patterns", "1324", "--maj", "6", "--max-n", "8", "--max-nodes", "783"),
+    ("degree", "--patterns", "1324", "--maj", "6", "--max-n", "9", "--max-nodes", "1266"),
+    ("degree", "--patterns", "1324", "--maj", "6", "--max-n", "9", "--max-nodes", "1265"),
     # The no-pattern table against the file of its rows 1-6 (41 entries).
     ("check-oeis", "--file", A008302, "--max-n", "6", "--parallelism", "2"),
     # Two rows past the file's end.
@@ -102,6 +110,7 @@ CORPUS = [
     ("check-oeis", "--file", A008302, "--max-n", "6", "--algorithm", "both", "--parallelism", "2"),
     # Invalid input.
     ("table", "--max-n", "4", "--patterns", "120"),
+    ("table", "--max-n", "0"),
 ]
 
 
