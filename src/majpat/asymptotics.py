@@ -297,6 +297,8 @@ def degree_report(m: int, patterns: PatternSet, *, n_max: int | None = None,
                   window: int = 3, algorithm: str = "cores",
                   max_nodes: int | None = None) -> DegreeReport:
     """Predict the column degree, detect it from exact counts, and compare."""
+    if algorithm not in ("cores", "brute"):
+        raise InvalidInputError(f"unknown algorithm {algorithm!r}")
     prediction = predicted_degree(m, patterns)
     if n_max is None:
         if algorithm != "cores":

@@ -4,19 +4,19 @@ Counting pattern-avoiding permutations by major index.
 Two independent computation paths are provided and cross-checked:
 
 * brute force: an iterative walk of the prefix tree that extends prefix
-  patterns by appending the next relative rank.  The core path and the
-  avoider stream share one walker (`_walk`); the brute table builds its
-  children in a loop of its own (`_brute_fill`), which a test cross-checks
-  against the walker.  Appending never disturbs the descents already
-  present, so the major index is monotone along the tree and the search can
-  prune on a major-index ceiling.  Each node carries a bitmask of its
-  forbidden sites, the ranks whose appending completes a pattern
-  occurrence.  A child inherits its parent's mask (an occurrence that avoids
-  the new letter stays one) and adds the sites of the occurrences of each
-  pattern's head that end at its new letter, so no candidate child is tested
-  for containment.  That search is one function per pattern set, compiled
-  from the patterns' embedding plans (`perms.compile_search`).  The brute
-  loop counts a table's last two rows at their grandparents, pushing neither.
+  patterns by appending the next relative rank.  One walker (`_walk`)
+  builds every interior node, for the core path, the avoider stream and the
+  brute table.  Appending never disturbs the descents already present, so
+  the major index is monotone along the tree and the search can prune on a
+  major-index ceiling.  Each node carries a bitmask of its forbidden sites,
+  the ranks whose appending completes a pattern occurrence.  A child
+  inherits its parent's mask (an occurrence that avoids the new letter stays
+  one) and adds the sites of the occurrences of each pattern's head that end
+  at its new letter, so no candidate child is tested for containment.  That
+  search is one function per pattern set, compiled from the patterns'
+  embedding plans (`perms.compile_search`).  The brute table counts its last
+  two rows at their grandparents (`_brute_fill`): it builds only the first,
+  whose words a test checks against the walker's avoider stream.
 
 * cores: every permutation with major index m is core gamma + padding
   profile with maj_plus(gamma) = m.  Appending a letter never lowers
@@ -260,7 +260,7 @@ def _walk(sites: Callable[[Perm, int], int], seeds: list[tuple[Perm, int, int]],
           budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
     """Each seed and then its descendants in the avoiders' prefix tree, in
     preorder with children by increasing appended rank, as (word, maj, mask).
-    `_brute_fill` builds the same children in a loop of its own.
+    It builds every node above a brute table's last level (`_brute_fill`).
 
     caps = (rises, falls), two sequences of one length: a descendant of
     length n is kept while n < len(rises) and its maj is at most rises[n]
@@ -317,47 +317,39 @@ def _brute_fill(rows: list[list[int]], sites: Callable[[Perm, int], int],
                 seeds: list[tuple[Perm, int, int]], max_n: int, maj_cap: int,
                 budget: _Budget, sources: dict[int, list[Perm]] | None = None) -> None:
     """Tally into rows each seed and its descendants of length <= max_n and
-    maj <= maj_cap, built as `_walk` builds them under flat caps, in one loop.
-    A node two letters short of row max_n builds its children by increasing
-    rank (the walk's preorder), tallies each, collects it into sources by
-    maj if given and counts its clear sites into row max_n; a seed one letter
-    short counts its own.  Each expansion spends what it builds and counts."""
-    shift = _Relabel(0)
-    stack = seeds[::-1]
-    while stack:
-        word, mj, mask = stack.pop()
+    maj <= maj_cap.  `_walk` builds every node above row max_n - 1 under flat
+    caps.  A node two letters short of row max_n builds its children by
+    increasing rank (the walk's preorder), tallies each, collects it into
+    sources by maj if given and counts its clear sites into row max_n; a node
+    one letter short (the root at max_n = 1, or a frontier seed) counts its
+    own.  Each spends what it builds and counts."""
+    shift = _Relabel(max_n)
+    for word, mj, mask in _walk(sites, seeds, ([maj_cap] * (max_n - 1),) * 2, budget):
         n = len(word)
         if n:
             rows[n - 1][mj] += 1
-        if n >= max_n - 1:
-            if n < max_n:  # a seed one letter short
-                if sources is not None:
-                    sources.setdefault(mj, []).append(word)
-                rising, falling = _clear_sites(word, mask)
-                descents = falling.bit_count() if mj + n <= maj_cap else 0
-                budget.spend(rising.bit_count() + descents)
-                rows[n][mj] += rising.bit_count()
-                if descents:
-                    rows[n][mj + n] += descents
+        if n == max_n - 1:
+            if sources is not None:
+                sources.setdefault(mj, []).append(word)
+            rising, falling = _clear_sites(word, mask)
+            descents = falling.bit_count() if mj + n <= maj_cap else 0
+            budget.spend(rising.bit_count() + descents)
+            rows[n][mj] += rising.bit_count()
+            if descents:
+                rows[n][mj + n] += descents
+        if n != max_n - 2:
             continue
-        if n > shift.longest:
-            shift = _Relabel(2 * n)
         last = word[n - 1] if n else 1
         bottom = 1 if mj + n <= maj_cap else last + 1
         relabel = itemgetter(*word, 0)
-        tail = n == max_n - 2
         row, leaves, full = rows[n], rows[n + 1], (1 << n + 3) - 2
-        depth, spent = len(stack), 0
-        # Pushed children go highest rank first, so that the stack pops them in order.
-        for v in range(bottom, n + 2) if tail else range(n + 1, bottom - 1, -1):
+        spent = 0
+        for v in range(bottom, n + 2):
             if mask >> v & 1:
                 continue
             child = relabel(shift[v]) if v <= n else word + (v,)
             inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
             cm = mj + n if v <= last else mj
-            if not tail:
-                stack.append((child, cm, sites(child, inherited)))
-                continue
             row[cm] += 1
             if sources is not None:
                 sources.setdefault(cm, []).append(child)
@@ -369,7 +361,7 @@ def _brute_fill(rows: list[list[int]], sites: Callable[[Perm, int], int],
             if descents:
                 leaves[cm + n + 1] += descents
             spent += 1 + ascents + descents
-        budget.spend(len(stack) - depth + spent)
+        budget.spend(spent)
 
 
 def _zero_rows(max_n: int, maj_cap: int) -> list[list[int]]:
@@ -475,10 +467,8 @@ def count_avoiders(n: int, patterns: PatternSet, *,
     """Exact number of pattern-avoiding permutations of length n."""
     if n < 0:
         raise InvalidInputError(f"length must be non-negative, got {n}")
-    if n == 0:
-        return 1
     rows = _brute_rows(patterns, n, _triangle(n), 1, _Budget(max_nodes))
-    return sum(rows[n - 1])
+    return sum(rows[n - 1]) if n else 1  # n = 0: no rows, and the empty word
 
 
 class MajTable(NamedTuple):

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial
 
 import pytest
 
@@ -36,10 +36,6 @@ class TestDegreeFormula:
     def test_agrees_with_triangular_form_for_k2(self):
         for m in range(1, 10001):
             assert degree_for_magnitude(m, 2) == largest_triangular_index(m)
-
-    def test_triangular_index_matches_isqrt_formula(self):
-        for m in range(0, 2000):
-            assert largest_triangular_index(m) == (isqrt(1 + 8 * m) - 1) // 2
 
     def test_closed_forms_meet_their_definitions(self):
         # l is the largest with l(l + 1)/2 <= m, and d the least d >= 1 with
@@ -213,6 +209,12 @@ class TestDegreeReport:
         # eventually zero; a narrow window on the short series must flag it.
         rep = degree_report(2, PatternSet.of("123"), n_max=4, window=1)
         assert rep.verdict is Verdict.MISMATCH
+
+    @pytest.mark.parametrize("n_max", [None, 6])
+    def test_unknown_algorithm_is_refused_first(self, n_max):
+        # With --max-n or without, in the words of maj_table and major_count_series.
+        with pytest.raises(InvalidInputError, match="unknown algorithm 'bogus'"):
+            degree_report(3, PatternSet.of("1324"), n_max=n_max, algorithm="bogus")
 
     def test_inconclusive_on_short_window(self):
         rep = degree_report(3, PatternSet.of("1324"), n_max=6, window=3)

@@ -123,6 +123,13 @@ class TestAvoiders:
         with pytest.raises(ResourceLimitError):
             count_avoiders(8, PatternSet(), max_nodes=100)
 
+    @pytest.mark.parametrize("run", [count_avoiders, generate_avoiders])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_negative_ceiling_is_refused_at_every_length(self, run, n):
+        # The empty word needs no node, but the ceiling is checked all the same.
+        with pytest.raises(InvalidInputError, match="node ceiling must be non-negative"):
+            run(n, PatternSet.of("1324"), max_nodes=-1)
+
 
 class TestForbiddenSites:
     @pytest.mark.parametrize("text", ["1", "12", "21", "1324", "3412,1324",

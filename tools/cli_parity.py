@@ -93,6 +93,18 @@ CORPUS = [
      "--parallelism", "2"),
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "10", "--max-nodes", "4328",
      "--parallelism", "2"),
+    # The brute loop's boundaries: at max_n = 1 the root counts its own sites;
+    # at 4 on two shares the frontier reaches the last two rows, so shares get
+    # seeds one letter short and seeds of full length; and the cap cuts the
+    # falling children of the last two rows.
+    ("table", "--patterns", "1324", "--max-n", "1", "--max-nodes", "1"),
+    ("table", "--patterns", "1324", "--max-n", "1", "--max-nodes", "0"),
+    ("table", "--patterns", "1324", "--max-n", "4", "--parallelism", "2", "--max-nodes", "32"),
+    ("table", "--patterns", "1324", "--max-n", "4", "--parallelism", "2", "--max-nodes", "31"),
+    ("table", "--patterns", "2134", "--max-n", "6", "--max-maj", "4", "--parallelism", "2",
+     "--max-nodes", "110"),
+    ("table", "--patterns", "2134", "--max-n", "6", "--max-maj", "4", "--parallelism", "2",
+     "--max-nodes", "109"),
     # The core walk at n_max = ceiling + 2, where a falling child at length
     # n_max - 1 takes the raised cap, and one row further, where none does.
     ("degree", "--patterns", "1324", "--maj", "6", "--max-n", "8", "--max-nodes", "784"),
