@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .decomp import co_layered, decompose
 from .enumeration import PatternSet, column_counts, major_count_series
-from .errors import InvalidInputError
+from .errors import InvalidInputError, VerificationError
 from .perms import (
     Perm,
     contains,
@@ -70,9 +70,7 @@ def max_length_core(m: int, k: int) -> Perm:
     core = co_layered(positions[:-1], length)
     expect_len = degree_for_magnitude(m, k)
     if maj_plus(core) != m or len(core) != expect_len or contains(core, tuple(range(1, k + 1))):
-        raise InvalidInputError(
-            f"core construction failed for m={m}, k={k}: got {core}"
-        )
+        raise VerificationError(f"core construction failed for m={m}, k={k}: got {core}")
     return core
 
 
@@ -101,7 +99,7 @@ def magnitude_two_core(m: int, i: int) -> Perm:
     else:
         core = insert(eps, l + 2 - d, l + 1)
     if maj_plus(core) != m:
-        raise InvalidInputError(f"core construction failed for m={m}, i={i}: got {core}")
+        raise VerificationError(f"core construction failed for m={m}, i={i}: got {core}")
     return core
 
 
@@ -299,6 +297,8 @@ def degree_report(m: int, patterns: PatternSet, *, n_max: int | None = None,
     """Predict the column degree, detect it from exact counts, and compare."""
     if algorithm not in ("cores", "brute"):
         raise InvalidInputError(f"unknown algorithm {algorithm!r}")
+    if window < 1:
+        raise InvalidInputError(f"window must be >= 1, got {window}")
     prediction = predicted_degree(m, patterns)
     if n_max is None:
         if algorithm != "cores":

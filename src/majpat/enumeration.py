@@ -30,11 +30,12 @@ Two independent computation paths are provided and cross-checked:
   pattern embedded in gamma plus an increasing tail taken from the padding,
   so each core precomputes the gap-interval demands (obstructions) under
   which gamma . c contains a pattern, by a compiled search that records one
-  obstruction per embedding of a pattern prefix, and a capped signature c
-  is tested by interval sums.  Counting profiles with a fixed cap signature
-  is stars and bars, so each core's avoiding signatures are counted into
-  one histogram that gives its exact, eventually polynomial count at every
-  length.  A table's cores of length n_max - 1 and n_max - 2 have room for
+  obstruction per embedding of a proper pattern prefix (a core avoids every
+  pattern, so the search places only the pattern's head), and a capped
+  signature c is tested by interval sums.  Counting profiles with a fixed
+  cap signature is stars and bars, so each core's avoiding signatures are
+  counted into one histogram that gives its exact, eventually polynomial
+  count at every length.  A table's cores of length n_max - 1 and n_max - 2 have room for
   one or two padding letters, so their avoiding signatures are the clear
   sites of their masks and of the masks of their descent children, which
   the core walk builds by going on to length n_max - 1.
@@ -61,6 +62,7 @@ from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .perms import (
     Nest,
     Perm,
+    avoids,
     check_perm,
     compile_search,
     embedding_plan,
@@ -219,7 +221,7 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[[Perm, int],
         plan = embedding_plan(sigma, l - 2)
         below, above, _ = plan[l - 1]
         sites = f"mask |= (2 << e{above}) - (2 << e{below})"
-        nests.append(Nest(plan, l - 2, l - 1, {l - 1: sites}))
+        nests.append(Nest(plan[:l - 1], l - 2, {l - 1: sites}))
     return root, compile_search(nests, "word, mask", ["q = n - 1", "e2 = word[q]"],
                                 ["return mask"], state="mask")
 
@@ -596,43 +598,29 @@ Obstruction = tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=256)
-def _pattern_plan(sigma: Perm) -> tuple[tuple[tuple[int, int, bool], ...], tuple[tuple, ...]]:
-    """How to embed sigma's prefixes and read off their tail demands.
-
-    steps: embedding_plan(sigma), with the demands of every level counted as
-    read.  groups[r]: the demands (below, above, d) of the tail sigma[r:],
-    one per run of tail letters sharing their value_neighbours in sigma[:r],
-    in increasing value order.  Both index the same layout (0, k + 1,
-    embedded slots in order).
-    """
-    groups = []
-    for r in range(len(sigma) + 1):
-        demand = Counter(value_neighbours(sigma, range(r), t) for t in sorted(sigma[r:]))
-        groups.append(tuple((below, above, d) for (below, above), d in demand.items()))
-    reads = tuple(sorted({i for group in groups for lo, hi, _ in group for i in (lo, hi)}))
-    return embedding_plan(sigma, None, reads), tuple(groups)
-
-
-@lru_cache(maxsize=256)
-def _obstruction_search(sigma: Perm) -> Callable[[Perm, int, Callable], bool | None]:
+def _obstruction_search(sigma: Perm) -> Callable[[Perm, int, Callable], None]:
     """The search search(gamma, max_demand, add) behind `_obstructions` for
     one pattern: it adds the obstruction of each embedding of sigma[:r] in
-    gamma at the levels r whose tail is increasing and at most max_demand
-    long, and returns True at the first occurrence of sigma in gamma."""
-    steps, groups = _pattern_plan(sigma)
+    gamma at the levels r whose tail sigma[r:] is increasing and at most
+    max_demand long.  A level's demands are the runs of tail letters sharing
+    their value_neighbours in sigma[:r], in increasing value order; only the
+    entries they read count as read, and the search places the head
+    sigma[:l - 1], the longest prefix a level records."""
     l = len(sigma)
-    at = {l: "return True"}
+    at, reads = {}, set()
     for r in range(l - slope(sigma), l):
-        demands = "".join(f"(e{lo}, e{hi} - 1, {d}), " for lo, hi, d in groups[r])
+        demand = Counter(value_neighbours(sigma, range(r), t) for t in sorted(sigma[r:]))
+        reads.update(i for pair in demand for i in pair)
+        demands = "".join(f"(e{lo}, e{hi} - 1, {d}), " for (lo, hi), d in demand.items())
         at[r] = f"if first <= {r}: add(({demands}))"
-    return compile_search([Nest(steps, None, l, at)], "word, max_demand, add",
+    head = embedding_plan(sigma, None, tuple(sorted(reads)))[:l - 1]
+    return compile_search([Nest(head, None, at)], "word, max_demand, add",
                           [f"first = max({l - slope(sigma)}, {l} - max_demand)"])
 
 
-def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
-                  max_demand: int) -> list[Obstruction] | None:
-    """The demand sets under which gamma . c contains a pattern, or None when
-    gamma itself contains one.
+def _obstructions(gamma: Perm, sigs: tuple[Perm, ...], max_demand: int) -> list[Obstruction]:
+    """The demand sets under which gamma . c contains a pattern, for a gamma
+    that avoids every pattern.
 
     An occurrence of sigma in gamma . c is a prefix of sigma embedded in gamma
     followed by an increasing tail of sigma drawn from the suffix.  A tail
@@ -644,14 +632,12 @@ def _obstructions(gamma: Perm, sigs: tuple[Perm, ...],
     length, which is why the capped signature decides avoidance.
     Obstructions needing more than max_demand padding letters are left out.
 
-    Each embedding of a prefix sigma[:r] anywhere in gamma gives one
-    obstruction when its tail is increasing and short enough, and an
-    embedding of all of sigma is an occurrence in gamma itself.
+    Each embedding of a proper prefix sigma[:r] anywhere in gamma gives one
+    obstruction when its tail is increasing and short enough.
     """
     found: set[Obstruction] = set()
     for sigma in sigs:
-        if _obstruction_search(sigma)(gamma, max_demand, found.add):
-            return None
+        _obstruction_search(sigma)(gamma, max_demand, found.add)
     return _minimal_obstructions(found)
 
 
@@ -694,6 +680,7 @@ def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *, hist: Counter,
     (coordinates <= cap) of a valid decomposition (some c_i > 0 with
     i < gamma_k, so that k is the last descent) whose composed permutation
     avoids the patterns, optionally restricted to sum(c) <= budget_sum.
+    gamma itself must avoid them, as every core the walk yields does.
 
     Coordinates are fixed left to right with the later ones still zero, so
     the only obstructions a larger c_j can complete are those whose last
@@ -704,8 +691,6 @@ def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *, hist: Counter,
     k = len(gamma)
     room = cap * (k + 1) if budget_sum is None else budget_sum
     obstructions = _obstructions(gamma, patterns.patterns, room)
-    if obstructions is None:
-        return
     # closing[j]: for the obstructions whose last demand (lo, hi, d) covers
     # coordinate j, grouped by their earlier demands, the least d per lo.
     closing: list[dict] = [{} for _ in range(k + 1)]
@@ -808,13 +793,14 @@ class SignatureCounts:
 def count_by_core(gamma: Perm, n: int, patterns: PatternSet, *,
                   max_nodes: int | None = None) -> int:
     """Exact number of avoiders of length n whose core is gamma, refusing a
-    gamma that is not a permutation."""
+    gamma that is not a permutation; 0 for a gamma that contains a pattern."""
     gamma = check_perm(gamma)
+    budget = _Budget(max_nodes)
     k = len(gamma)
-    if n < k:
+    if n < k or not avoids(gamma, patterns.patterns):
         return 0
     counts = SignatureCounts(patterns.cap)
-    counts.add_core(gamma, patterns, budget_sum=n - k, node_budget=_Budget(max_nodes))
+    counts.add_core(gamma, patterns, budget_sum=n - k, node_budget=budget)
     return counts.count(n)
 
 
@@ -960,11 +946,15 @@ def core_polynomial(gamma: Perm, patterns: PatternSet) -> tuple[Polynomial, int]
     coordinates) is exact once n clears k + |c| - s + 1; signatures with no
     saturated coordinate only contribute at the single length k + |c|.  The
     onset returned is minimal for the full sum.  A gamma that is not a
-    permutation is refused.
+    permutation is refused, and one that contains a pattern gives the zero
+    polynomial with onset 0.
     """
     gamma = check_perm(gamma)
+    budget = _Budget(None)
+    if not avoids(gamma, patterns.patterns):
+        return ZERO, 0
     counts = SignatureCounts(patterns.cap)
-    counts.add_core(gamma, patterns, node_budget=_Budget(None))
+    counts.add_core(gamma, patterns, node_budget=budget)
     return counts.eventual_polynomial(0, f"core {format_perm(gamma) or '(empty)'}")
 
 

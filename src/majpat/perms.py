@@ -32,8 +32,9 @@ depth: `contains` and `avoids` return at the first one, unpinned;
 letter and return at the first one; `occurrences` collects them all.  The
 prefix-tree masks and the core obstructions of the enumeration module
 compile their own statements, because they read the embeddings of the
-pattern's prefixes.  Each compiled search is cached with its pattern and
-built on first use.
+pattern's prefixes; they place only a plan's head, every slot but the
+last.  Each compiled search is cached with its pattern and built on first
+use.
 """
 from __future__ import annotations
 
@@ -206,12 +207,11 @@ def embedding_plan(sigma: Perm, pin: int | None = None,
 
 
 class Nest(NamedTuple):
-    """A search over slots 0 .. depth - 1 of an embedding plan; compile_search
-    says what each field does."""
+    """A search over every slot of plan, an embedding plan or a head of one;
+    compile_search says what each field does."""
 
     plan: tuple[tuple[int, int, bool], ...]
     pin: int | None
-    depth: int
     at: dict[int, str]
     guard: str = ""
 
@@ -232,16 +232,16 @@ def _plus(var: str, k: int) -> str:
 
 def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
                names: Iterator[int]) -> list[str]:
-    """Source lines that place slots first .. depth - 1 of nest, the first
-    of them searched from the 0-based position _plus(*start) on."""
-    plan, pin, depth, at, _ = nest
+    """Source lines that place the slots of nest from first on, the first of
+    them searched from the 0-based position _plus(*start) on."""
+    plan, pin, at, _ = nest
     l = len(plan)
     entry = {j: k + 2 for k, j in enumerate(sorted(range(l), key=lambda j: j != pin))}
     lines: list[str] = []
     breaks: list[str] = []
     pad = ""
     loops = 0
-    for r in range(first, depth):
+    for r in range(first, l):
         if loops == _LOOPS_PER_FUNCTION and r != pin:
             name = f"_more{next(names)}"
             more = _loop_nest(nest, r, start, state, names)
@@ -257,7 +257,7 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
         i = entry[r]
         lo, hi, dead = plan[r]
         # Slot r leaves room for the slots between it and the pin, or the end.
-        if min(at) < depth:
+        if min(at) < l:
             stop = "n"
         elif pin is not None and r < pin:
             stop = _plus("q", r + 1 - pin)
@@ -265,7 +265,7 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
             stop = _plus("n", r + 1 - l)
         var, k = start
         letters = f"word[{_plus(var, k)}:{stop}]"
-        if r + 1 < depth and r + 1 != pin:
+        if r + 1 < l and r + 1 != pin:
             lines.append(f"{pad}for p{i}, e{i} in enumerate({letters}, {_plus(var, k + 1)}):")
             start = (f"p{i}", 0)
         else:
@@ -281,9 +281,9 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
             breaks.append(pad + "break")
         loops += 1
     else:
-        lines.append(pad + at[depth])
+        lines.append(pad + at[l])
         # A break straight after a return would never be reached.
-        if breaks and breaks[-1] == pad + "break" and at[depth].startswith("return"):
+        if breaks and breaks[-1] == pad + "break" and at[l].startswith("return"):
             breaks.pop()
     return lines + breaks[::-1]
 
@@ -294,14 +294,15 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
 
     The function takes args, among them the word, binds n = len(word), the
     floor e0 = 0 and the ceiling e1 = n + 1, runs the setup lines, then each
-    nest in turn, then the finish lines.  A nest places slots 0 .. depth - 1
-    of its plan, an embedding_plan, left to right, where its guard holds.
-    The pinned slot, if any, is the letter e2 at the 0-based position q,
-    which the setup binds.  Every other slot is one `for` over the letters
-    after the last placed one, binding e<i> for its entry i in the plan's
-    layout (and p<i>, the position after it, when the next slot starts
-    there), with one test of the slot's window.  at[r] runs each time slots
-    0 .. r - 1 are placed, at[depth] once per embedding.  When every
+    nest in turn, then the finish lines.  A nest places every slot of its
+    plan, left to right, where its guard holds; the plan is an
+    embedding_plan or a head of one, its slots 0 .. h - 1.  The pinned
+    slot, if any, is the letter e2 at the 0-based position q, which the
+    setup binds.  Every other slot is one `for` over the letters after the
+    last placed one, binding e<i> for its entry i in the plan's layout (and
+    p<i>, the position after it, when the next slot starts there), with one
+    test of the slot's window.  at[r] runs each time slots 0 .. r - 1 are
+    placed, at[len(plan)] once per placement of them all.  When every
     statement sits at full depth, a slot stops where it leaves one letter
     for each later slot of the plan, before the pin or before the end;
     otherwise at the end, since a statement at a lower r runs for
@@ -310,8 +311,8 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
     A dead slot breaks after the subtree of its first fitting letter.  That
     letter has the earliest position, so every completion through a later
     letter completes it too, and the entry that tells them apart is never
-    read.  Where that subtree is at[depth] alone and it returns, no break
-    is written.
+    read.  Where that subtree is at[len(plan)] alone and it returns, no
+    break is written.
 
     state names the variable the statements rebind, for the functions a nest
     of more than _LOOPS_PER_FUNCTION loops goes on in; what one of those
@@ -321,15 +322,16 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
     names = itertools.count(1)
     lines = [f"def search({args}):", "n = len(word)", "e0 = 0", "e1 = n + 1", *setup]
     for nest in nests:
-        plan, pin, depth, at, guard = nest
-        room = min(at) == depth
+        plan, pin, at, guard = nest
+        l = len(plan)
+        room = min(at) == l
         # A word too short for the nest would slice from its end.
         guards = [guard] if guard else []
         if room and pin is None:
-            guards.append(f"{len(plan)} <= n")
+            guards.append(f"{l} <= n")
         elif room:
             guards += [f"{pin} <= q"] * (pin > 0)
-            guards += [f"q < {_plus('n', pin + 1 - depth)}"] * (depth - 1 > pin)
+            guards += [f"q < {_plus('n', pin + 1 - l)}"] * (l - 1 > pin)
         body = _loop_nest(nest, 0, ("", 0), state, names)
         if guards:
             body = [f"if {' and '.join(guards)}:", *("    " + line for line in body)]
@@ -342,9 +344,8 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
 
 @lru_cache(maxsize=256)
 def _contains_search(sigma: Perm) -> Callable[[Perm], bool]:
-    l = len(sigma)
-    return compile_search([Nest(embedding_plan(sigma), None, l, {l: "return True"})], "word",
-                          finish=["return False"])
+    nest = Nest(embedding_plan(sigma), None, {len(sigma): "return True"})
+    return compile_search([nest], "word", finish=["return False"])
 
 
 @lru_cache(maxsize=256)
@@ -352,7 +353,7 @@ def _through_search(sigma: Perm) -> Callable[[Perm, int], bool]:
     # The letter v can only play a slot j with sigma[j] - 1 letters below v
     # and l - sigma[j] above it.
     l = len(sigma)
-    nests = [Nest(embedding_plan(sigma, j), j, l, {l: "return True"},
+    nests = [Nest(embedding_plan(sigma, j), j, {l: "return True"},
                   guard=f"{t} <= e2 <= {_plus('n', t - l)}") for j, t in enumerate(sigma)]
     return compile_search(nests, "word, q", ["e2 = word[q]"], ["return False"])
 
@@ -362,7 +363,7 @@ def _occurrence_search(sigma: Perm) -> Callable[[Perm], list[tuple[int, ...]]]:
     l = len(sigma)
     every = tuple(range(2, l + 2))
     letters = "".join(f"e{i}, " for i in every)
-    nest = Nest(embedding_plan(sigma, None, every), None, l, {l: f"append(({letters}))"})
+    nest = Nest(embedding_plan(sigma, None, every), None, {l: f"append(({letters}))"})
     return compile_search([nest], "word", ["found = []", "append = found.append"],
                           ["return found"])
 

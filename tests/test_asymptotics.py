@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import majpat.asymptotics
 from majpat.asymptotics import (
     _smallest_d,
     DegreePrediction,
@@ -20,7 +21,7 @@ from majpat.asymptotics import (
     predicted_degree,
 )
 from majpat.enumeration import PatternSet, major_count_series
-from majpat.errors import InvalidInputError
+from majpat.errors import InvalidInputError, VerificationError
 from majpat.perms import contains, descents, magnitude, maj_plus
 from majpat.poly import Polynomial
 
@@ -92,6 +93,17 @@ class TestWitnessCores:
             magnitude_two_core(3, 4)
         with pytest.raises(InvalidInputError):
             magnitude_two_core(0, 1)
+
+    def test_a_failed_self_check_is_a_verification_error(self, monkeypatch):
+        # A core that fails its own check is the construction's fault, not
+        # bad input.
+        monkeypatch.setattr(majpat.asymptotics, "co_layered",
+                            lambda positions, length: tuple(range(1, length + 1)))
+        with pytest.raises(VerificationError, match="core construction failed"):
+            max_length_core(6, 3)
+        monkeypatch.setattr(majpat.asymptotics, "insert", lambda pi, k, l: pi)
+        with pytest.raises(VerificationError, match="core construction failed"):
+            magnitude_two_core(13, 1)
 
 
 class TestBoundedDegreeCriterion:
@@ -215,6 +227,11 @@ class TestDegreeReport:
         # With --max-n or without, in the words of maj_table and major_count_series.
         with pytest.raises(InvalidInputError, match="unknown algorithm 'bogus'"):
             degree_report(3, PatternSet.of("1324"), n_max=n_max, algorithm="bogus")
+
+    def test_bad_window_is_refused_before_the_column_walk(self):
+        # The column alone would exceed the node ceiling.
+        with pytest.raises(InvalidInputError, match="window must be >= 1, got 0"):
+            degree_report(40, PatternSet.of("1324"), window=0, max_nodes=1000)
 
     def test_inconclusive_on_short_window(self):
         rep = degree_report(3, PatternSet.of("1324"), n_max=6, window=3)

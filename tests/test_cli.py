@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import majpat.asymptotics
 import majpat.cli
 import majpat.enumeration
 from majpat.cli import main
@@ -58,6 +59,18 @@ class TestExitCodes:
     def test_invalid_input_is_two(self, capsys):
         code, _, err = run(capsys, "table", "--max-n", "4", "--patterns", "120")
         assert code == 2 and "majpat" in err
+
+    def test_bad_window_is_two_before_the_column_walk(self, capsys):
+        for maj in ("4", "40"):
+            code, _, err = run(capsys, "degree", "--patterns", "1324", "--maj", maj,
+                               "--window", "0", "--max-nodes", "1000")
+            assert code == 2 and "window must be >= 1" in err, maj
+
+    def test_failed_witness_self_check_is_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(majpat.asymptotics, "co_layered",
+                            lambda positions, length: tuple(range(1, length + 1)))
+        code, _, err = run(capsys, "degree", "--patterns", "1243", "--maj", "6")
+        assert code == 1 and "verification failed: core construction failed" in err
 
     def test_resource_ceiling_is_three(self, capsys):
         code, _, err = run(capsys, "table", "--max-n", "9", "--max-nodes", "50")

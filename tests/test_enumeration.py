@@ -33,17 +33,18 @@ from majpat.enumeration import (
     _cores,
     _fill_columns,
     _forbidden_sites,
+    _obstruction_search,
     _obstructions,
-    _pattern_plan,
     _triangle,
     _unit_profiles,
     _walk,
 )
 from majpat.errors import InvalidInputError, ResourceLimitError, VerificationError
 from majpat.perms import (
-    avoids, contains, delete_at, descents, embedding_plan, insert, major_index,
+    avoids, contains, delete_at, descents, embedding_plan, insert, major_index, slope,
+    value_neighbours,
 )
-from majpat.poly import Polynomial
+from majpat.poly import Polynomial, ZERO
 
 from oracles import (
     oracle_avoiders,
@@ -94,6 +95,11 @@ class TestPatternSet:
         assert not PatternSet().magnitude.is_finite
 
 
+def count_by_core_of_21(n, patterns, **kwargs):
+    """count_by_core for the core 21, called like count_avoiders."""
+    return count_by_core((2, 1), n, patterns, **kwargs)
+
+
 class TestAvoiders:
     def test_counts(self):
         ps = PatternSet.of("1324")
@@ -123,10 +129,11 @@ class TestAvoiders:
         with pytest.raises(ResourceLimitError):
             count_avoiders(8, PatternSet(), max_nodes=100)
 
-    @pytest.mark.parametrize("run", [count_avoiders, generate_avoiders])
+    @pytest.mark.parametrize("run", [count_avoiders, generate_avoiders, count_by_core_of_21])
     @pytest.mark.parametrize("n", [0, 1])
     def test_negative_ceiling_is_refused_at_every_length(self, run, n):
-        # The empty word needs no node, but the ceiling is checked all the same.
+        # The empty word needs no node, and neither does a length below the
+        # core's, but the ceiling is checked all the same.
         with pytest.raises(InvalidInputError, match="node ceiling must be non-negative"):
             run(n, PatternSet.of("1324"), max_nodes=-1)
 
@@ -187,12 +194,22 @@ class TestForbiddenSites:
             want = oracle_last_two_patterns(word, (24,)).get(sigma, 0)
             assert sites(word, 0) == want, word
 
-    def test_dead_slots_leave_out_what_is_read(self):
+    def test_dead_slots_leave_out_what_is_read(self, monkeypatch):
         # The site search's plan pins slot l - 2 and reads below and above,
         # the window of slot l - 1, at the end: a head slot is dead iff no
-        # later head step and neither below nor above reads its entry.  An
-        # obstruction step's slot is dead iff no later step and no later
-        # level's demands read it.
+        # later head step and neither below nor above reads its entry.  The
+        # obstruction search places the head sigma[:l - 1] and records the
+        # levels r >= l - slope(sigma): a head slot is dead iff no later head
+        # step and no recorded level's demands read it.
+        nests = []
+        compile_search = majpat.enumeration.compile_search
+
+        def recorded(found, *args, **kwargs):
+            nests.extend(found)
+            return compile_search(found, *args, **kwargs)
+
+        monkeypatch.setattr(majpat.enumeration, "compile_search", recorded)
+        _obstruction_search.cache_clear()
         for l in range(2, 7):
             for sigma in itertools.permutations(range(1, l + 1)):
                 plan = embedding_plan(sigma, l - 2)
@@ -201,13 +218,19 @@ class TestForbiddenSites:
                 for r, (_, _, dead) in enumerate(steps):
                     read = {i for lo, hi, _ in steps[r + 1:] for i in (lo, hi)}
                     assert dead == (r + 3 not in read | {below, above}), (sigma, r)
-                steps, groups = _pattern_plan(sigma)
-                # Layout (0, k + 1, slots 0 .. l - 1).
+                nests.clear()
+                _obstruction_search(sigma)
+                [(steps, _, at, _)] = nests
+                levels = range(l - slope(sigma), l)
+                assert len(steps) == l - 1 and sorted(at) == list(levels), sigma
+                # Layout (0, k + 1, slots 0 .. l - 2); a tail letter's demand
+                # reads its value neighbours among the embedded slots.
+                demands = {i for r in levels for t in sigma[r:]
+                           for i in value_neighbours(sigma, range(r), t)}
                 for r, (_, _, dead) in enumerate(steps):
                     read = {i for lo, hi, _ in steps[r + 1:] for i in (lo, hi)}
-                    read |= {i for group in groups[r + 1:] for lo, hi, _ in group
-                             for i in (lo, hi)}
-                    assert dead == (r + 2 not in read), (sigma, r)
+                    assert dead == (r + 2 not in read | demands), (sigma, r)
+        _obstruction_search.cache_clear()
 
 
 class TestMajTable:
@@ -529,10 +552,10 @@ class TestComplementSymmetry:
 def minimal_avoiding_profiles(gamma, patterns):
     """The admissible unit profiles of a core (the minimal avoiding witnesses),
     e_i before e_j for i < j, found through the core's obstructions."""
+    if not avoids(gamma, patterns.patterns):
+        return ()
     k = len(gamma)
     obstructions = _obstructions(gamma, patterns.patterns, 1)
-    if obstructions is None:
-        return ()
     # With room for one letter every obstruction is a single demand
     # (lo, hi, 1), which e_i meets iff lo <= i <= hi.
     blocked = {i for ((lo, hi, _),) in obstructions for i in range(lo, hi + 1)}
@@ -577,6 +600,21 @@ class TestCores:
     def test_count_by_core_refuses_a_non_permutation(self, gamma):
         with pytest.raises(InvalidInputError, match="not a permutation"):
             count_by_core(gamma, 5, PatternSet.of("1324"))
+
+    def test_a_core_that_contains_a_pattern_counts_nothing(self):
+        # No walk yields such a core, but both entries accept any permutation.
+        seen = 0
+        for text in OBSTRUCTION_SETS:
+            ps = PatternSet.from_text(text)
+            for k in range(0, 6):
+                for gamma in itertools.permutations(range(1, k + 1)):
+                    if avoids(gamma, ps.patterns):
+                        continue
+                    seen += 1
+                    assert [count_by_core(gamma, n, ps) for n in range(k, k + 4)] == [0] * 4, \
+                        (text, gamma)
+                    assert core_polynomial(gamma, ps) == (ZERO, 0), (text, gamma)
+        assert seen
 
     def test_core_sums_match_table(self):
         for text in ("", "1324", "3412;1324"):
@@ -670,11 +708,9 @@ class TestObstructions:
             cap = ps.cap
             for k in range(0, 6):
                 for gamma in itertools.permutations(range(1, k + 1)):
-                    obstructions = _obstructions(gamma, ps.patterns, cap * (k + 1))
-                    if obstructions is None:
-                        assert not avoids(gamma, ps.patterns), (text, gamma)
+                    if not avoids(gamma, ps.patterns):
                         continue
-                    assert avoids(gamma, ps.patterns), (text, gamma)
+                    obstructions = _obstructions(gamma, ps.patterns, cap * (k + 1))
                     for _ in range(12):
                         c = tuple(rng.randint(0, cap) for _ in range(k + 1))
                         met = any(all(sum(c[lo:hi + 1]) >= d for lo, hi, d in ob)
@@ -684,11 +720,11 @@ class TestObstructions:
                         assert met == want, (text, gamma, c)
 
     def test_a_pattern_longer_than_one_function_of_loops(self):
-        # Cores of length 21 and 22 embed 21 slots of a 24-letter pattern,
-        # past the loops one function holds; random signatures of at most
-        # three letters against the subset scan of the composed word.
+        # Cores of length 21 and 22, too short to contain it, embed 21 slots
+        # of a 24-letter pattern, past the loops one function holds; random
+        # signatures of at most three letters against the subset scan of the
+        # composed word.
         sigma = (2, 1, *range(3, 25))
-        assert _obstructions(sigma, (sigma,), 3) is None
         rng = random.Random(7)
         outcomes = set()
         for gamma in (sigma[:21], insert(sigma[:21], 2, 1)):
@@ -735,6 +771,8 @@ class TestObstructions:
             cap = ps.cap
             for k in range(0, longest + 1):
                 for gamma in itertools.permutations(range(1, k + 1)):
+                    if not avoids(gamma, ps.patterns):
+                        continue
                     gk = gamma[-1] if k else 0
                     want = [
                         c for c in itertools.product(range(cap + 1), repeat=k + 1)

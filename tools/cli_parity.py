@@ -58,6 +58,12 @@ CORPUS = [
     ("degree", "--patterns", "1324", "--maj", "5", "--max-n", "9", "--algorithm", "brute"),
     # A length-5 pattern through the obstruction route.
     ("degree", "--patterns", "21354", "--maj", "7"),
+    # A pattern whose obstruction search records four levels, through the
+    # three signature routes: room >= 3 in a table, every signature, and a
+    # size budget.
+    ("table", "--patterns", "21345", "--max-n", "8", "--algorithm", "both"),
+    ("degree", "--patterns", "21345", "--maj", "8"),
+    ("degree", "--patterns", "21345", "--maj", "8", "--max-n", "14"),
     # A magnitude-3 set, whose witness is max_length_core.
     ("degree", "--patterns", "1243", "--maj", "6"),
     ("cores", "--patterns", "1324", "--maj", "7"),
