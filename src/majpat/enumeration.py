@@ -15,8 +15,10 @@ Two independent computation paths are provided and cross-checked:
   at its new letter, so no candidate child is tested for containment.  That
   search is one function per pattern set, compiled from the patterns'
   embedding plans (`perms.compile_search`).  The brute table counts its last
-  two rows at their grandparents (`_brute_fill`): it builds only the first,
-  whose words a test checks against the walker's avoider stream.
+  two rows at their grandparents (`_brute_fill`), in one compiled loop per
+  node over its clear ranks v that reads each child in the parent's letters,
+  with v a virtual pin above a letter x iff x < v; it builds child words
+  only for the sources, which a test checks against the avoider stream.
 
 * cores: every permutation with major index m is core gamma + padding
   profile with maj_plus(gamma) = m.  Appending a letter never lowers
@@ -210,9 +212,14 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[[Perm, int],
     the end, so the plan counts them as read, and a head slot whose entry
     neither they nor a later step read is dead: the sites come out the same
     from its first fitting letter alone.
+
+    sites.leaves() compiles the same nests on first use into the leaf counter
+    of `_brute_fill`, where a node's child is a virtual pin (`compile_search`)
+    and a head slot above the pin in sigma sits one higher in the child.
     """
     root = 0
-    nests = []
+    nests, lifted = [], []
+    forbid = "mask |= (2 << {}) - (2 << {})"
     for sigma in sigs:
         l = len(sigma)
         if l == 1:
@@ -220,10 +227,33 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[[Perm, int],
             continue
         plan = embedding_plan(sigma, l - 2)
         below, above, _ = plan[l - 1]
-        sites = f"mask |= (2 << e{above}) - (2 << e{below})"
-        nests.append(Nest(plan[:l - 1], l - 2, {l - 1: sites}))
-    return root, compile_search(nests, "word, mask", ["q = n - 1", "e2 = word[q]"],
-                                ["return mask"], state="mask")
+        nests.append(Nest(plan[:l - 1], l - 2, {l - 1: forbid.format(f"e{above}", f"e{below}")}))
+        # Entry i > 2 holds head slot i - 3.
+        ends = (f"e{i}" + " + 1" * (i > 2 and sigma[i - 3] > sigma[l - 2]) for i in (above, below))
+        lifted.append(nests[-1]._replace(at={l - 1: forbid.format(*ends)}))
+    sites = compile_search(nests, "word, mask", ["q = n - 1", "e2 = word[q]"],
+                           ["return mask"], state="mask")
+
+    @lru_cache(maxsize=None)
+    def leaves() -> Callable[..., int]:
+        # The child of rank e2 inherits parent, split at e2; its clear ranks
+        # above e2 rise, and the others fall.
+        return compile_search(
+            lifted, "word, parent, mj, cap, row, leaves, sources, relabel, shift",
+            ["last = word[n - 1] if n else 1", "full = (1 << n + 3) - 2", "spent = 0"],
+            ["return spent"], "mask", "range(1 if mj + n <= cap else last + 1, n + 2)",
+            (["if parent >> e2 & 1:", "    continue",
+              "mask = (parent & ((1 << e2 + 1) - 1)) | ((parent >> e2) << e2 + 1)"],
+             ["cm = mj + n if e2 <= last else mj", "row[cm] += 1", "if sources is not None:",
+              "    child = relabel(shift[e2]) if e2 <= n else (*word, e2)",
+              "    sources.setdefault(cm, []).append(child)",
+              "clear = ~mask & full", "rises = (clear >> e2 + 1).bit_count()",
+              "leaves[cm] += rises", "spent += 1 + rises", "if cm + n < cap:",
+              "    falls = (clear & ((2 << e2) - 1)).bit_count()",
+              "    leaves[cm + n + 1] += falls", "    spent += falls"]))
+
+    sites.leaves = leaves
+    return root, sites
 
 
 def _clear_sites(word: Perm, mask: int) -> tuple[int, int]:
@@ -320,12 +350,14 @@ def _brute_fill(rows: list[list[int]], sites: Callable[[Perm, int], int],
                 budget: _Budget, sources: dict[int, list[Perm]] | None = None) -> None:
     """Tally into rows each seed and its descendants of length <= max_n and
     maj <= maj_cap.  `_walk` builds every node above row max_n - 1 under flat
-    caps.  A node two letters short of row max_n builds its children by
-    increasing rank (the walk's preorder), tallies each, collects it into
-    sources by maj if given and counts its clear sites into row max_n; a node
-    one letter short (the root at max_n = 1, or a frontier seed) counts its
-    own.  Each spends what it builds and counts."""
-    shift = _Relabel(max_n)
+    caps.  A node two letters short of row max_n counts its children, and
+    their clear sites into row max_n, in one compiled loop over its clear
+    ranks v (sites.leaves()) that finds a child's sites in the node's own
+    letters, with v a virtual pin: a letter x is below it iff x < v.  Only
+    sources, if given, gets the child words, by maj in the walk's preorder.
+    A node one letter short (the root at max_n = 1, or a frontier seed)
+    counts its own.  Each spends what it builds and counts."""
+    count, shift = sites.leaves(), _Relabel(max_n)
     for word, mj, mask in _walk(sites, seeds, ([maj_cap] * (max_n - 1),) * 2, budget):
         n = len(word)
         if n:
@@ -339,31 +371,9 @@ def _brute_fill(rows: list[list[int]], sites: Callable[[Perm, int], int],
             rows[n][mj] += rising.bit_count()
             if descents:
                 rows[n][mj + n] += descents
-        if n != max_n - 2:
-            continue
-        last = word[n - 1] if n else 1
-        bottom = 1 if mj + n <= maj_cap else last + 1
-        relabel = itemgetter(*word, 0)
-        row, leaves, full = rows[n], rows[n + 1], (1 << n + 3) - 2
-        spent = 0
-        for v in range(bottom, n + 2):
-            if mask >> v & 1:
-                continue
-            child = relabel(shift[v]) if v <= n else word + (v,)
-            inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
-            cm = mj + n if v <= last else mj
-            row[cm] += 1
-            if sources is not None:
-                sources.setdefault(cm, []).append(child)
-            # The child's last letter is v: the ranks above it rise, the others fall.
-            clear = ~sites(child, inherited) & full
-            ascents = (clear >> v + 1).bit_count()
-            descents = (clear & ((2 << v) - 1)).bit_count() if cm + n < maj_cap else 0
-            leaves[cm] += ascents
-            if descents:
-                leaves[cm + n + 1] += descents
-            spent += 1 + ascents + descents
-        budget.spend(spent)
+        elif n == max_n - 2:
+            budget.spend(count(word, mask, mj, maj_cap, rows[n], rows[n + 1], sources,
+                               sources is not None and itemgetter(*word, 0), shift))
 
 
 def _zero_rows(max_n: int, maj_cap: int) -> list[list[int]]:
@@ -410,6 +420,9 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
     # caller walks share 0 straight into rows (and sources, whole with one
     # worker) under the run's ceiling, and a forked child each other one under
     # what the frontier left; rows and spends add up exactly as on one process.
+    # The leaf counter is compiled first: the walk reuses the compiler's
+    # memory, and the children inherit the counter rather than compile it.
+    sites.leaves()
     workers = min(parallelism, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     frontier: list[tuple[Perm, int, int]] = [((), 0, root)]
     n = 0

@@ -33,8 +33,11 @@ letter and return at the first one; `occurrences` collects them all.  The
 prefix-tree masks and the core obstructions of the enumeration module
 compile their own statements, because they read the embeddings of the
 pattern's prefixes; they place only a plan's head, every slot but the
-last.  Each compiled search is cached with its pattern and built on first
-use.
+last.  A pin may be virtual, a loop over the values of a letter appended
+to the word: the word's letters are read in their own values, a letter x
+below the pin v iff x < v, so the brute table counts the sites of every
+child of a node without building one.  Each compiled search is cached
+with its pattern and built on first use.
 """
 from __future__ import annotations
 
@@ -231,23 +234,27 @@ def _plus(var: str, k: int) -> str:
 
 
 def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
-               names: Iterator[int]) -> list[str]:
+               names: Iterator[int], loops: int, hoist: dict[str, str] | None) -> list[str]:
     """Source lines that place the slots of nest from first on, the first of
-    them searched from the 0-based position _plus(*start) on."""
+    them searched from the 0-based position _plus(*start) on, inside loops
+    enclosing loops.  hoist is None unless the pin is virtual; then it names
+    each slice of word that no pin moves, for the caller to bind once."""
     plan, pin, at, _ = nest
     l = len(plan)
     entry = {j: k + 2 for k, j in enumerate(sorted(range(l), key=lambda j: j != pin))}
     lines: list[str] = []
     breaks: list[str] = []
     pad = ""
-    loops = 0
     for r in range(first, l):
         if loops == _LOOPS_PER_FUNCTION and r != pin:
             name = f"_more{next(names)}"
-            more = _loop_nest(nest, r, start, state, names)
+            more = _loop_nest(nest, r, start, state, names, 0, hoist)
             lines[:0] = [f"def {name}():", *[f"    nonlocal {state}"] * bool(state),
                          *("    " + line for line in more)]
-            lines += [f"{pad}hit = {name}()", f"{pad}if hit is not None:", f"{pad}    return hit"]
+            # What it returns is passed on only where a statement returns.
+            returns = any(line.startswith("return") for line in at.values())
+            lines += [f"{pad}hit = {name}()", f"{pad}if hit is not None:",
+                      f"{pad}    return hit"] if returns else [f"{pad}{name}()"]
             break
         if r in at:
             lines.append(pad + at[r])
@@ -265,6 +272,8 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
             stop = _plus("n", r + 1 - l)
         var, k = start
         letters = f"word[{_plus(var, k)}:{stop}]"
+        if hoist is not None and not var:
+            letters = hoist.setdefault(letters, f"w{len(hoist)}")
         if r + 1 < l and r + 1 != pin:
             lines.append(f"{pad}for p{i}, e{i} in enumerate({letters}, {_plus(var, k + 1)}):")
             start = (f"p{i}", 0)
@@ -273,7 +282,7 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
         pad += "    "
         # The floor e0 and the ceiling e1 bound every letter.
         if lo or hi != 1:
-            below = f"e{lo} < " if lo else ""
+            below = f"e{lo} {'<=' if lo == 2 and hoist is not None else '<'} " if lo else ""
             above = f" < e{hi}" if hi != 1 else ""
             lines.append(f"{pad}if {below}e{i}{above}:")
             pad += "    "
@@ -289,7 +298,8 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
 
 
 def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
-                   finish: Sequence[str] = (), state: str = "") -> Callable:
+                   finish: Sequence[str] = (), state: str = "", pins: str = "",
+                   each: tuple[Sequence[str], Sequence[str]] = ((), ())) -> Callable:
     """One Python function that runs the embedding search of each nest.
 
     The function takes args, among them the word, binds n = len(word), the
@@ -315,12 +325,23 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
     break is written.
 
     state names the variable the statements rebind, for the functions a nest
-    of more than _LOOPS_PER_FUNCTION loops goes on in; what one of those
-    returns, unless None, the whole search returns.  The source holds only
-    integers from the plans, fixed templates and the caller's statements.
+    of more than _LOOPS_PER_FUNCTION loops goes on in; if a statement of the
+    nest returns, what one of those returns, unless None, the search
+    returns.  The source holds only integers from the plans, fixed
+    templates and the caller's statements.
+
+    With pins, a source expression, the pin is virtual: e2 runs over the
+    values of pins, each a letter appended to word at q = n, so the ceiling
+    is e1 = n + 2.  The letters of word keep their values: x lies below the
+    pin iff x < e2, so a window whose floor is the pin is tested
+    `e2 <= e<i>`, and a statement adds one to an entry above the pin.  The
+    nests run once per value, between the lines each = (before, after); the
+    pin's loop counts against _LOOPS_PER_FUNCTION, and a slice that starts
+    at a fixed position is taken once, before it.
     """
     names = itertools.count(1)
-    lines = [f"def search({args}):", "n = len(word)", "e0 = 0", "e1 = n + 1", *setup]
+    hoist: dict[str, str] | None = {} if pins else None
+    body: list[str] = []
     for nest in nests:
         plan, pin, at, guard = nest
         l = len(plan)
@@ -332,11 +353,17 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
         elif room:
             guards += [f"{pin} <= q"] * (pin > 0)
             guards += [f"q < {_plus('n', pin + 1 - l)}"] * (l - 1 > pin)
-        body = _loop_nest(nest, 0, ("", 0), state, names)
+        code = _loop_nest(nest, 0, ("", 0), state, names, int(hoist is not None), hoist)
         if guards:
-            body = [f"if {' and '.join(guards)}:", *("    " + line for line in body)]
-        lines += body
-    lines += finish
+            code = [f"if {' and '.join(guards)}:", *("    " + line for line in code)]
+        body += code
+    if hoist is not None:
+        before, after = each
+        body = [*(f"{name} = {letters}" for letters, name in hoist.items()), f"for e2 in {pins}:",
+                *("    " + line for line in (*before, *body, *after))]
+    # A virtual pin lengthens the word by one letter, at its end.
+    bounds = ["e1 = n + 2", "q = n"] if hoist is not None else ["e1 = n + 1"]
+    lines = [f"def search({args}):", "n = len(word)", "e0 = 0", *bounds, *setup, *body, *finish]
     namespace: dict = {}
     exec("\n    ".join(lines), namespace)
     return namespace["search"]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -27,6 +28,7 @@ from majpat.enumeration import (
 )
 from majpat.enumeration import (
     _Budget,
+    _Relabel,
     _avoiding_signatures,
     _brute_rows,
     _clear_sites,
@@ -57,6 +59,8 @@ from oracles import (
 )
 
 OBSTRUCTION_SETS = ("1324", "3412;1324", "2134", "321", "1342;2413", "21354;21453")
+SITE_SETS = ("1", "12", "21", "1324", "3412,1324", "2413,3142", "132,213", "", "21354", "21453")
+LONG_SIGMA = (2, 1, *range(3, 25))
 
 
 class TestPatternSet:
@@ -139,8 +143,7 @@ class TestAvoiders:
 
 
 class TestForbiddenSites:
-    @pytest.mark.parametrize("text", ["1", "12", "21", "1324", "3412,1324",
-                                      "2413,3142", "132,213", "", "21354", "21453"])
+    @pytest.mark.parametrize("text", SITE_SETS)
     def test_masks_match_last_letter_containment(self, text):
         # The clear bits of every walked avoider's mask are exactly the ranks
         # s whose appending avoids every pattern, and the walk reaches every
@@ -193,6 +196,57 @@ class TestForbiddenSites:
         for word in words:
             want = oracle_last_two_patterns(word, (24,)).get(sigma, 0)
             assert sites(word, 0) == want, word
+
+    @staticmethod
+    def check_leaf_counter(sites, word, mj, mask):
+        # The leaf counter reads a node's children in the node's own letters.
+        # Its rows, spend and sources are those of building each child,
+        # adding its own sites to its inherited mask and splitting the clear
+        # sites: at the full cap, and at caps that cut the node's falling
+        # children, every grandchild's descent, or a falling child's only.
+        count = sites.leaves()
+        n = len(word)
+        last = word[-1] if n else 1
+        for cap in sorted({mj, mj + n, mj + n + 1, _triangle(n + 2)}):
+            rows, spend, sources = [[0] * (_triangle(n + 2) + 1) for _ in "ab"], 0, {}
+            for v in range(1, n + 2):
+                if mask >> v & 1 or v <= last and mj + n > cap:
+                    continue
+                child = insert(word, n + 1, v)
+                inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
+                cm = mj + n if v <= last else mj
+                rising, falling = _clear_sites(child, sites(child, inherited))
+                falls = falling.bit_count() if cm + n < cap else 0
+                rows[0][cm] += 1
+                rows[1][cm] += rising.bit_count()
+                rows[1][cm + n + 1] += falls
+                spend += 1 + rising.bit_count() + falls
+                sources.setdefault(cm, []).append(child)
+            for collect in (None, {}):
+                got = [[0] * (_triangle(n + 2) + 1) for _ in "ab"]
+                relabel = collect is not None and itemgetter(*word, 0)
+                assert count(word, mask, mj, cap, *got, collect, relabel, _Relabel(n)) == spend, \
+                    (word, mask, cap)
+                assert got == rows and collect in (None, sources), (word, mask, cap)
+
+    @pytest.mark.parametrize("text", SITE_SETS)
+    def test_leaf_counter_matches_built_children(self, text):
+        # Every node of length <= 6.
+        root, sites = _forbidden_sites(PatternSet.from_text(text).patterns)
+        for word, mj, mask in _walk(sites, [((), 0, root)], ([21] * 7,) * 2, _Budget(None)):
+            self.check_leaf_counter(sites, word, mj, mask)
+
+    def test_leaf_counter_of_a_pattern_longer_than_one_function_of_loops(self):
+        # With the loop over the child's last letter, the 22 head loops of a
+        # 24-letter pattern go on in an inner function a loop earlier.  The
+        # children of these words hold or touch the pattern's head.
+        _, sites = _forbidden_sites((LONG_SIGMA,))
+        assert sites(LONG_SIGMA[:23], 0)
+        words = [LONG_SIGMA[:22], LONG_SIGMA[:23], tuple(range(23, 0, -1)),
+                 insert(LONG_SIGMA[:22], 1, 22), *(delete_at(LONG_SIGMA[:23], k) for k in (1, 5))]
+        for word in words:
+            for mask in (0, 0b1010 << 18):
+                self.check_leaf_counter(sites, word, major_index(word), mask)
 
     def test_dead_slots_leave_out_what_is_read(self, monkeypatch):
         # The site search's plan pins slot l - 2 and reads below and above,
@@ -743,7 +797,8 @@ class TestObstructions:
 
     def test_minimal_obstructions_match_all_pairs_filter(self, monkeypatch):
         # The sorted single pass keeps what comparing every pair keeps, on
-        # the obstruction sets of every core of length <= 6 at both budgets.
+        # the obstruction sets of every avoider of length <= 6 at both
+        # budgets.
         seen = []
         minimal = majpat.enumeration._minimal_obstructions
 
@@ -755,12 +810,11 @@ class TestObstructions:
         for text in OBSTRUCTION_SETS:
             ps = PatternSet.from_text(text)
             for k in range(0, 7):
-                for gamma in itertools.permutations(range(1, k + 1)):
+                for gamma in oracle_avoiders(k, ps.patterns):
                     for room in (ps.cap * (k + 1), 9 - k):
                         seen.clear()
                         got = _obstructions(gamma, ps.patterns, room)
-                        if got is not None:
-                            assert got == oracle_minimal_obstructions(seen[0]), (text, gamma, room)
+                        assert got == oracle_minimal_obstructions(seen[0]), (text, gamma, room)
 
     def test_signatures_match_exhaustive_filter(self):
         # The histogram bins the avoiding signatures of the exhaustive filter

@@ -26,6 +26,9 @@ CORPUS = [
     ("table", "--patterns", "1324", "--max-n", "10", "--parallelism", "2"),
     ("table", "--patterns", "3412,1324", "--max-n", "9", "--parallelism", "2"),
     ("table", "--patterns", "321", "--max-n", "11", "--parallelism", "2"),
+    # The last level reads a child's sites with its last letter as a virtual
+    # pin, and these heads place letters both above and below it.
+    ("table", "--patterns", "2413,3142", "--max-n", "10", "--parallelism", "2"),
     # More shares than a 2-processor host has processors, and a frontier
     # that takes the whole tree.
     ("table", "--patterns", "1324", "--max-n", "9", "--parallelism", "3"),
@@ -99,6 +102,8 @@ CORPUS = [
      "--parallelism", "2"),
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "10", "--max-nodes", "4328",
      "--parallelism", "2"),
+    ("table", "--patterns", "2413,3142", "--max-n", "8", "--max-maj", "12", "--max-nodes", "4949"),
+    ("table", "--patterns", "2413,3142", "--max-n", "8", "--max-maj", "12", "--max-nodes", "4948"),
     # The brute loop's boundaries: at max_n = 1 the root counts its own sites;
     # at 4 on two shares the frontier reaches the last two rows, so shares get
     # seeds one letter short and seeds of full length; and the cap cuts the
