@@ -37,16 +37,16 @@ Two independent computation paths are provided and cross-checked:
   signature c is tested by interval sums.  Counting profiles with a fixed
   cap signature is stars and bars, so each core's avoiding signatures are
   counted into one histogram that gives its exact, eventually polynomial
-  count at every length.  A table's cores of length n_max - 1 and n_max - 2 have room for
-  one or two padding letters, so their avoiding signatures are the clear
-  sites of their masks and of the masks of their descent children, which
-  the core walk builds by going on to length n_max - 1.
+  count at every length.  A table's cores of length n_max - 1 and n_max - 2
+  have room for one or two padding letters, so their avoiding signatures
+  are the clear sites of their masks and of their descent children's, which
+  the core walk, stopped two letters short, reads through a virtual pin.
 
-Both paths thus read the same masks for the permutations of length n_max
-whose last descent is at n_max - 1 or n_max - 2, and for those of length
-n_max - 1 whose last descent is at n_max - 2 (whose last letter falls).  The
-rest of those two rows, and every earlier row, is still cross-checked
-between independent routes.
+Both paths thus read the same masks, through the same compiled nests, for
+the permutations of length n_max whose last descent is at n_max - 1 or
+n_max - 2, and for those of length n_max - 1 whose last descent is at
+n_max - 2.  The rest of those two rows, and every earlier row, is still
+cross-checked between independent routes.
 """
 from __future__ import annotations
 
@@ -213,9 +213,9 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[[Perm, int],
     neither they nor a later step read is dead: the sites come out the same
     from its first fitting letter alone.
 
-    sites.leaves() compiles the same nests on first use into the leaf counter
-    of `_brute_fill`, where a node's child is a virtual pin (`compile_search`)
-    and a head slot above the pin in sigma sits one higher in the child.
+    sites.leaves() and sites.cores() compile the same nests on first use into
+    the counters of `_brute_fill` and `_core_children`: a node's child is a
+    virtual pin, and a head slot above the pin in sigma sits one higher in it.
     """
     root = 0
     nests, lifted = [], []
@@ -233,17 +233,19 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[[Perm, int],
         lifted.append(nests[-1]._replace(at={l - 1: forbid.format(*ends)}))
     sites = compile_search(nests, "word, mask", ["q = n - 1", "e2 = word[q]"],
                            ["return mask"], state="mask")
+    # The child of rank e2 inherits parent, split at e2; its clear ranks
+    # above e2 rise, and the others fall.
+    setup = ["last = word[n - 1] if n else 1", "full = (1 << n + 3) - 2"]
+    inherit = ["if parent >> e2 & 1:", "    continue",
+               "mask = (parent & ((1 << e2 + 1) - 1)) | ((parent >> e2) << e2 + 1)"]
 
     @lru_cache(maxsize=None)
     def leaves() -> Callable[..., int]:
-        # The child of rank e2 inherits parent, split at e2; its clear ranks
-        # above e2 rise, and the others fall.
         return compile_search(
             lifted, "word, parent, mj, cap, row, leaves, sources, relabel, shift",
-            ["last = word[n - 1] if n else 1", "full = (1 << n + 3) - 2", "spent = 0"],
-            ["return spent"], "mask", "range(1 if mj + n <= cap else last + 1, n + 2)",
-            (["if parent >> e2 & 1:", "    continue",
-              "mask = (parent & ((1 << e2 + 1) - 1)) | ((parent >> e2) << e2 + 1)"],
+            [*setup, "spent = 0"], ["return spent"], "mask",
+            "range(1 if mj + n <= cap else last + 1, n + 2)",
+            (inherit,
              ["cm = mj + n if e2 <= last else mj", "row[cm] += 1", "if sources is not None:",
               "    child = relabel(shift[e2]) if e2 <= n else (*word, e2)",
               "    sources.setdefault(cm, []).append(child)",
@@ -252,7 +254,23 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[[Perm, int],
               "    falls = (clear & ((2 << e2) - 1)).bit_count()",
               "    leaves[cm + n + 1] += falls", "    spent += falls"]))
 
-    sites.leaves = leaves
+    @lru_cache(maxsize=None)
+    def cores() -> Callable[[Perm, int, bool, bool], tuple[int, ...]]:
+        # Over the falling children, the rising ones or both: the falling
+        # ones, all, the falling ones' rising clear sites (at e2 + 1, and
+        # all), and the falling clear sites of the falling ones and the rising.
+        return compile_search(
+            lifted, "word, parent, falling, rising",
+            [*setup, "units = children = same = pairs = down = up = 0"],
+            ["return units, children, same, pairs, down, up"], "mask",
+            "range(1 if falling else last + 1, n + 2 if rising else last + 1)",
+            (inherit,
+             ["children += 1", "clear = ~mask & full",
+              "falls = (clear & ((2 << e2) - 1)).bit_count()", "if e2 > last:",
+              "    up += falls", "    continue", "rises = clear >> e2 + 1", "units += 1",
+              "same += rises & 1", "pairs += rises.bit_count()", "down += falls"]))
+
+    sites.leaves, sites.cores = leaves, cores
     return root, sites
 
 
@@ -834,55 +852,62 @@ def _cores(patterns: PatternSet, ceiling: int, max_len: int,
             yield gamma, len(gamma) + mj, sites
 
 
+def _core_children(count: Callable[..., tuple[int, ...]], columns: dict[int, SignatureCounts],
+                   word: Perm, mj: int, mask: int) -> int:
+    """Count into columns the children w = word . v of a node of length k
+    two letters short of the last row, read by count (sites.cores()), and
+    return the nodes spent, one per child and signature.  A falling w is the unit
+    e_{v-1} in column k + maj, and its rising sites the pairs, 2e_{v-1} at
+    v + 1 and e_{v-1} + e_{t-2} at t > v + 1.  Each w's falling sites are
+    its units, in column 2k + 1 + maj if it falls and k + 1 + maj if not.
+    The counter leaves out the children whose columns are not wanted."""
+    k = len(word)
+    own, fall, rise = (columns.get(c) for c in (k + mj, 2 * k + 1 + mj, k + 1 + mj))
+    units, spent, same, pairs, down, up = count(
+        word, mask, own is not None or fall is not None, rise is not None)
+    if own is not None and units:
+        spent += pairs
+        hist, cap = own.hist, own.cap
+        hist[k + 1, int(cap == 1)] += units
+        if same and cap >= 2:  # with cap 1, 2e_{v-1} is the unit e_{v-1}
+            hist[k + 2, int(cap == 2)] += same
+        if pairs > same:
+            hist[k + 2, 2 if cap == 1 else 0] += pairs - same
+    for counts, units in ((fall, down), (rise, up)):
+        if counts is not None and units:
+            spent += units
+            counts.hist[k + 2, int(counts.cap == 1)] += units
+    return spent
+
+
 def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
                   n_max: int | None, budget: _Budget) -> None:
     """Walk the cores once and add each core (shorter than n_max, if given)
     to the signature counts of its column len + maj, for the columns given.
 
     With n_max, only the signatures that reach lengths up to n_max are
-    walked, and a core one or two letters short of row n_max is counted from
-    masks, one node per signature.  A core of length n_max - 1 takes its
-    units, the falling sites of `_clear_sites`.  For a core gamma of length
-    n_max - 2 the walk goes on to length n_max - 1 with the column ceiling
-    itself as the cap on the maj of a falling child, so it builds every
-    descent child w = gamma . s (its last letter falls; (1,) is the child of
-    the empty core), and maj(w) is gamma's column len + maj.  A rising child
-    there keeps the cap ceiling - len of every other node.  The node w is
-    the unit e_{s-1}; appending rank s + 1 to it is the pair 2e_{s-1} and
-    rank t > s + 1 the pair e_{s-1} + e_{t-2}, so the pairs are its rising
-    sites.  Units and pairs go straight into the column's histogram.  Every
-    core with more room, and every core without n_max, goes through its
-    obstructions and the signature walk.
+    walked.  The walk stops two letters short of row n_max, where each node
+    counts its children from masks (`_core_children`); the root at n_max = 1
+    counts its units, the falling sites of `_clear_sites`.  Every core with
+    more room, and every core without n_max, goes through its obstructions
+    and the signature walk.
     """
     root, sites = _forbidden_sites(patterns.patterns)
     ceiling = max(columns)
     # A node of length k is kept while maj <= ceiling - k.  When n_max <=
-    # ceiling + 2 (short) the walk also stops at length n_max - 1, where a
-    # falling child takes the ceiling as its cap; otherwise the caps stay ranges.
+    # ceiling + 2 (short) the walk stops at length n_max - 2; otherwise every
+    # node has room 3 or more.
     short = n_max is not None and n_max <= ceiling + 2
-    down = range(ceiling, ceiling - n_max if short else -1, -1)
-    falls = [*down[:-1], ceiling] if short else down
-    for word, mj, mask in _walk(sites, [((), 0, root)], (down, falls), budget):
+    down = range(ceiling, ceiling - n_max + 1 if short else -1, -1)
+    count = sites.cores() if short else None
+    for word, mj, mask in _walk(sites, [((), 0, root)], (down, down), budget):
         k = len(word)
-        if short and k == n_max - 1 > 0 and (k == 1 or word[k - 1] < word[k - 2]):
-            # word = gamma . s for a core gamma of length n_max - 2.
-            counts = columns.get(mj)
-            if counts is not None:
-                s = word[k - 1]
-                rising, _ = _clear_sites(word, mask)
-                same = rising >> s + 1 & 1
-                other = rising.bit_count() - same
-                budget.spend(same + other)
-                hist, cap = counts.hist, counts.cap
-                hist[k, int(cap == 1)] += 1
-                if same and cap >= 2:  # with cap 1, 2e_{s-1} is the unit e_{s-1}
-                    hist[k + 1, int(cap == 2)] += same
-                if other:
-                    hist[k + 1, 2 if cap == 1 else 0] += other
-        counts = columns.get(k + mj)
         room = None if n_max is None else n_max - k
-        # A core with room 2 is counted through its descent children.
-        if counts is None or room == 2:
+        if room == 2:
+            budget.spend(_core_children(count, columns, word, mj, mask))
+            continue
+        counts = columns.get(k + mj)
+        if counts is None:
             continue
         _, sites = _clear_sites(word, mask)
         if not sites:

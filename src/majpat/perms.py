@@ -35,9 +35,9 @@ compile their own statements, because they read the embeddings of the
 pattern's prefixes; they place only a plan's head, every slot but the
 last.  A pin may be virtual, a loop over the values of a letter appended
 to the word: the word's letters are read in their own values, a letter x
-below the pin v iff x < v, so the brute table counts the sites of every
-child of a node without building one.  Each compiled search is cached
-with its pattern and built on first use.
+below the pin v iff x < v, so the brute table and the core path count the
+sites of every child of a node without building one.  Each compiled search
+is cached with its pattern and built on first use.
 """
 from __future__ import annotations
 
@@ -242,6 +242,9 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
     plan, pin, at, _ = nest
     l = len(plan)
     entry = {j: k + 2 for k, j in enumerate(sorted(range(l), key=lambda j: j != pin))}
+    read = set("".join(c if c.isalnum() else " " for c in at.get(l, "")).split())
+    once = set(at) == {l} and not at[l].startswith("return") and not read & {
+        f"e{entry[r]}" for r in range(l) if r != pin}
     lines: list[str] = []
     breaks: list[str] = []
     pad = ""
@@ -249,12 +252,17 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
         if loops == _LOOPS_PER_FUNCTION and r != pin:
             name = f"_more{next(names)}"
             more = _loop_nest(nest, r, start, state, names, 0, hoist)
+            more += ["else:", "    return False", "return True"] * once
             lines[:0] = [f"def {name}():", *[f"    nonlocal {state}"] * bool(state),
                          *("    " + line for line in more)]
-            # What it returns is passed on only where a statement returns.
+            # What it returns is passed on only where a statement returns; a
+            # nest that ends at its first placement asks whether it found one.
             returns = any(line.startswith("return") for line in at.values())
-            lines += [f"{pad}hit = {name}()", f"{pad}if hit is not None:",
-                      f"{pad}    return hit"] if returns else [f"{pad}{name}()"]
+            if once:
+                lines += [f"{pad}if not {name}():", f"{pad}    continue"]
+            else:
+                lines += [f"{pad}hit = {name}()", f"{pad}if hit is not None:",
+                          f"{pad}    return hit"] if returns else [f"{pad}{name}()"]
             break
         if r in at:
             lines.append(pad + at[r])
@@ -286,14 +294,17 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
             above = f" < e{hi}" if hi != 1 else ""
             lines.append(f"{pad}if {below}e{i}{above}:")
             pad += "    "
-        if dead:
-            breaks.append(pad + "break")
+        # Written after the loop inside, in reverse: a for-else, or a dead break.
+        breaks += [pad + "break", pad + "    continue", pad + "else:"] if once else [
+            pad + "break"] * dead
         loops += 1
     else:
         lines.append(pad + at[l])
         # A break straight after a return would never be reached.
         if breaks and breaks[-1] == pad + "break" and at[l].startswith("return"):
             breaks.pop()
+    if once:
+        del breaks[-2:]  # the innermost loop just breaks
     return lines + breaks[::-1]
 
 
@@ -318,11 +329,12 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
     otherwise at the end, since a statement at a lower r runs for
     placements that no embedding completes.
 
-    A dead slot breaks after the subtree of its first fitting letter.  That
-    letter has the earliest position, so every completion through a later
-    letter completes it too, and the entry that tells them apart is never
-    read.  Where that subtree is at[len(plan)] alone and it returns, no
-    break is written.
+    A dead slot breaks after the subtree of its first fitting letter (see
+    the module docstring); where that subtree is at[len(plan)] alone and it
+    returns, no break is written.  A nest whose one statement, at full
+    depth, neither returns nor reads a slot's entry ends at its first
+    placement: a loop breaks once the loop inside it breaks (a for-else
+    chain) and goes on while that one runs out, dead or not.
 
     state names the variable the statements rebind, for the functions a nest
     of more than _LOOPS_PER_FUNCTION loops goes on in; if a statement of the

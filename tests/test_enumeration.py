@@ -32,6 +32,7 @@ from majpat.enumeration import (
     _avoiding_signatures,
     _brute_rows,
     _clear_sites,
+    _core_children,
     _cores,
     _fill_columns,
     _forbidden_sites,
@@ -61,6 +62,14 @@ from oracles import (
 OBSTRUCTION_SETS = ("1324", "3412;1324", "2134", "321", "1342;2413", "21354;21453")
 SITE_SETS = ("1", "12", "21", "1324", "3412,1324", "2413,3142", "132,213", "", "21354", "21453")
 LONG_SIGMA = (2, 1, *range(3, 25))
+# Words whose children hold or touch LONG_SIGMA's head.  In the child of
+# rank 24 of each of the last two (a rising one, then a falling one), the
+# first placement of the head slots before the counters' inner function
+# fails inside it, and a later one succeeds.
+LONG_NODES = (LONG_SIGMA[:22], LONG_SIGMA[:23], tuple(range(23, 0, -1)),
+              insert(LONG_SIGMA[:22], 1, 22), *(delete_at(LONG_SIGMA[:23], k) for k in (1, 5)),
+              (2, 1, *range(3, 19), 23, 19, 20, 21, 22),
+              (2, 1, *range(3, 19), 23, 19, 20, 21, 22, 24))
 
 
 class TestPatternSet:
@@ -187,11 +196,14 @@ class TestForbiddenSites:
 
     def test_sites_of_a_pattern_longer_than_one_function_of_loops(self):
         # The 22 head loops of a 24-letter pattern go on in an inner function
-        # that sets the mask of the outer one.
+        # that sets the mask of the outer one.  In the last word the first
+        # placement of the slots before it fails in it, and a later one
+        # succeeds.
         sigma = (2, 1, *range(3, 25))
         _, sites = _forbidden_sites((sigma,))
         words = [sigma[:23], sigma, tuple(range(24, 0, -1)), insert(sigma[:23], 1, 23)]
         words += [delete_at(sigma, k) for k in (1, 5, 24)]
+        words += [(2, 1, *range(3, 20), 23, 20, 21, 22, 24)]
         assert any(sites(word, 0) for word in words)
         for word in words:
             want = oracle_last_two_patterns(word, (24,)).get(sigma, 0)
@@ -242,11 +254,68 @@ class TestForbiddenSites:
         # children of these words hold or touch the pattern's head.
         _, sites = _forbidden_sites((LONG_SIGMA,))
         assert sites(LONG_SIGMA[:23], 0)
-        words = [LONG_SIGMA[:22], LONG_SIGMA[:23], tuple(range(23, 0, -1)),
-                 insert(LONG_SIGMA[:22], 1, 22), *(delete_at(LONG_SIGMA[:23], k) for k in (1, 5))]
-        for word in words:
+        for word in LONG_NODES:
             for mask in (0, 0b1010 << 18):
                 self.check_leaf_counter(sites, word, major_index(word), mask)
+
+    @staticmethod
+    def check_core_counter(sites, word, mj, mask, cap):
+        # The core counter reads a node's children in the node's own letters.
+        # The cells and spend of _core_children are those of building each
+        # child w, adding its own sites to its inherited mask and splitting
+        # the clear sites: a falling w's unit and pairs go to the node's
+        # column, and each w's falling sites to its own column, 2k + 1 + maj
+        # or k + 1 + maj.  Each of the three columns is present or absent.
+        k = len(word)
+        last = word[-1] if k else 1
+        columns = (k + mj, 2 * k + 1 + mj, k + 1 + mj)
+        children = []
+        for v in range(1, k + 2):
+            if not mask >> v & 1:
+                child = insert(word, k + 1, v)
+                inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
+                children.append((v, v <= last, *_clear_sites(child, sites(child, inherited))))
+        for present in itertools.product((False, True), repeat=3):
+            # At the root, the children's two columns are one.
+            want = {c: Counter() for c, on in zip(columns, present) if on}
+            own, fall, rise = (c if c in want else None for c in columns)
+            spend = 0
+            for v, falls, rising, falling in children:
+                if falls and own is None and fall is None or not falls and rise is None:
+                    continue
+                spend += 1
+                if falls and own is not None:
+                    same = rising >> v + 1 & 1
+                    other = rising.bit_count() - same
+                    spend += same + other
+                    want[own][k + 1, int(cap == 1)] += 1
+                    if same and cap >= 2:
+                        want[own][k + 2, int(cap == 2)] += same
+                    if other:
+                        want[own][k + 2, 2 if cap == 1 else 0] += other
+                column = fall if falls else rise
+                if column is not None and falling:
+                    spend += falling.bit_count()
+                    want[column][k + 2, int(cap == 1)] += falling.bit_count()
+            got = {c: SignatureCounts(cap) for c in want}
+            assert _core_children(sites.cores(), got, word, mj, mask) == spend, (word, present)
+            for c, counts in got.items():
+                assert counts.hist == want[c] and 0 not in counts.hist.values(), (word, present)
+
+    @pytest.mark.parametrize("text", SITE_SETS)
+    def test_core_counter_matches_built_children(self, text):
+        # Every node of length <= 6.
+        ps = PatternSet.from_text(text)
+        root, sites = _forbidden_sites(ps.patterns)
+        for word, mj, mask in _walk(sites, [((), 0, root)], ([21] * 7,) * 2, _Budget(None)):
+            self.check_core_counter(sites, word, mj, mask, ps.cap)
+
+    def test_core_counter_of_a_pattern_longer_than_one_function_of_loops(self):
+        # The words of the leaf counter's test.
+        _, sites = _forbidden_sites((LONG_SIGMA,))
+        for word in LONG_NODES:
+            for mask in (0, 0b1010 << 18):
+                self.check_core_counter(sites, word, major_index(word), mask, len(LONG_SIGMA))
 
     def test_dead_slots_leave_out_what_is_read(self, monkeypatch):
         # The site search's plan pins slot l - 2 and reads below and above,
@@ -711,10 +780,11 @@ class TestCores:
     def test_core_units_are_its_one_letter_signatures(self):
         # A table counts the signatures of each core one or two letters
         # short of its last row from masks: the units _cores reads off its
-        # mask, and the pairs read off the masks of the children the walk
-        # builds.  The profiles, count_by_core and add_core (the obstruction
-        # and signature-walk route) must give the same units and, per
-        # column, the same histogram cells, with no zero cell.
+        # mask, and the pairs the core counter reads off the masks of its
+        # children.  The profiles, count_by_core and add_core (the
+        # obstruction and signature-walk route) must give the same units
+        # and, per column, the same histogram cells, with no zero cell: for
+        # full ranges of columns and for each column alone.
         for text in OBSTRUCTION_SETS + ("1", "12", "21", ""):
             ps = PatternSet.from_text(text)
             for gamma, _, sites in _cores(ps, 21, 6, _Budget(None)):
@@ -722,19 +792,21 @@ class TestCores:
                     == count_by_core(gamma, len(gamma) + 1, ps), (text, gamma)
             # Full triangles, and a ceiling that cuts the last row but one.
             for n_max, ceiling in [(n, c) for n in range(1, 9) for c in (n * (n - 1) // 2, 4)]:
-                got = {mp: SignatureCounts(ps.cap) for mp in range(ceiling + 1)}
-                _fill_columns(got, ps, n_max, _Budget(None))
                 want = {mp: SignatureCounts(ps.cap) for mp in range(ceiling + 1)}
                 for gamma, mp, _ in _cores(ps, ceiling, n_max - 1, _Budget(None)):
                     want[mp].add_core(gamma, ps, budget_sum=n_max - len(gamma),
                                       node_budget=_Budget(None))
-                for mp in got:
-                    # The empty word, the empty core's zero signature, sits in
-                    # cell (0, 0), which no row reads and the mask reads skip.
-                    for counts in (got[mp], want[mp]):
-                        counts.hist.pop((0, 0), None)
-                    assert got[mp].hist == want[mp].hist, (text, n_max, ceiling, mp)
-                    assert 0 not in got[mp].hist.values(), (text, n_max, ceiling, mp)
+                # The empty word, the empty core's zero signature, sits in
+                # cell (0, 0), which no row reads and the mask reads skip.
+                for counts in want.values():
+                    counts.hist.pop((0, 0), None)
+                for columns in [range(ceiling + 1), *([mp] for mp in range(ceiling + 1))]:
+                    got = {mp: SignatureCounts(ps.cap) for mp in columns}
+                    _fill_columns(got, ps, n_max, _Budget(None))
+                    for mp in got:
+                        got[mp].hist.pop((0, 0), None)
+                        assert got[mp].hist == want[mp].hist, (text, n_max, columns, mp)
+                        assert 0 not in got[mp].hist.values(), (text, n_max, columns, mp)
 
     def test_core_set_profiles_match_obstruction_route(self):
         # core_set reads each core's unit profiles off its walk mask;

@@ -116,12 +116,20 @@ CORPUS = [
      "--max-nodes", "110"),
     ("table", "--patterns", "2134", "--max-n", "6", "--max-maj", "4", "--parallelism", "2",
      "--max-nodes", "109"),
-    # The core walk at n_max = ceiling + 2, where a falling child at length
-    # n_max - 1 takes the raised cap, and one row further, where none does.
+    # The core walk at n_max = ceiling + 2 and one row further: its nodes
+    # two letters short of the last row count their children from masks.
     ("degree", "--patterns", "1324", "--maj", "6", "--max-n", "8", "--max-nodes", "784"),
     ("degree", "--patterns", "1324", "--maj", "6", "--max-n", "8", "--max-nodes", "783"),
     ("degree", "--patterns", "1324", "--maj", "6", "--max-n", "9", "--max-nodes", "1266"),
     ("degree", "--patterns", "1324", "--maj", "6", "--max-n", "9", "--max-nodes", "1265"),
+    # A cores table spends a node on every such child; one column only on
+    # the children whose columns it reads.
+    ("table", "--patterns", "3412,1324", "--max-n", "9", "--algorithm", "cores",
+     "--max-nodes", "32744"),
+    ("table", "--patterns", "3412,1324", "--max-n", "9", "--algorithm", "cores",
+     "--max-nodes", "32743"),
+    ("degree", "--patterns", "1324", "--maj", "9", "--max-n", "9", "--max-nodes", "5298"),
+    ("degree", "--patterns", "1324", "--maj", "9", "--max-n", "9", "--max-nodes", "5297"),
     # The no-pattern table against the file of its rows 1-6 (41 entries).
     ("check-oeis", "--file", A008302, "--max-n", "6", "--parallelism", "2"),
     # Two rows past the file's end.
