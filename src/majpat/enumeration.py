@@ -12,13 +12,17 @@ Two independent computation paths are provided and cross-checked:
   the ranks whose appending completes a pattern occurrence.  A child
   inherits its parent's mask (an occurrence that avoids the new letter stays
   one) and adds the sites of the occurrences of each pattern's head that end
-  at its new letter, so no candidate child is tested for containment.  That
-  search is one function per pattern set, compiled from the patterns'
-  embedding plans (`perms.compile_search`).  The brute table counts its last
-  two rows at their grandparents (`_brute_fill`), in one compiled loop per
-  node over its clear ranks v that reads each child in the parent's letters,
-  with v a virtual pin above a letter x iff x < v; it builds child words
-  only for the sources, which a test checks against the avoider stream.
+  at its new letter, so no candidate child is tested for containment.  Each
+  pattern gives one nest, compiled from its embedding plan
+  (`perms.compile_search`), and a pattern set's nests make every child's
+  mask in two compiled searches (`_forbidden_sites`).  Each loops over a
+  node's clear ranks v and reads every child in the node's own letters,
+  with v a virtual pin above a letter x iff x < v: one call of the expander
+  pushes a node's children for the walker, and one call of the counter
+  counts them.  The brute table
+  counts its last two rows at their grandparents (`_brute_fill`) through
+  the counter, which builds child words only for the sources; a test
+  checks those against the avoider stream.
 
 * cores: every permutation with major index m is core gamma + padding
   profile with maj_plus(gamma) = m.  Appending a letter never lowers
@@ -42,7 +46,7 @@ Two independent computation paths are provided and cross-checked:
   are the clear sites of their masks and of their descent children's, which
   the core walk, stopped two letters short, reads through a virtual pin.
 
-Both paths thus read the same masks, through the same compiled nests, for
+Both paths thus read the same masks, through the same compiled counter, for
 the permutations of length n_max whose last descent is at n_max - 1 or
 n_max - 2, and for those of length n_max - 1 whose last descent is at
 n_max - 2.  The rest of those two rows, and every earlier row, is still
@@ -198,28 +202,42 @@ class _Budget:
 
 
 @lru_cache(maxsize=64)
-def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[[Perm, int], int]]:
-    """The forbidden sites of the empty word, and the search sites(word,
-    mask): mask plus the sites forbidden by an occurrence of a pattern that
-    uses word's last letter (a length-1 pattern forbids the root's only site).
+def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[..., None], Callable]:
+    """(root, expand, count): the forbidden sites of the empty word (a
+    length-1 pattern forbids its only site), and the two searches, compiled
+    from one nest per longer pattern, that push a node's children (`_walk`)
+    and count them (`_brute_fill`, `_core_children`).
 
-    Appending rank s puts the new letter between the values s - 1 and s.  It
-    completes an occurrence of sigma ending at the last letter iff some
-    embedding of the head sigma[:l-1] ends there and its value neighbours of
-    sigma[l-1] are a < s <= b (0 and len(word) + 1 at the ends).  The search
-    pins slot l - 2 to the last letter, places the head slots before it and
-    sets the sites a + 1 .. b of each embedding.  Only a and b are read at
-    the end, so the plan counts them as read, and a head slot whose entry
-    neither they nor a later step read is dead: the sites come out the same
-    from its first fitting letter alone.
+    Bit s of a mask is set iff appending rank s makes the word contain a
+    pattern.  Both searches loop over a node's clear ranks v, each a virtual
+    pin: the child of rank v, read in the node's own letters, a letter x
+    below it iff x < v.  The child inherits the node's mask split at v
+    (appending v splits site v in two and shifts the sites above it up by
+    one) and adds the sites of the occurrences that end at v.  Rank s
+    completes an occurrence of sigma there iff some embedding of the head
+    sigma[:l-1] ends at v and its value neighbours of sigma[l-1] are
+    a < s <= b in the child (0 and the child's length + 1 at the ends),
+    where a letter above the pin is one higher than in the node.  The nest
+    pins slot l - 2, places the head slots before it and sets the sites
+    a + 1 .. b of each embedding.  Only a and b are read at the end, so the
+    plan counts them as read, and a head slot whose entry neither they nor
+    a later step read is dead: the sites come out the same from its first
+    fitting letter alone.
 
-    sites.leaves() and sites.cores() compile the same nests on first use into
-    the counters of `_brute_fill` and `_core_children`: a node's child is a
-    virtual pin, and a head slot above the pin in sigma sits one higher in it.
+    expand(word, parent, mj, falling, push, relabel, shift) pushes each
+    (child, maj, mask) from the top rank down, so that a stack pops them in
+    order, to rank 1 if falling and to the last letter + 1 if not; a child
+    under the top rank is relabel(shift[v]).  count(word, parent, mj,
+    falling, rising, sources=None, relabel=None, shift=None) reads the
+    falling children (the ranks up to the last letter, and the empty word's
+    one child) if falling and the rising ones if rising, by increasing rank.
+    It returns, for the falling children and then the rising ones, how many
+    there are, their rising clear sites and their falling clear sites, and
+    last how many falling children have site v + 1 clear.  Only sources, if
+    given, gets the child words, by maj.
     """
     root = 0
-    nests, lifted = [], []
-    forbid = "mask |= (2 << {}) - (2 << {})"
+    nests = []
     for sigma in sigs:
         l = len(sigma)
         if l == 1:
@@ -227,51 +245,31 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[[Perm, int],
             continue
         plan = embedding_plan(sigma, l - 2)
         below, above, _ = plan[l - 1]
-        nests.append(Nest(plan[:l - 1], l - 2, {l - 1: forbid.format(f"e{above}", f"e{below}")}))
         # Entry i > 2 holds head slot i - 3.
         ends = (f"e{i}" + " + 1" * (i > 2 and sigma[i - 3] > sigma[l - 2]) for i in (above, below))
-        lifted.append(nests[-1]._replace(at={l - 1: forbid.format(*ends)}))
-    sites = compile_search(nests, "word, mask", ["q = n - 1", "e2 = word[q]"],
-                           ["return mask"], state="mask")
-    # The child of rank e2 inherits parent, split at e2; its clear ranks
-    # above e2 rise, and the others fall.
-    setup = ["last = word[n - 1] if n else 1", "full = (1 << n + 3) - 2"]
+        forbid = "mask |= (2 << {}) - (2 << {})".format(*ends)
+        nests.append(Nest(plan[:l - 1], l - 2, {l - 1: forbid}))
+    setup = ["last = word[n - 1] if n else 1"]
     inherit = ["if parent >> e2 & 1:", "    continue",
                "mask = (parent & ((1 << e2 + 1) - 1)) | ((parent >> e2) << e2 + 1)"]
-
-    @lru_cache(maxsize=None)
-    def leaves() -> Callable[..., int]:
-        return compile_search(
-            lifted, "word, parent, mj, cap, row, leaves, sources, relabel, shift",
-            [*setup, "spent = 0"], ["return spent"], "mask",
-            "range(1 if mj + n <= cap else last + 1, n + 2)",
-            (inherit,
-             ["cm = mj + n if e2 <= last else mj", "row[cm] += 1", "if sources is not None:",
-              "    child = relabel(shift[e2]) if e2 <= n else (*word, e2)",
-              "    sources.setdefault(cm, []).append(child)",
-              "clear = ~mask & full", "rises = (clear >> e2 + 1).bit_count()",
-              "leaves[cm] += rises", "spent += 1 + rises", "if cm + n < cap:",
-              "    falls = (clear & ((2 << e2) - 1)).bit_count()",
-              "    leaves[cm + n + 1] += falls", "    spent += falls"]))
-
-    @lru_cache(maxsize=None)
-    def cores() -> Callable[[Perm, int, bool, bool], tuple[int, ...]]:
-        # Over the falling children, the rising ones or both: the falling
-        # ones, all, the falling ones' rising clear sites (at e2 + 1, and
-        # all), and the falling clear sites of the falling ones and the rising.
-        return compile_search(
-            lifted, "word, parent, falling, rising",
-            [*setup, "units = children = same = pairs = down = up = 0"],
-            ["return units, children, same, pairs, down, up"], "mask",
-            "range(1 if falling else last + 1, n + 2 if rising else last + 1)",
-            (inherit,
-             ["children += 1", "clear = ~mask & full",
-              "falls = (clear & ((2 << e2) - 1)).bit_count()", "if e2 > last:",
-              "    up += falls", "    continue", "rises = clear >> e2 + 1", "units += 1",
-              "same += rises & 1", "pairs += rises.bit_count()", "down += falls"]))
-
-    sites.leaves, sites.cores = leaves, cores
-    return root, sites
+    child = "relabel(shift[e2]) if e2 <= n else (*word, e2)"
+    sums = "fell, fell_up, fell_down, rose, rose_up, rose_down, same"
+    expand = compile_search(
+        nests, "word, parent, mj, falling, push, relabel, shift", setup, (), "mask",
+        "range(n + 1, 0 if falling else last, -1)",
+        (inherit, [f"push(({child}, mj + n if e2 <= last else mj, mask))"]))
+    count = compile_search(
+        nests, "word, parent, mj, falling, rising, sources=None, relabel=None, shift=None",
+        [*setup, "full = (1 << n + 3) - 2", sums.replace(",", " =") + " = 0"], [f"return {sums}"],
+        "mask", "range(1 if falling else last + 1, n + 2 if rising else last + 1)",
+        (inherit,
+         ["if sources is not None:",
+          f"    sources.setdefault(mj + n if e2 <= last else mj, []).append({child})",
+          "clear = ~mask & full", "falls = (clear & ((2 << e2) - 1)).bit_count()",
+          "rises = clear >> e2 + 1", "if e2 > last:", "    rose += 1",
+          "    rose_up += rises.bit_count()", "    rose_down += falls", "    continue",
+          "fell += 1", "fell_up += rises.bit_count()", "fell_down += falls", "same += rises & 1"]))
+    return root, expand, count
 
 
 def _clear_sites(word: Perm, mask: int) -> tuple[int, int]:
@@ -305,25 +303,17 @@ class _Relabel(dict):
         return table
 
 
-def _walk(sites: Callable[[Perm, int], int], seeds: list[tuple[Perm, int, int]],
-          caps: tuple[Sequence[int], Sequence[int]],
+def _walk(expand: Callable[..., None], seeds: list[tuple[Perm, int, int]], caps: Sequence[int],
           budget: _Budget) -> Iterator[tuple[Perm, int, int]]:
     """Each seed and then its descendants in the avoiders' prefix tree, in
     preorder with children by increasing appended rank, as (word, maj, mask).
     It builds every node above a brute table's last level (`_brute_fill`).
 
-    caps = (rises, falls), two sequences of one length: a descendant of
-    length n is kept while n < len(rises) and its maj is at most rises[n]
-    when its last letter rises and at most falls[n] when it falls (as the
-    only letter of a word of length 1 does).  A node's maj decides which of
-    its children stay, so the caps bound the range of ranks appended, with
-    no test per child.  Each expansion spends one node per child it builds.
-
-    Bit s of a mask is set iff appending rank s makes the word contain a
-    pattern, so the children are the clear sites.  A child inherits its
-    parent's forbidden sites (appending v splits site v in two and shifts
-    the sites above it up by one), and then forbids the sites of the
-    occurrences that use its new last letter (sites, from `_forbidden_sites`).
+    A descendant of length n is kept while n < len(caps) and its maj is at
+    most caps[n].  A node's maj decides which of its children stay, so the
+    caps bound the range of ranks appended, with no test per child.  Each
+    node is expanded by one call of expand (from `_forbidden_sites`), which
+    pushes its children onto the stack, and spends one node per child.
 
     A child is relabelled with one lookup in a table of its rank
     (`_Relabel`), except under the top rank, which relabels nothing and so
@@ -333,50 +323,39 @@ def _walk(sites: Callable[[Perm, int], int], seeds: list[tuple[Perm, int, int]],
     length its caps allow.
     """
     shift = _Relabel(0)
-    rises, falls = caps
     stack = seeds[::-1]
+    push = stack.append
     while stack:
         node = stack.pop()
         yield node
         word, mj, mask = node
         n = len(word)
-        if n + 1 >= len(rises):
-            continue
-        if n > shift.longest:
-            shift = _Relabel(2 * n)
-        rise = rises[n + 1]
-        fall = falls[n + 1]
         # Ranks above the last letter rise and keep maj; the others fall,
         # adding n.  The empty word's one child counts as falling.
-        last = word[n - 1] if n else 1
-        top = n + 1 if mj <= rise else last
-        bottom = 1 if mj + n <= fall else last + 1
-        relabel = itemgetter(*word, 0)
-        depth = len(stack)
-        # Highest rank first, so that the stack pops the children in order.
-        for v in range(top, bottom - 1, -1):
-            if mask >> v & 1:
-                continue
-            child = relabel(shift[v]) if v <= n else word + (v,)
-            inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
-            stack.append((child, mj + n if v <= last else mj, sites(child, inherited)))
-        budget.spend(len(stack) - depth)
+        if n + 1 < len(caps) and mj <= caps[n + 1]:
+            if n > shift.longest:
+                shift = _Relabel(2 * n)
+            depth = len(stack)
+            expand(word, mask, mj, mj + n <= caps[n + 1], push, itemgetter(*word, 0), shift)
+            budget.spend(len(stack) - depth)
 
 
-def _brute_fill(rows: list[list[int]], sites: Callable[[Perm, int], int],
+def _brute_fill(rows: list[list[int]], sites: tuple[int, Callable, Callable],
                 seeds: list[tuple[Perm, int, int]], max_n: int, maj_cap: int,
                 budget: _Budget, sources: dict[int, list[Perm]] | None = None) -> None:
     """Tally into rows each seed and its descendants of length <= max_n and
-    maj <= maj_cap.  `_walk` builds every node above row max_n - 1 under flat
-    caps.  A node two letters short of row max_n counts its children, and
-    their clear sites into row max_n, in one compiled loop over its clear
-    ranks v (sites.leaves()) that finds a child's sites in the node's own
-    letters, with v a virtual pin: a letter x is below it iff x < v.  Only
-    sources, if given, gets the child words, by maj in the walk's preorder.
-    A node one letter short (the root at max_n = 1, or a frontier seed)
-    counts its own.  Each spends what it builds and counts."""
-    count, shift = sites.leaves(), _Relabel(max_n)
-    for word, mj, mask in _walk(sites, seeds, ([maj_cap] * (max_n - 1),) * 2, budget):
+    maj <= maj_cap, with the searches of `_forbidden_sites`.  `_walk` builds
+    every node above row max_n - 1 under flat caps.  A node two letters
+    short of row max_n counts its children, and their clear sites into row
+    max_n, from one call of count: a falling child adds n to the node's
+    maj, and a falling grandchild n + 1 more, so the cap leaves out the
+    falling children, or only the falling grandchildren, by direction.
+    Only sources, if given, gets the child words, by maj in the walk's
+    preorder.  A node one letter short (the root at max_n = 1, or a
+    frontier seed) counts its own.  Each spends what it builds and counts."""
+    _, expand, count = sites
+    shift = _Relabel(max_n)
+    for word, mj, mask in _walk(expand, seeds, [maj_cap] * (max_n - 1), budget):
         n = len(word)
         if n:
             rows[n - 1][mj] += 1
@@ -390,15 +369,31 @@ def _brute_fill(rows: list[list[int]], sites: Callable[[Perm, int], int],
             if descents:
                 rows[n][mj + n] += descents
         elif n == max_n - 2:
-            budget.spend(count(word, mask, mj, maj_cap, rows[n], rows[n + 1], sources,
-                               sources is not None and itemgetter(*word, 0), shift))
+            fell, fell_up, fell_down, rose, rose_up, rose_down, _ = count(
+                word, mask, mj, mj + n <= maj_cap, True, sources,
+                sources is not None and itemgetter(*word, 0), shift)
+            row, leaves = rows[n], rows[n + 1]
+            row[mj] += rose
+            leaves[mj] += rose_up
+            spent = rose + rose_up
+            if mj + n < maj_cap:
+                leaves[mj + n + 1] += rose_down
+                spent += rose_down
+            if fell:
+                row[mj + n] += fell
+                leaves[mj + n] += fell_up
+                spent += fell + fell_up
+                if mj + 2 * n < maj_cap:
+                    leaves[mj + 2 * n + 1] += fell_down
+                    spent += fell_down
+            budget.spend(spent)
 
 
 def _zero_rows(max_n: int, maj_cap: int) -> list[list[int]]:
     return [[0] * (min(maj_cap, _triangle(n)) + 1) for n in range(1, max_n + 1)]
 
 
-def _walk_share(sites: Callable[[Perm, int], int], max_n: int, maj_cap: int, nodes_left: int,
+def _walk_share(sites: tuple[int, Callable, Callable], max_n: int, maj_cap: int, nodes_left: int,
                 seeds: list[tuple[Perm, int, int]]) -> tuple[list[list[int]], int]:
     """A child's rows of the subtrees under seeds, and the nodes they spent of nodes_left."""
     rows = _zero_rows(max_n, maj_cap)
@@ -431,16 +426,13 @@ def _fork_share(args: tuple) -> tuple[int, BinaryIO]:
 
 def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int,
                 budget: _Budget, sources: dict[int, list[Perm]] | None = None) -> list[list[int]]:
-    root, sites = _forbidden_sites(patterns.patterns)
+    root, expand, _ = sites = _forbidden_sites(patterns.patterns)
     rows = _zero_rows(max_n, maj_cap)
     # The caller counts as a worker.  With more than one, deal a frontier deep
     # enough for even shares round-robin, after counting its interior.  The
     # caller walks share 0 straight into rows (and sources, whole with one
     # worker) under the run's ceiling, and a forked child each other one under
     # what the frontier left; rows and spends add up exactly as on one process.
-    # The leaf counter is compiled first: the walk reuses the compiler's
-    # memory, and the children inherit the counter rather than compile it.
-    sites.leaves()
     workers = min(parallelism, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     frontier: list[tuple[Perm, int, int]] = [((), 0, root)]
     n = 0
@@ -448,7 +440,7 @@ def _brute_rows(patterns: PatternSet, max_n: int, maj_cap: int, parallelism: int
         if n:
             for _, mj, _ in frontier:
                 rows[n - 1][mj] += 1
-        walk = _walk(sites, frontier, ([maj_cap] * (n + 2),) * 2, budget)
+        walk = _walk(expand, frontier, [maj_cap] * (n + 2), budget)
         frontier = [node for node in walk if len(node[0]) > n]
         n += 1
     workers = max(1, min(workers, len(frontier)))
@@ -488,10 +480,9 @@ def generate_avoiders(n: int, patterns: PatternSet, *,
     """Stream every pattern-avoiding permutation of length n exactly once."""
     if n < 0:
         raise InvalidInputError(f"length must be non-negative, got {n}")
-    root, sites = _forbidden_sites(patterns.patterns)
+    root, expand, _ = _forbidden_sites(patterns.patterns)
     # maj <= n(n - 1)/2 holds for every prefix of every avoider.
-    caps = ([_triangle(n)] * (n + 1),) * 2
-    walk = _walk(sites, [((), 0, root)], caps, _Budget(max_nodes))
+    walk = _walk(expand, [((), 0, root)], [_triangle(n)] * (n + 1), _Budget(max_nodes))
     return (word for word, _, _ in walk if len(word) == n)
 
 
@@ -843,10 +834,10 @@ def _cores(patterns: PatternSet, ceiling: int, max_len: int,
     s <= gamma_k (any s for the empty word), so the avoiding ones are the
     falling sites of `_clear_sites`; a node is a core iff there is one
     (avoiding profiles form a down-set)."""
-    root, sites = _forbidden_sites(patterns.patterns)
+    root, expand, _ = _forbidden_sites(patterns.patterns)
     # Computed from the length, so the caps take no room per unit of ceiling.
     down = range(ceiling, ceiling - max_len - 1, -1)
-    for gamma, mj, mask in _walk(sites, [((), 0, root)], (down, down), budget):
+    for gamma, mj, mask in _walk(expand, [((), 0, root)], down, budget):
         _, sites = _clear_sites(gamma, mask)
         if sites:
             yield gamma, len(gamma) + mj, sites
@@ -855,16 +846,18 @@ def _cores(patterns: PatternSet, ceiling: int, max_len: int,
 def _core_children(count: Callable[..., tuple[int, ...]], columns: dict[int, SignatureCounts],
                    word: Perm, mj: int, mask: int) -> int:
     """Count into columns the children w = word . v of a node of length k
-    two letters short of the last row, read by count (sites.cores()), and
-    return the nodes spent, one per child and signature.  A falling w is the unit
-    e_{v-1} in column k + maj, and its rising sites the pairs, 2e_{v-1} at
-    v + 1 and e_{v-1} + e_{t-2} at t > v + 1.  Each w's falling sites are
-    its units, in column 2k + 1 + maj if it falls and k + 1 + maj if not.
-    The counter leaves out the children whose columns are not wanted."""
+    two letters short of the last row, read by count (from
+    `_forbidden_sites`), and return the nodes spent, one per child and
+    signature.  A falling w is the unit e_{v-1} in column k + maj, and its
+    rising sites the pairs, 2e_{v-1} at v + 1 and e_{v-1} + e_{t-2} at
+    t > v + 1.  Each w's falling sites are its units, in column 2k + 1 + maj
+    if it falls and k + 1 + maj if not.  The counter leaves out the
+    children whose columns are not wanted."""
     k = len(word)
     own, fall, rise = (columns.get(c) for c in (k + mj, 2 * k + 1 + mj, k + 1 + mj))
-    units, spent, same, pairs, down, up = count(
-        word, mask, own is not None or fall is not None, rise is not None)
+    units, pairs, down, rose, _, up, same = count(
+        word, mask, mj, own is not None or fall is not None, rise is not None)
+    spent = units + rose
     if own is not None and units:
         spent += pairs
         hist, cap = own.hist, own.cap
@@ -892,15 +885,14 @@ def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
     more room, and every core without n_max, goes through its obstructions
     and the signature walk.
     """
-    root, sites = _forbidden_sites(patterns.patterns)
+    root, expand, count = _forbidden_sites(patterns.patterns)
     ceiling = max(columns)
     # A node of length k is kept while maj <= ceiling - k.  When n_max <=
     # ceiling + 2 (short) the walk stops at length n_max - 2; otherwise every
     # node has room 3 or more.
     short = n_max is not None and n_max <= ceiling + 2
     down = range(ceiling, ceiling - n_max + 1 if short else -1, -1)
-    count = sites.cores() if short else None
-    for word, mj, mask in _walk(sites, [((), 0, root)], (down, down), budget):
+    for word, mj, mask in _walk(expand, [((), 0, root)], down, budget):
         k = len(word)
         room = None if n_max is None else n_max - k
         if room == 2:

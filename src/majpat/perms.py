@@ -35,9 +35,10 @@ compile their own statements, because they read the embeddings of the
 pattern's prefixes; they place only a plan's head, every slot but the
 last.  A pin may be virtual, a loop over the values of a letter appended
 to the word: the word's letters are read in their own values, a letter x
-below the pin v iff x < v, so the brute table and the core path count the
-sites of every child of a node without building one.  Each compiled search
-is cached with its pattern and built on first use.
+below the pin v iff x < v, so one call makes the sites of every child of a
+node, to push the children or to count them without building one.  The
+masks use only the virtual pin.  Each compiled search is cached with its
+pattern and built on first use.
 """
 from __future__ import annotations
 

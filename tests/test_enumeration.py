@@ -30,6 +30,7 @@ from majpat.enumeration import (
     _Budget,
     _Relabel,
     _avoiding_signatures,
+    _brute_fill,
     _brute_rows,
     _clear_sites,
     _core_children,
@@ -41,6 +42,7 @@ from majpat.enumeration import (
     _triangle,
     _unit_profiles,
     _walk,
+    _zero_rows,
 )
 from majpat.errors import InvalidInputError, ResourceLimitError, VerificationError
 from majpat.perms import (
@@ -162,7 +164,7 @@ class TestForbiddenSites:
         # rises and those where it falls: the ranks at or below the last
         # letter, and the one rank of the empty word.
         ps = PatternSet.from_text(text)
-        root, sites = _forbidden_sites(ps.patterns)
+        root, expand, _ = _forbidden_sites(ps.patterns)
         level = [((), 0, root)]
         for n in range(0, 7):
             assert sorted(w for w, _, _ in level) == oracle_avoiders(n, ps.patterns), (text, n)
@@ -177,145 +179,177 @@ class TestForbiddenSites:
                     for sites in _clear_sites(word, mask))
                 assert rising | falling == clear and not rising & falling, (text, word)
                 assert falling == {s for s in clear if not n or s <= word[-1]}, (text, word)
-            walk = _walk(sites, level, ([21] * (n + 2),) * 2, _Budget(None))
+            walk = _walk(expand, level, [21] * (n + 2), _Budget(None))
             level = [node for node in walk if len(node[0]) > n]
 
+    # Relabel tables for every word the tests expand.
+    SHIFT = _Relabel(len(LONG_SIGMA))
+
+    @classmethod
+    def expanded(cls, expand, word, mj, mask):
+        # The (child, maj, mask) the expander pushes, by increasing rank.
+        children = []
+        expand(word, mask, mj, True, children.append, itemgetter(*word, 0), cls.SHIFT)
+        return children[::-1]
+
     def test_sites_of_every_word_match_subset_scan(self):
-        # Every pattern of length 3-5 on every word of length <= 7, avoider
-        # or not: the sites the search of _forbidden_sites adds are the
-        # ranks whose appending completes an occurrence through the word's
-        # last letter.
-        sigmas = [s for l in (3, 4, 5) for s in itertools.permutations(range(1, l + 1))]
-        searches = {sigma: _forbidden_sites((sigma,))[1] for sigma in sigmas}
-        for n in range(1, 8):
+        # Every pattern of length 2-5 on every word of length <= 6, avoider
+        # or not, with no inherited site: the expander pushes the word with
+        # each rank appended, from the top rank down, with its major index
+        # and the sites of the occurrences through its last letter.
+        sigmas = [s for l in (2, 3, 4, 5) for s in itertools.permutations(range(1, l + 1))]
+        expanders = [(sigma, _forbidden_sites((sigma,))[1]) for sigma in sigmas]
+        for n in range(0, 7):
             for word in itertools.permutations(range(1, n + 1)):
-                want = oracle_last_two_patterns(word, (3, 4, 5))
-                for sigma in sigmas:
-                    assert searches[sigma](word, 0) == want.get(sigma, 0), \
-                        (word, sigma)
+                children = [insert(word, n + 1, v) for v in range(n + 1, 0, -1)]
+                heads = [(child, major_index(child)) for child in children]
+                wants = [oracle_last_two_patterns(child, (2, 3, 4, 5)) for child in children]
+                args = (word, 0, major_index(word), True)
+                relabel = itemgetter(*word, 0)
+                for sigma, expand in expanders:
+                    got = []
+                    expand(*args, got.append, relabel, self.SHIFT)
+                    assert got == [(*head, want.get(sigma, 0))
+                                   for head, want in zip(heads, wants)], (word, sigma)
 
     def test_sites_of_a_pattern_longer_than_one_function_of_loops(self):
-        # The 22 head loops of a 24-letter pattern go on in an inner function
-        # that sets the mask of the outer one.  In the last word the first
-        # placement of the slots before it fails in it, and a later one
+        # The 22 head loops of a 24-letter pattern, with the loop over the
+        # child's last letter, go on in an inner function that sets the mask
+        # of the outer one.  Every child of LONG_NODES is checked, and so is
+        # every sibling of these words; in the last, the first placement of
+        # the slots before the inner function fails in it, and a later one
         # succeeds.
-        sigma = (2, 1, *range(3, 25))
-        _, sites = _forbidden_sites((sigma,))
-        words = [sigma[:23], sigma, tuple(range(24, 0, -1)), insert(sigma[:23], 1, 23)]
-        words += [delete_at(sigma, k) for k in (1, 5, 24)]
-        words += [(2, 1, *range(3, 20), 23, 20, 21, 22, 24)]
-        assert any(sites(word, 0) for word in words)
-        for word in words:
-            want = oracle_last_two_patterns(word, (24,)).get(sigma, 0)
-            assert sites(word, 0) == want, word
+        _, expand, _ = _forbidden_sites((LONG_SIGMA,))
+        words = [LONG_SIGMA, tuple(range(24, 0, -1)), insert(LONG_SIGMA[:23], 1, 23),
+                 *(delete_at(LONG_SIGMA, k) for k in (1, 5, 24)),
+                 (2, 1, *range(3, 20), 23, 20, 21, 22, 24)]
+        parents = {*LONG_NODES, *(delete_at(w, len(w)) for w in words)}
+        masks = []
+        for word in sorted(parents):
+            got = self.expanded(expand, word, major_index(word), 0)
+            for v, node in enumerate(got, start=1):
+                child = insert(word, len(word) + 1, v)
+                # The head's 22 letters all sit below its last one, so a
+                # child of rank v < 23 has too few letters below v for it.
+                want = oracle_last_two_patterns(child, (24,)).get(LONG_SIGMA, 0) if v >= 23 else 0
+                assert node == (child, major_index(child), want), child
+                masks.append(want)
+        assert any(masks)
 
-    @staticmethod
-    def check_leaf_counter(sites, word, mj, mask):
-        # The leaf counter reads a node's children in the node's own letters.
-        # Its rows, spend and sources are those of building each child,
-        # adding its own sites to its inherited mask and splitting the clear
-        # sites: at the full cap, and at caps that cut the node's falling
-        # children, every grandchild's descent, or a falling child's only.
-        count = sites.leaves()
+    @classmethod
+    def check_counter(cls, sites, word, mj, mask, cap):
+        # The one counter reads a node's children in the node's own letters.
+        # Its sums, and the cells and spends that _brute_fill and
+        # _core_children write from them, are those of the expander's
+        # children split by _clear_sites.  Each child's mask is the node's
+        # split at its rank v, with the sites the expander gives it with no
+        # inherited site added.
+        _, expand, count = sites
         n = len(word)
         last = word[-1] if n else 1
-        for cap in sorted({mj, mj + n, mj + n + 1, _triangle(n + 2)}):
-            rows, spend, sources = [[0] * (_triangle(n + 2) + 1) for _ in "ab"], 0, {}
-            for v in range(1, n + 2):
-                if mask >> v & 1 or v <= last and mj + n > cap:
-                    continue
-                child = insert(word, n + 1, v)
-                inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
-                cm = mj + n if v <= last else mj
-                rising, falling = _clear_sites(child, sites(child, inherited))
-                falls = falling.bit_count() if cm + n < cap else 0
-                rows[0][cm] += 1
-                rows[1][cm] += rising.bit_count()
-                rows[1][cm + n + 1] += falls
-                spend += 1 + rising.bit_count() + falls
-                sources.setdefault(cm, []).append(child)
-            for collect in (None, {}):
-                got = [[0] * (_triangle(n + 2) + 1) for _ in "ab"]
-                relabel = collect is not None and itemgetter(*word, 0)
-                assert count(word, mask, mj, cap, *got, collect, relabel, _Relabel(n)) == spend, \
-                    (word, mask, cap)
-                assert got == rows and collect in (None, sources), (word, mask, cap)
-
-    @pytest.mark.parametrize("text", SITE_SETS)
-    def test_leaf_counter_matches_built_children(self, text):
-        # Every node of length <= 6.
-        root, sites = _forbidden_sites(PatternSet.from_text(text).patterns)
-        for word, mj, mask in _walk(sites, [((), 0, root)], ([21] * 7,) * 2, _Budget(None)):
-            self.check_leaf_counter(sites, word, mj, mask)
-
-    def test_leaf_counter_of_a_pattern_longer_than_one_function_of_loops(self):
-        # With the loop over the child's last letter, the 22 head loops of a
-        # 24-letter pattern go on in an inner function a loop earlier.  The
-        # children of these words hold or touch the pattern's head.
-        _, sites = _forbidden_sites((LONG_SIGMA,))
-        assert sites(LONG_SIGMA[:23], 0)
-        for word in LONG_NODES:
-            for mask in (0, 0b1010 << 18):
-                self.check_leaf_counter(sites, word, major_index(word), mask)
-
-    @staticmethod
-    def check_core_counter(sites, word, mj, mask, cap):
-        # The core counter reads a node's children in the node's own letters.
-        # The cells and spend of _core_children are those of building each
-        # child w, adding its own sites to its inherited mask and splitting
-        # the clear sites: a falling w's unit and pairs go to the node's
-        # column, and each w's falling sites to its own column, 2k + 1 + maj
-        # or k + 1 + maj.  Each of the three columns is present or absent.
-        k = len(word)
-        last = word[-1] if k else 1
-        columns = (k + mj, 2 * k + 1 + mj, k + 1 + mj)
+        bare = {child: own for child, _, own in cls.expanded(expand, word, mj, 0)}
         children = []
-        for v in range(1, k + 2):
-            if not mask >> v & 1:
-                child = insert(word, k + 1, v)
-                inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
-                children.append((v, v <= last, *_clear_sites(child, sites(child, inherited))))
+        for child, cm, got in cls.expanded(expand, word, mj, mask):
+            v = child[-1]
+            inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
+            assert got == inherited | bare[child], (word, mask, v)
+            rising, falling = _clear_sites(child, got)
+            children.append((child, cm, v <= last, rising.bit_count(), falling.bit_count(),
+                             rising >> v + 1 & 1))
+        assert [c for c, *_ in children] == [c for c in bare if not mask >> c[-1] & 1]
+        # The sums, over the falling children, the rising ones, both or none.
+        for reads in itertools.product((False, True), repeat=2):
+            want = [0] * 7
+            for _, _, falls, up, down, same in children:
+                if reads[not falls]:
+                    i = 3 * (not falls)
+                    want[i] += 1
+                    want[i + 1] += up
+                    want[i + 2] += down
+                    want[6] += same if falls else 0
+            assert count(word, mask, mj, *reads) == tuple(want), (word, mask, reads)
+        # _brute_fill at the full cap, and at caps that cut the node's
+        # falling children, every grandchild's descent, or a falling child's
+        # only, with and without sources.
+        for maj_cap in sorted({mj, mj + n, mj + n + 1, _triangle(n + 2)}):
+            rows, spend, sources = _zero_rows(n + 2, maj_cap), 0, {}
+            if n:
+                rows[n - 1][mj] = 1
+            for child, cm, _, up, down, _ in children:
+                if cm <= maj_cap:
+                    down *= cm + n < maj_cap
+                    rows[n][cm] += 1
+                    rows[n + 1][cm] += up
+                    if down:
+                        rows[n + 1][cm + n + 1] += down
+                    spend += 1 + up + down
+                    sources.setdefault(cm, []).append(child)
+            for collect in (None, {}):
+                got, budget = _zero_rows(n + 2, maj_cap), _Budget(None)
+                _brute_fill(got, sites, [(word, mj, mask)], n + 2, maj_cap, budget, collect)
+                assert budget.limit - budget.left == spend, (word, mask, maj_cap)
+                assert got == rows and collect in (None, sources), (word, mask, maj_cap)
+        # _core_children: a falling child's unit and pairs go to the node's
+        # column, and each child's falling sites to its own column, 2k + 1 +
+        # maj or k + 1 + maj.  Each of the three columns is present or absent.
+        columns = (n + mj, 2 * n + 1 + mj, n + 1 + mj)
         for present in itertools.product((False, True), repeat=3):
             # At the root, the children's two columns are one.
             want = {c: Counter() for c, on in zip(columns, present) if on}
             own, fall, rise = (c if c in want else None for c in columns)
             spend = 0
-            for v, falls, rising, falling in children:
+            for _, _, falls, up, down, same in children:
                 if falls and own is None and fall is None or not falls and rise is None:
                     continue
                 spend += 1
                 if falls and own is not None:
-                    same = rising >> v + 1 & 1
-                    other = rising.bit_count() - same
-                    spend += same + other
-                    want[own][k + 1, int(cap == 1)] += 1
+                    spend += up
+                    want[own][n + 1, int(cap == 1)] += 1
                     if same and cap >= 2:
-                        want[own][k + 2, int(cap == 2)] += same
-                    if other:
-                        want[own][k + 2, 2 if cap == 1 else 0] += other
+                        want[own][n + 2, int(cap == 2)] += same
+                    if up > same:
+                        want[own][n + 2, 2 if cap == 1 else 0] += up - same
                 column = fall if falls else rise
-                if column is not None and falling:
-                    spend += falling.bit_count()
-                    want[column][k + 2, int(cap == 1)] += falling.bit_count()
+                if column is not None and down:
+                    spend += down
+                    want[column][n + 2, int(cap == 1)] += down
             got = {c: SignatureCounts(cap) for c in want}
-            assert _core_children(sites.cores(), got, word, mj, mask) == spend, (word, present)
+            assert _core_children(count, got, word, mj, mask) == spend, (word, present)
             for c, counts in got.items():
                 assert counts.hist == want[c] and 0 not in counts.hist.values(), (word, present)
 
     @pytest.mark.parametrize("text", SITE_SETS)
-    def test_core_counter_matches_built_children(self, text):
-        # Every node of length <= 6.
+    def test_leaf_counter_matches_built_children(self, text):
+        # Every node of length <= 6 the walk builds, with its own mask.
         ps = PatternSet.from_text(text)
-        root, sites = _forbidden_sites(ps.patterns)
-        for word, mj, mask in _walk(sites, [((), 0, root)], ([21] * 7,) * 2, _Budget(None)):
-            self.check_core_counter(sites, word, mj, mask, ps.cap)
+        sites = _forbidden_sites(ps.patterns)
+        for word, mj, mask in _walk(sites[1], [((), 0, sites[0])], [21] * 7, _Budget(None)):
+            self.check_counter(sites, word, mj, mask, ps.cap)
+
+    @pytest.mark.parametrize("text", SITE_SETS)
+    def test_core_counter_matches_built_children(self, text):
+        # Every word of length <= 4, avoider or not, under masks no walk
+        # makes: no site, and every other site from 2 up.
+        ps = PatternSet.from_text(text)
+        sites = _forbidden_sites(ps.patterns)
+        for n in range(0, 5):
+            for word in itertools.permutations(range(1, n + 1)):
+                for mask in {0, 0b1010101 & ((1 << n + 2) - 4)}:
+                    self.check_counter(sites, word, major_index(word), mask, ps.cap)
+
+    def test_leaf_counter_of_a_pattern_longer_than_one_function_of_loops(self):
+        # With the loop over the child's last letter, the 22 head loops of a
+        # 24-letter pattern go on in an inner function a loop earlier.  The
+        # children of these words hold or touch the pattern's head.
+        sites = _forbidden_sites((LONG_SIGMA,))
+        for word in LONG_NODES:
+            self.check_counter(sites, word, major_index(word), 0, len(LONG_SIGMA))
 
     def test_core_counter_of_a_pattern_longer_than_one_function_of_loops(self):
-        # The words of the leaf counter's test.
-        _, sites = _forbidden_sites((LONG_SIGMA,))
+        # The same words, under a mask no walk makes.
+        sites = _forbidden_sites((LONG_SIGMA,))
         for word in LONG_NODES:
-            for mask in (0, 0b1010 << 18):
-                self.check_core_counter(sites, word, major_index(word), mask, len(LONG_SIGMA))
+            self.check_counter(sites, word, major_index(word), 0b1010 << 18, len(LONG_SIGMA))
 
     def test_dead_slots_leave_out_what_is_read(self, monkeypatch):
         # The site search's plan pins slot l - 2 and reads below and above,
@@ -780,7 +814,7 @@ class TestCores:
     def test_core_units_are_its_one_letter_signatures(self):
         # A table counts the signatures of each core one or two letters
         # short of its last row from masks: the units _cores reads off its
-        # mask, and the pairs the core counter reads off the masks of its
+        # mask, and the pairs the counter reads off the masks of its
         # children.  The profiles, count_by_core and add_core (the
         # obstruction and signature-walk route) must give the same units
         # and, per column, the same histogram cells, with no zero cell: for

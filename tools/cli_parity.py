@@ -50,6 +50,10 @@ CORPUS = [
     ("table", "--patterns", "21", "--max-n", "8", "--algorithm", "both"),
     ("table", "--patterns", "132,213", "--max-n", "9", "--algorithm", "both",
      "--parallelism", "2"),
+    # A length-1 and a length-2 pattern through both paths: the searches that
+    # expand and count a node's children place no head letter.
+    ("table", "--patterns", "1", "--max-n", "3", "--algorithm", "both"),
+    ("table", "--patterns", "12", "--max-n", "8", "--algorithm", "both", "--parallelism", "2"),
     # A 24-letter pattern: its searches nest more loops than one function holds.
     ("table", "--patterns", ",".join(str(v) for v in (2, 1, *range(3, 25))) + ";",
      "--max-n", "5"),
