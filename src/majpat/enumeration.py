@@ -40,11 +40,13 @@ Two independent computation paths are provided and cross-checked:
   pattern, so the search places only the pattern's head), and a capped
   signature c is tested by interval sums.  Counting profiles with a fixed
   cap signature is stars and bars, so each core's avoiding signatures are
-  counted into one histogram that gives its exact, eventually polynomial
-  count at every length.  A table's cores of length n_max - 1 and n_max - 2
-  have room for one or two padding letters, so their avoiding signatures
-  are the clear sites of their masks and of their descent children's, which
-  the core walk, stopped two letters short, reads through a virtual pin.
+  counted into one histogram (`SignatureCounts`) that gives its exact,
+  eventually polynomial count at every length.  A table's cores of length
+  n_max - 1 and n_max - 2 have room for one or two padding letters: the
+  core walk stops two letters short, and each node there reads their
+  avoiding signatures off its own mask and its children's, through a
+  virtual pin.  Of these, only the root of a one-row table takes the
+  signature walk.
 
 Both paths thus read the same masks, through the same compiled counter, for
 the permutations of length n_max whose last descent is at n_max - 1 or
@@ -696,12 +698,12 @@ def _implies(a: Obstruction, b: Obstruction) -> bool:
     return True
 
 
-def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *, hist: Counter,
-                         budget_sum: int | None = None, node_budget: _Budget) -> None:
-    """Count in hist, at cell (k + |c|, #{c_i = cap}), every cap signature c
-    (coordinates <= cap) of a valid decomposition (some c_i > 0 with
-    i < gamma_k, so that k is the last descent) whose composed permutation
-    avoids the patterns, optionally restricted to sum(c) <= budget_sum.
+def _avoiding_signatures(gamma: Perm, counts: SignatureCounts, *, room: int,
+                         node_budget: _Budget) -> None:
+    """Count in counts.hist, at cell (k + |c|, #{c_i = cap}), every cap
+    signature c (coordinates <= counts.cap) with sum(c) <= room of a valid
+    decomposition (some c_i > 0 with i < gamma_k, so that k is the last
+    descent) whose composed permutation avoids the patterns of counts.
     gamma itself must avoid them, as every core the walk yields does.
 
     Coordinates are fixed left to right with the later ones still zero, so
@@ -709,10 +711,9 @@ def _avoiding_signatures(gamma: Perm, patterns: PatternSet, *, hist: Counter,
     demand covers j and whose earlier demands already hold; each of them
     caps c_j just below its threshold.  The last one is counted, not walked.
     """
-    cap = patterns.cap
+    cap, hist = counts.cap, counts.hist
     k = len(gamma)
-    room = cap * (k + 1) if budget_sum is None else budget_sum
-    obstructions = _obstructions(gamma, patterns.patterns, room)
+    obstructions = _obstructions(gamma, counts.patterns.patterns, room)
     # closing[j]: for the obstructions whose last demand (lo, hi, d) covers
     # coordinate j, grouped by their earlier demands, the least d per lo.
     closing: list[dict] = [{} for _ in range(k + 1)]
@@ -761,23 +762,27 @@ class SignatureCounts:
     A core of length k with signature c stands for C(n - k - |c| + s - 1,
     s - 1) permutations of length n (stars and bars over the saturated
     coordinates; exactly one at n = k + |c| when s = 0).  The counts, the
-    eventual polynomial and its onset all come from this one object.  Built
-    with a size budget, the counts are exact only up to that length.  No
-    cell is written with zero, so every key of hist is a nonzero cell.
+    eventual polynomial and its onset all come from this one object, which
+    holds the pattern set and its cap (or any larger one, set before the
+    first core).  Built with a size budget, the counts are exact only up to
+    that length.  No cell is written with zero, so every key of hist is a
+    nonzero cell.
     """
 
-    def __init__(self, cap: int):
-        self.cap = cap
+    def __init__(self, patterns: PatternSet):
+        self.patterns = patterns
+        self.cap = patterns.cap
         self.hist: Counter = Counter()
         self.bound = 0  # every term is polynomial past this length
 
-    def add_core(self, gamma: Perm, patterns: PatternSet, *,
-                 budget_sum: int | None = None,
-                 node_budget: _Budget) -> None:
-        _avoiding_signatures(gamma, patterns, hist=self.hist, budget_sum=budget_sum,
-                             node_budget=node_budget)
+    def add_core(self, gamma: Perm, node_budget: _Budget, room: int | None = None) -> None:
+        """Add the avoiding signatures of gamma with at most room padding
+        letters; every one of them, up to cap * (k + 1), when room is None."""
         k = len(gamma)
-        self.bound = max(self.bound, k + self.cap * (k + 1))
+        full = self.cap * (k + 1)
+        _avoiding_signatures(gamma, self, room=full if room is None else room,
+                             node_budget=node_budget)
+        self.bound = max(self.bound, k + full)
 
     def count(self, n: int) -> int:
         total = 0
@@ -812,18 +817,22 @@ class SignatureCounts:
         return poly, onset
 
 
+def _core_counts(gamma: Perm, patterns: PatternSet, budget: _Budget,
+                 room: int | None = None) -> SignatureCounts:
+    """The signature counts of gamma alone, with room as in `add_core`;
+    none for a negative room or a gamma that contains a pattern."""
+    counts = SignatureCounts(patterns)
+    if (room is None or room >= 0) and avoids(gamma, patterns.patterns):
+        counts.add_core(gamma, budget, room)
+    return counts
+
+
 def count_by_core(gamma: Perm, n: int, patterns: PatternSet, *,
                   max_nodes: int | None = None) -> int:
     """Exact number of avoiders of length n whose core is gamma, refusing a
     gamma that is not a permutation; 0 for a gamma that contains a pattern."""
     gamma = check_perm(gamma)
-    budget = _Budget(max_nodes)
-    k = len(gamma)
-    if n < k or not avoids(gamma, patterns.patterns):
-        return 0
-    counts = SignatureCounts(patterns.cap)
-    counts.add_core(gamma, patterns, budget_sum=n - k, node_budget=budget)
-    return counts.count(n)
+    return _core_counts(gamma, patterns, _Budget(max_nodes), n - len(gamma)).count(n)
 
 
 def _cores(patterns: PatternSet, ceiling: int, max_len: int,
@@ -873,54 +882,41 @@ def _core_children(count: Callable[..., tuple[int, ...]], columns: dict[int, Sig
     return spent
 
 
-def _fill_columns(columns: dict[int, SignatureCounts], patterns: PatternSet,
-                  n_max: int | None, budget: _Budget) -> None:
-    """Walk the cores once and add each core (shorter than n_max, if given)
-    to the signature counts of its column len + maj, for the columns given.
+def _fill_columns(patterns: PatternSet, wanted: Sequence[int], n_max: int | None,
+                  budget: _Budget) -> dict[int, SignatureCounts]:
+    """The signature counts of the wanted columns, from one walk that adds
+    each core (shorter than n_max, if given) to its column len + maj.
 
     With n_max, only the signatures that reach lengths up to n_max are
-    walked.  The walk stops two letters short of row n_max, where each node
-    counts its children from masks (`_core_children`); the root at n_max = 1
-    counts its units, the falling sites of `_clear_sites`.  Every core with
-    more room, and every core without n_max, goes through its obstructions
-    and the signature walk.
+    walked, and the walk stops two letters short of row n_max: each node
+    there, with room for two padding letters, counts its children from
+    masks (`_core_children`).  Every other core goes through its
+    obstructions and the signature walk (`SignatureCounts.add_core`): each
+    core with room 3 or more, the root of a one-row table, and every core
+    without n_max.
     """
+    columns = {mp: SignatureCounts(patterns) for mp in wanted}
     root, expand, count = _forbidden_sites(patterns.patterns)
     ceiling = max(columns)
-    # A node of length k is kept while maj <= ceiling - k.  When n_max <=
-    # ceiling + 2 (short) the walk stops at length n_max - 2; otherwise every
-    # node has room 3 or more.
-    short = n_max is not None and n_max <= ceiling + 2
-    down = range(ceiling, ceiling - n_max + 1 if short else -1, -1)
+    # A node of length k is kept while maj <= ceiling - k, and with n_max
+    # while k <= n_max - 2, so only the root at n_max = 1 has room 1.
+    depth = ceiling + 1 if n_max is None else min(n_max - 1, ceiling + 1)
+    down = range(ceiling, ceiling - depth, -1)
     for word, mj, mask in _walk(expand, [((), 0, root)], down, budget):
         k = len(word)
         room = None if n_max is None else n_max - k
         if room == 2:
             budget.spend(_core_children(count, columns, word, mj, mask))
-            continue
-        counts = columns.get(k + mj)
-        if counts is None:
-            continue
-        _, sites = _clear_sites(word, mask)
-        if not sites:
-            continue
-        if room == 1:
-            units = sites.bit_count()
-            budget.spend(units)
-            counts.hist[k + 1, int(counts.cap == 1)] += units
-        else:
-            counts.add_core(word, patterns, node_budget=budget, budget_sum=room)
+        elif k + mj in columns and _clear_sites(word, mask)[1]:
+            columns[k + mj].add_core(word, budget, room)
+    return columns
 
 
 def _core_rows(patterns: PatternSet, max_n: int, maj_cap: int,
                budget: _Budget) -> list[list[int]]:
-    columns = {mp: SignatureCounts(patterns.cap) for mp in range(maj_cap + 1)}
-    _fill_columns(columns, patterns, max_n, budget)
-    rows = _zero_rows(max_n, maj_cap)
-    for n, row in enumerate(rows, start=1):
-        for mp in range(len(row)):
-            row[mp] = columns[mp].count(n)
-    return rows
+    columns = _fill_columns(patterns, range(maj_cap + 1), max_n, budget)
+    return [[columns[mp].count(n) for mp in range(min(maj_cap, _triangle(n)) + 1)]
+            for n in range(1, max_n + 1)]
 
 
 class CoreSet(NamedTuple):
@@ -964,9 +960,7 @@ def column_counts(m: int, patterns: PatternSet, *, n_max: int | None = None,
         raise InvalidInputError(f"major index must be non-negative, got {m}")
     if n_max is not None and n_max < 1:
         raise InvalidInputError(f"n_max must be >= 1, got {n_max}")
-    counts = SignatureCounts(patterns.cap)
-    _fill_columns({m: counts}, patterns, n_max, _Budget(max_nodes))
-    return counts
+    return _fill_columns(patterns, (m,), n_max, _Budget(max_nodes))[m]
 
 
 def core_polynomial(gamma: Perm, patterns: PatternSet) -> tuple[Polynomial, int]:
@@ -980,11 +974,7 @@ def core_polynomial(gamma: Perm, patterns: PatternSet) -> tuple[Polynomial, int]
     polynomial with onset 0.
     """
     gamma = check_perm(gamma)
-    budget = _Budget(None)
-    if not avoids(gamma, patterns.patterns):
-        return ZERO, 0
-    counts = SignatureCounts(patterns.cap)
-    counts.add_core(gamma, patterns, node_budget=budget)
+    counts = _core_counts(gamma, patterns, _Budget(None))
     return counts.eventual_polynomial(0, f"core {format_perm(gamma) or '(empty)'}")
 
 

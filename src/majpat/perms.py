@@ -283,6 +283,7 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
         letters = f"word[{_plus(var, k)}:{stop}]"
         if hoist is not None and not var:
             letters = hoist.setdefault(letters, f"w{len(hoist)}")
+        outer = pad
         if r + 1 < l and r + 1 != pin:
             lines.append(f"{pad}for p{i}, e{i} in enumerate({letters}, {_plus(var, k + 1)}):")
             start = (f"p{i}", 0)
@@ -295,6 +296,12 @@ def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
             above = f" < e{hi}" if hi != 1 else ""
             lines.append(f"{pad}if {below}e{i}{above}:")
             pad += "    "
+        # A dead slot between two loops of a for-else chain keeps its first
+        # fitting letter, and the later slots go on after its loop.
+        if once and dead and breaks and r < l - 1 - (pin == l - 1):
+            lines += [pad + "break", outer + "else:", outer + "    continue"]
+            pad = outer
+            continue
         # Written after the loop inside, in reverse: a for-else, or a dead break.
         breaks += [pad + "break", pad + "    continue", pad + "else:"] if once else [
             pad + "break"] * dead
@@ -335,7 +342,9 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
     returns, no break is written.  A nest whose one statement, at full
     depth, neither returns nor reads a slot's entry ends at its first
     placement: a loop breaks once the loop inside it breaks (a for-else
-    chain) and goes on while that one runs out, dead or not.
+    chain) and goes on while that one runs out.  A dead slot there, with a
+    loop around it and one inside it, breaks at its first fitting letter,
+    and the later slots are placed after its loop.
 
     state names the variable the statements rebind, for the functions a nest
     of more than _LOOPS_PER_FUNCTION loops goes on in; if a statement of the

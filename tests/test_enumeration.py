@@ -34,6 +34,7 @@ from majpat.enumeration import (
     _brute_rows,
     _clear_sites,
     _core_children,
+    _core_rows,
     _cores,
     _fill_columns,
     _forbidden_sites,
@@ -62,14 +63,20 @@ from oracles import (
 )
 
 OBSTRUCTION_SETS = ("1324", "3412;1324", "2134", "321", "1342;2413", "21354;21453")
+# The core path's sets: length-1 and length-2 patterns, and the empty set.
+CORE_SETS = OBSTRUCTION_SETS + ("1", "12", "21", "")
 SITE_SETS = ("1", "12", "21", "1324", "3412,1324", "2413,3142", "132,213", "", "21354", "21453")
 LONG_SIGMA = (2, 1, *range(3, 25))
 # Words whose children hold or touch LONG_SIGMA's head.  In the child of
 # rank 24 of each of the last two (a rising one, then a falling one), the
 # first placement of the head slots before the counters' inner function
-# fails inside it, and a later one succeeds.
+# fails inside it, and a later one succeeds.  In the child of rank 25 of
+# the one before them, head slot 1, which nothing reads, fits no letter
+# after the 1 in slot 0; after the 24 it fits 3 first, and the head fails
+# from there; with 3 in slot 0 it holds.
 LONG_NODES = (LONG_SIGMA[:22], LONG_SIGMA[:23], tuple(range(23, 0, -1)),
               insert(LONG_SIGMA[:22], 1, 22), *(delete_at(LONG_SIGMA[:23], k) for k in (1, 5)),
+              (1, 24, 3, 2, *range(4, 24)),
               (2, 1, *range(3, 19), 23, 19, 20, 21, 22),
               (2, 1, *range(3, 19), 23, 19, 20, 21, 22, 24))
 
@@ -237,7 +244,7 @@ class TestForbiddenSites:
         assert any(masks)
 
     @classmethod
-    def check_counter(cls, sites, word, mj, mask, cap):
+    def check_counter(cls, sites, word, mj, mask, patterns):
         # The one counter reads a node's children in the node's own letters.
         # Its sums, and the cells and spends that _brute_fill and
         # _core_children write from them, are those of the expander's
@@ -246,6 +253,7 @@ class TestForbiddenSites:
         # inherited site added.
         _, expand, count = sites
         n = len(word)
+        cap = patterns.cap
         last = word[-1] if n else 1
         bare = {child: own for child, _, own in cls.expanded(expand, word, mj, 0)}
         children = []
@@ -313,7 +321,7 @@ class TestForbiddenSites:
                 if column is not None and down:
                     spend += down
                     want[column][n + 2, int(cap == 1)] += down
-            got = {c: SignatureCounts(cap) for c in want}
+            got = {c: SignatureCounts(patterns) for c in want}
             assert _core_children(count, got, word, mj, mask) == spend, (word, present)
             for c, counts in got.items():
                 assert counts.hist == want[c] and 0 not in counts.hist.values(), (word, present)
@@ -324,7 +332,7 @@ class TestForbiddenSites:
         ps = PatternSet.from_text(text)
         sites = _forbidden_sites(ps.patterns)
         for word, mj, mask in _walk(sites[1], [((), 0, sites[0])], [21] * 7, _Budget(None)):
-            self.check_counter(sites, word, mj, mask, ps.cap)
+            self.check_counter(sites, word, mj, mask, ps)
 
     @pytest.mark.parametrize("text", SITE_SETS)
     def test_core_counter_matches_built_children(self, text):
@@ -335,7 +343,7 @@ class TestForbiddenSites:
         for n in range(0, 5):
             for word in itertools.permutations(range(1, n + 1)):
                 for mask in {0, 0b1010101 & ((1 << n + 2) - 4)}:
-                    self.check_counter(sites, word, major_index(word), mask, ps.cap)
+                    self.check_counter(sites, word, major_index(word), mask, ps)
 
     def test_leaf_counter_of_a_pattern_longer_than_one_function_of_loops(self):
         # With the loop over the child's last letter, the 22 head loops of a
@@ -343,13 +351,13 @@ class TestForbiddenSites:
         # children of these words hold or touch the pattern's head.
         sites = _forbidden_sites((LONG_SIGMA,))
         for word in LONG_NODES:
-            self.check_counter(sites, word, major_index(word), 0, len(LONG_SIGMA))
+            self.check_counter(sites, word, major_index(word), 0, PatternSet((LONG_SIGMA,)))
 
     def test_core_counter_of_a_pattern_longer_than_one_function_of_loops(self):
         # The same words, under a mask no walk makes.
         sites = _forbidden_sites((LONG_SIGMA,))
         for word in LONG_NODES:
-            self.check_counter(sites, word, major_index(word), 0b1010 << 18, len(LONG_SIGMA))
+            self.check_counter(sites, word, major_index(word), 0b1010 << 18, PatternSet((LONG_SIGMA,)))
 
     def test_dead_slots_leave_out_what_is_read(self, monkeypatch):
         # The site search's plan pins slot l - 2 and reads below and above,
@@ -819,28 +827,76 @@ class TestCores:
         # obstruction and signature-walk route) must give the same units
         # and, per column, the same histogram cells, with no zero cell: for
         # full ranges of columns and for each column alone.
-        for text in OBSTRUCTION_SETS + ("1", "12", "21", ""):
+        for text in CORE_SETS:
             ps = PatternSet.from_text(text)
             for gamma, _, sites in _cores(ps, 21, 6, _Budget(None)):
                 assert sites.bit_count() == len(minimal_avoiding_profiles(gamma, ps)) \
                     == count_by_core(gamma, len(gamma) + 1, ps), (text, gamma)
             # Full triangles, and a ceiling that cuts the last row but one.
             for n_max, ceiling in [(n, c) for n in range(1, 9) for c in (n * (n - 1) // 2, 4)]:
-                want = {mp: SignatureCounts(ps.cap) for mp in range(ceiling + 1)}
+                want = {mp: SignatureCounts(ps) for mp in range(ceiling + 1)}
                 for gamma, mp, _ in _cores(ps, ceiling, n_max - 1, _Budget(None)):
-                    want[mp].add_core(gamma, ps, budget_sum=n_max - len(gamma),
-                                      node_budget=_Budget(None))
+                    want[mp].add_core(gamma, _Budget(None), n_max - len(gamma))
                 # The empty word, the empty core's zero signature, sits in
                 # cell (0, 0), which no row reads and the mask reads skip.
                 for counts in want.values():
                     counts.hist.pop((0, 0), None)
                 for columns in [range(ceiling + 1), *([mp] for mp in range(ceiling + 1))]:
-                    got = {mp: SignatureCounts(ps.cap) for mp in columns}
-                    _fill_columns(got, ps, n_max, _Budget(None))
+                    got = _fill_columns(ps, columns, n_max, _Budget(None))
                     for mp in got:
                         got[mp].hist.pop((0, 0), None)
                         assert got[mp].hist == want[mp].hist, (text, n_max, columns, mp)
                         assert 0 not in got[mp].hist.values(), (text, n_max, columns, mp)
+
+    def test_no_length_bound_is_the_bound_of_every_signature(self):
+        # A core of length k <= m has at most cap * (k + 1) padding letters,
+        # so n_max = m + cap * (m + 1) leaves every core of the m-column room
+        # for all its signatures: the same walk, cells and spend as no n_max.
+        # Where that leaves a core only room 2 (cap * (m + 1) <= 2), it
+        # counts its children from masks, which spends a node per
+        # signature, so the bound is at least three rows past m.
+        for text in CORE_SETS:
+            ps = PatternSet.from_text(text)
+            for m in range(0, 7):
+                n_max = m + max(ps.cap * (m + 1), 3)
+                runs = []
+                for bound in (None, n_max):
+                    budget = _Budget(None)
+                    counts = _fill_columns(ps, (m,), bound, budget)[m]
+                    runs.append((counts.hist, budget.left, counts.series(n_max)))
+                assert runs[0] == runs[1], (text, m)
+
+    def test_the_lister_reads_the_cap_of_its_counts(self):
+        # Any cap at least the longest pattern's decides avoidance.  A column
+        # built core by core under a cap one larger has other cells where a
+        # gap can hold cap letters, but the same counts and eventual
+        # polynomial as column_counts.
+        for text in CORE_SETS:
+            ps = PatternSet.from_text(text)
+            cells_moved = False
+            for m in range(0, 7):
+                counts = SignatureCounts(ps)
+                counts.cap += 1
+                for gamma, mp, _ in _cores(ps, m, m, _Budget(None)):
+                    if mp == m:
+                        counts.add_core(gamma, _Budget(None))
+                want = column_counts(m, ps)
+                assert counts.series(14) == want.series(14), (text, m)
+                assert counts.eventual_polynomial(1, "raised") \
+                    == want.eventual_polynomial(1, "set"), (text, m)
+                cells_moved |= counts.hist != want.hist
+            # An avoider of 12 takes at most one letter per gap, and 1 has none.
+            assert cells_moved == (text not in ("1", "12")), text
+
+    def test_one_row_root_takes_the_signature_walk(self):
+        # At n_max = 1 the root is the only node, and it spends one node on
+        # its one signature walk, none for a set that forbids every letter.
+        for text in CORE_SETS:
+            ps = PatternSet.from_text(text)
+            assert maj_table(1, 0, ps, algorithm="both").rows == ((int(text != "1"),),)
+            budget = _Budget(None)
+            _core_rows(ps, 1, 0, budget)
+            assert budget.limit - budget.left == int(text != "1"), text
 
     def test_core_set_profiles_match_obstruction_route(self):
         # core_set reads each core's unit profiles off its walk mask;
@@ -924,8 +980,9 @@ class TestObstructions:
 
     def test_signatures_match_exhaustive_filter(self):
         # The histogram bins the avoiding signatures of the exhaustive filter
-        # by (k + |c|, #{c_i = cap}), with and without a size budget, holds
-        # no zero cell and keys its cells by ints, not bools.
+        # by (k + |c|, #{c_i = cap}), with room for every signature and for
+        # three padding letters, holds no zero cell and keys its cells by
+        # ints, not bools.
         for text, longest in (("1324", 4), ("3412;1324", 3), ("321", 3)):
             ps = PatternSet.from_text(text)
             cap = ps.cap
@@ -939,14 +996,14 @@ class TestObstructions:
                         if (k == 0 or any(c[:gk]))
                         and avoids(compose(gamma, c), ps.patterns)
                     ]
-                    for budget_sum in (None, 3):
-                        hist = Counter()
-                        _avoiding_signatures(gamma, ps, hist=hist, budget_sum=budget_sum,
-                                             node_budget=_Budget(None))
+                    for room in (cap * (k + 1), 3):
+                        counts = SignatureCounts(ps)
+                        _avoiding_signatures(gamma, counts, room=room, node_budget=_Budget(None))
+                        hist = counts.hist
                         binned = Counter((k + sum(c), c.count(cap)) for c in want
-                                         if budget_sum is None or sum(c) <= budget_sum)
-                        assert hist == binned, (text, gamma, budget_sum)
-                        assert 0 not in hist.values(), (text, gamma, budget_sum)
+                                         if sum(c) <= room)
+                        assert hist == binned, (text, gamma, room)
+                        assert 0 not in hist.values(), (text, gamma, room)
                         assert all(type(x) is int for cell in hist for x in cell)
 
 

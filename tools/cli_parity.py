@@ -134,6 +134,17 @@ CORPUS = [
      "--max-nodes", "32743"),
     ("degree", "--patterns", "1324", "--maj", "9", "--max-n", "9", "--max-nodes", "5298"),
     ("degree", "--patterns", "1324", "--maj", "9", "--max-n", "9", "--max-nodes", "5297"),
+    # The core walk's depth is min(n_max - 1, ceiling + 1): at n_max =
+    # ceiling + 2 its last nodes have room 2, one row further they have
+    # room 3 and go through the signature walk.
+    ("degree", "--patterns", "1324", "--maj", "9", "--max-n", "11"),
+    ("degree", "--patterns", "1324", "--maj", "9", "--max-n", "12"),
+    # A cores table of one row, where the root takes the signature walk and
+    # spends one node, and of two, where the root counts its children.
+    ("table", "--patterns", "3412,1324", "--max-n", "1", "--algorithm", "cores"),
+    ("table", "--patterns", "3412,1324", "--max-n", "2", "--algorithm", "cores"),
+    ("table", "--patterns", "1324", "--max-n", "1", "--algorithm", "cores", "--max-nodes", "1"),
+    ("table", "--patterns", "1324", "--max-n", "1", "--algorithm", "cores", "--max-nodes", "0"),
     # The no-pattern table against the file of its rows 1-6 (41 entries).
     ("check-oeis", "--file", A008302, "--max-n", "6", "--parallelism", "2"),
     # Two rows past the file's end.
