@@ -299,6 +299,9 @@ def degree_report(m: int, patterns: PatternSet, *, n_max: int | None = None,
         raise InvalidInputError(f"unknown algorithm {algorithm!r}")
     if window < 1:
         raise InvalidInputError(f"window must be >= 1, got {window}")
+    if n_max is not None and 1 <= n_max < window + 2:
+        raise InvalidInputError(
+            f"series of length {n_max} is too short for window {window}")
     prediction = predicted_degree(m, patterns)
     if n_max is None:
         if algorithm != "cores":

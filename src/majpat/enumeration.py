@@ -37,7 +37,7 @@ Two independent computation paths are provided and cross-checked:
   so each core precomputes the gap-interval demands (obstructions) under
   which gamma . c contains a pattern, by a compiled search that records one
   obstruction per embedding of a proper pattern prefix (a core avoids every
-  pattern, so the search places only the pattern's head), and a capped
+  pattern), with one nest per prefix length it records, and a capped
   signature c is tested by interval sums.  Counting profiles with a fixed
   cap signature is stars and bars, so each core's avoiding signatures are
   counted into one histogram (`SignatureCounts`) that gives its exact,
@@ -76,6 +76,7 @@ from .perms import (
     embedding_plan,
     format_perm,
     magnitude,
+    order_pattern,
     parse_perm,
     set_magnitude,
     slope,
@@ -250,7 +251,7 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[..., None], 
         # Entry i > 2 holds head slot i - 3.
         ends = (f"e{i}" + " + 1" * (i > 2 and sigma[i - 3] > sigma[l - 2]) for i in (above, below))
         forbid = "mask |= (2 << {}) - (2 << {})".format(*ends)
-        nests.append(Nest(plan[:l - 1], l - 2, {l - 1: forbid}))
+        nests.append(Nest(plan[:l - 1], l - 2, forbid))
     setup = ["last = word[n - 1] if n else 1"]
     inherit = ["if parent >> e2 & 1:", "    continue",
                "mask = (parent & ((1 << e2 + 1) - 1)) | ((parent >> e2) << e2 + 1)"]
@@ -584,7 +585,8 @@ def maj_table(max_n: int, max_maj: int, patterns: PatternSet, *,
 
     algorithm is "brute", "cores", or "both"; both-mode raises
     VerificationError on the first differing cell.  One node ceiling covers
-    every walk, and parallelism below 1 is refused.
+    every walk, and each m past n(n - 1)/2 of row max_n costs it one node.
+    Parallelism below 1 is refused.
     """
     if max_n < 1:
         raise InvalidInputError(f"max_n must be >= 1, got {max_n}")
@@ -596,6 +598,7 @@ def maj_table(max_n: int, max_maj: int, patterns: PatternSet, *,
         raise InvalidInputError(f"parallelism must be >= 1, got {parallelism}")
     maj_cap = min(max_maj, _triangle(max_n))
     budget = _Budget(max_nodes)
+    budget.spend(max_maj - maj_cap)
     brute = cores = None
     if algorithm in ("brute", "both"):
         brute = _brute_rows(patterns, max_n, maj_cap, parallelism, budget)
@@ -624,21 +627,20 @@ Obstruction = tuple[tuple[int, int, int], ...]
 @lru_cache(maxsize=256)
 def _obstruction_search(sigma: Perm) -> Callable[[Perm, int, Callable], None]:
     """The search search(gamma, max_demand, add) behind `_obstructions` for
-    one pattern: it adds the obstruction of each embedding of sigma[:r] in
-    gamma at the levels r whose tail sigma[r:] is increasing and at most
-    max_demand long.  A level's demands are the runs of tail letters sharing
-    their value_neighbours in sigma[:r], in increasing value order; only the
-    entries they read count as read, and the search places the head
-    sigma[:l - 1], the longest prefix a level records."""
+    one pattern: one nest per level r whose tail sigma[r:] is increasing,
+    which places sigma[:r] and, where the tail is at most max_demand long,
+    adds the obstruction of each embedding.  A level's demands are the runs
+    of tail letters sharing their value_neighbours in sigma[:r], in
+    increasing value order; only the entries they read count as read."""
     l = len(sigma)
-    at, reads = {}, set()
+    nests = []
     for r in range(l - slope(sigma), l):
         demand = Counter(value_neighbours(sigma, range(r), t) for t in sorted(sigma[r:]))
-        reads.update(i for pair in demand for i in pair)
+        reads = tuple(sorted({i for pair in demand for i in pair}))
         demands = "".join(f"(e{lo}, e{hi} - 1, {d}), " for (lo, hi), d in demand.items())
-        at[r] = f"if first <= {r}: add(({demands}))"
-    head = embedding_plan(sigma, None, tuple(sorted(reads)))[:l - 1]
-    return compile_search([Nest(head, None, at)], "word, max_demand, add",
+        plan = embedding_plan(order_pattern(sigma[:r]), None, reads)
+        nests.append(Nest(plan, None, f"add(({demands}))", f"first <= {r}"))
+    return compile_search(nests, "word, max_demand, add",
                           [f"first = max({l - slope(sigma)}, {l} - max_demand)"])
 
 

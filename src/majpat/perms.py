@@ -26,19 +26,20 @@ it places and neither does the caller at the end; its loop then stops after
 the subtree of its first fitting letter.  That is exact: that letter has the
 earliest position, so every completion of a later letter completes it too,
 and the entry that tells them apart is never read.  What a question does
-with an embedding is a statement the compiled function runs at a fixed
-depth: `contains` and `avoids` return at the first one, unpinned;
-`contains_through` and `contains_ending_at_last` pin one slot to a given
-letter and return at the first one; `occurrences` collects them all.  The
-prefix-tree masks and the core obstructions of the enumeration module
-compile their own statements, because they read the embeddings of the
-pattern's prefixes; they place only a plan's head, every slot but the
-last.  A pin may be virtual, a loop over the values of a letter appended
-to the word: the word's letters are read in their own values, a letter x
-below the pin v iff x < v, so one call makes the sites of every child of a
-node, to push the children or to count them without building one.  The
-masks use only the virtual pin.  Each compiled search is cached with its
-pattern and built on first use.
+with an embedding is one statement the compiled function runs once per
+embedding, with every slot placed: `contains` and `avoids` return at the
+first one, unpinned; `contains_through` and `contains_ending_at_last` pin
+one slot to a given letter and return at the first one; `occurrences`
+collects them all.  The prefix-tree masks and the core obstructions of the
+enumeration module compile their own statements, because they read the
+embeddings of the pattern's prefixes: a mask's nest places the plan's head,
+every slot but the last, and the obstructions take one nest per prefix they
+record, each with its own plan.  A pin may be virtual, a loop over the
+values of a letter appended to the word: the word's letters are read in
+their own values, a letter x below the pin v iff x < v, so one call makes
+the sites of every child of a node, to push the children or to count them
+without building one.  The masks use only the virtual pin.  Each compiled
+search is cached with its pattern and built on first use.
 """
 from __future__ import annotations
 
@@ -211,12 +212,13 @@ def embedding_plan(sigma: Perm, pin: int | None = None,
 
 
 class Nest(NamedTuple):
-    """A search over every slot of plan, an embedding plan or a head of one;
-    compile_search says what each field does."""
+    """A search over every slot of plan, an embedding plan or a head of one,
+    that runs statement once per placement of them all; compile_search says
+    what each field does."""
 
     plan: tuple[tuple[int, int, bool], ...]
     pin: int | None
-    at: dict[int, str]
+    statement: str
     guard: str = ""
 
 
@@ -234,86 +236,82 @@ def _plus(var: str, k: int) -> str:
     return f"{var} + {k}" if k > 0 else f"{var} - {-k}"
 
 
-def _loop_nest(nest: Nest, first: int, start: tuple[str, int], state: str,
-               names: Iterator[int], loops: int, hoist: dict[str, str] | None) -> list[str]:
+def _indent(lines: Iterable[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _loop_nest(nest: Nest, state: str, names: Iterator[int], hoist: dict[str, str] | None,
+               first: int = 0, start: tuple[str, int] = ("", 0), loops: int = 0) -> list[str]:
     """Source lines that place the slots of nest from first on, the first of
     them searched from the 0-based position _plus(*start) on, inside loops
-    enclosing loops.  hoist is None unless the pin is virtual; then it names
-    each slice of word that no pin moves, for the caller to bind once."""
-    plan, pin, at, _ = nest
+    enclosing loops: first the functions that a nest too deep for this one
+    goes on in, then its loops.  hoist is None unless the pin is virtual;
+    then it names each slice of word that no pin moves, for the caller to
+    bind once."""
+    plan, pin, statement, _ = nest
     l = len(plan)
     entry = {j: k + 2 for k, j in enumerate(sorted(range(l), key=lambda j: j != pin))}
-    read = set("".join(c if c.isalnum() else " " for c in at.get(l, "")).split())
-    once = set(at) == {l} and not at[l].startswith("return") and not read & {
+    read = set("".join(c if c.isalnum() else " " for c in statement).split())
+    once = not statement.startswith("return") and not read & {
         f"e{entry[r]}" for r in range(l) if r != pin}
-    lines: list[str] = []
-    breaks: list[str] = []
-    pad = ""
-    for r in range(first, l):
-        if loops == _LOOPS_PER_FUNCTION and r != pin:
-            name = f"_more{next(names)}"
-            more = _loop_nest(nest, r, start, state, names, 0, hoist)
-            more += ["else:", "    return False", "return True"] * once
-            lines[:0] = [f"def {name}():", *[f"    nonlocal {state}"] * bool(state),
-                         *("    " + line for line in more)]
-            # What it returns is passed on only where a statement returns; a
-            # nest that ends at its first placement asks whether it found one.
-            returns = any(line.startswith("return") for line in at.values())
-            if once:
-                lines += [f"{pad}if not {name}():", f"{pad}    continue"]
-            else:
-                lines += [f"{pad}hit = {name}()", f"{pad}if hit is not None:",
-                          f"{pad}    return hit"] if returns else [f"{pad}{name}()"]
-            break
-        if r in at:
-            lines.append(pad + at[r])
+    defs: list[str] = []
+
+    def place(r: int, start: tuple[str, int], depth: int) -> list[str]:
+        """The lines of slot r, wrapped around those of the slots after it,
+        inside depth enclosing loops, of which those past the first loops
+        are this function's."""
+        if r == l:
+            return [statement]
         if r == pin:
-            start = ("q", 1)
-            continue
+            return place(r + 1, ("q", 1), depth)
+        if depth == _LOOPS_PER_FUNCTION:
+            name = f"_more{next(names)}"
+            more = _loop_nest(nest, state, names, hoist, r, start)
+            more += ["else:", "    return False", "return True"] * once
+            defs.extend([f"def {name}():", *[f"    nonlocal {state}"] * bool(state),
+                         *_indent(more)])
+            # What it returns is passed on only where the statement returns; a
+            # nest that ends at its first placement asks whether it found one.
+            if once:
+                return [f"if not {name}():", "    continue"]
+            if statement.startswith("return"):
+                return [f"hit = {name}()", "if hit is not None:", "    return hit"]
+            return [f"{name}()"]
         i = entry[r]
         lo, hi, dead = plan[r]
         # Slot r leaves room for the slots between it and the pin, or the end.
-        if min(at) < l:
-            stop = "n"
-        elif pin is not None and r < pin:
-            stop = _plus("q", r + 1 - pin)
-        else:
-            stop = _plus("n", r + 1 - l)
+        stop = _plus("q", r + 1 - pin) if pin is not None and r < pin else _plus("n", r + 1 - l)
         var, k = start
         letters = f"word[{_plus(var, k)}:{stop}]"
         if hoist is not None and not var:
             letters = hoist.setdefault(letters, f"w{len(hoist)}")
-        outer = pad
         if r + 1 < l and r + 1 != pin:
-            lines.append(f"{pad}for p{i}, e{i} in enumerate({letters}, {_plus(var, k + 1)}):")
+            loop = f"for p{i}, e{i} in enumerate({letters}, {_plus(var, k + 1)}):"
             start = (f"p{i}", 0)
         else:
-            lines.append(f"{pad}for e{i} in {letters}:")
-        pad += "    "
+            loop = f"for e{i} in {letters}:"
+        if once and dead and depth > loops and r < l - 1 - (pin == l - 1):
+            # A dead slot between two loops of a for-else chain keeps its
+            # first fitting letter, and the later slots go on after its loop.
+            body, after = ["break"], ["else:", "    continue", *place(r + 1, start, depth)]
+        else:
+            body, after = place(r + 1, start, depth + 1), []
+            if once:
+                # A placement breaks out; the loop inside, if any, running
+                # out goes on to this slot's next letter.
+                body += ["else:", "    continue"] * body[0].startswith("for") + ["break"]
+            elif dead and not body[-1].startswith("return"):
+                # A break straight after a return would never be reached.
+                body.append("break")
         # The floor e0 and the ceiling e1 bound every letter.
         if lo or hi != 1:
             below = f"e{lo} {'<=' if lo == 2 and hoist is not None else '<'} " if lo else ""
             above = f" < e{hi}" if hi != 1 else ""
-            lines.append(f"{pad}if {below}e{i}{above}:")
-            pad += "    "
-        # A dead slot between two loops of a for-else chain keeps its first
-        # fitting letter, and the later slots go on after its loop.
-        if once and dead and breaks and r < l - 1 - (pin == l - 1):
-            lines += [pad + "break", outer + "else:", outer + "    continue"]
-            pad = outer
-            continue
-        # Written after the loop inside, in reverse: a for-else, or a dead break.
-        breaks += [pad + "break", pad + "    continue", pad + "else:"] if once else [
-            pad + "break"] * dead
-        loops += 1
-    else:
-        lines.append(pad + at[l])
-        # A break straight after a return would never be reached.
-        if breaks and breaks[-1] == pad + "break" and at[l].startswith("return"):
-            breaks.pop()
-    if once:
-        del breaks[-2:]  # the innermost loop just breaks
-    return lines + breaks[::-1]
+            body = [f"if {below}e{i}{above}:", *_indent(body)]
+        return [loop, *_indent(body), *after]
+
+    lines = place(first, start, loops)
+    return defs + lines
 
 
 def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
@@ -324,33 +322,30 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
     The function takes args, among them the word, binds n = len(word), the
     floor e0 = 0 and the ceiling e1 = n + 1, runs the setup lines, then each
     nest in turn, then the finish lines.  A nest places every slot of its
-    plan, left to right, where its guard holds; the plan is an
-    embedding_plan or a head of one, its slots 0 .. h - 1.  The pinned
-    slot, if any, is the letter e2 at the 0-based position q, which the
-    setup binds.  Every other slot is one `for` over the letters after the
-    last placed one, binding e<i> for its entry i in the plan's layout (and
-    p<i>, the position after it, when the next slot starts there), with one
-    test of the slot's window.  at[r] runs each time slots 0 .. r - 1 are
-    placed, at[len(plan)] once per placement of them all.  When every
-    statement sits at full depth, a slot stops where it leaves one letter
-    for each later slot of the plan, before the pin or before the end;
-    otherwise at the end, since a statement at a lower r runs for
-    placements that no embedding completes.
+    plan, left to right, where its guard holds, and runs its statement once
+    per placement of them all; the plan is an embedding_plan or a head of
+    one, its slots 0 .. h - 1.  The pinned slot, if any, is the letter e2 at
+    the 0-based position q, which the setup binds.  Every other slot is one
+    `for` over the letters after the last placed one, binding e<i> for its
+    entry i in the plan's layout (and p<i>, the position after it, when the
+    next slot starts there), with one test of the slot's window.  A slot
+    stops where it leaves one letter for each later slot of the plan,
+    before the pin or before the end.
 
     A dead slot breaks after the subtree of its first fitting letter (see
-    the module docstring); where that subtree is at[len(plan)] alone and it
-    returns, no break is written.  A nest whose one statement, at full
-    depth, neither returns nor reads a slot's entry ends at its first
-    placement: a loop breaks once the loop inside it breaks (a for-else
-    chain) and goes on while that one runs out.  A dead slot there, with a
-    loop around it and one inside it, breaks at its first fitting letter,
-    and the later slots are placed after its loop.
+    the module docstring); where that subtree is a returning statement
+    alone, no break is written.  A nest whose statement neither returns nor
+    reads a slot's entry ends at its first placement: a loop breaks once
+    the loop inside it breaks (a for-else chain) and goes on while that one
+    runs out.  A dead slot there, with a loop around it and one inside it,
+    breaks at its first fitting letter, and the later slots are placed
+    after its loop.
 
     state names the variable the statements rebind, for the functions a nest
-    of more than _LOOPS_PER_FUNCTION loops goes on in; if a statement of the
-    nest returns, what one of those returns, unless None, the search
-    returns.  The source holds only integers from the plans, fixed
-    templates and the caller's statements.
+    of more than _LOOPS_PER_FUNCTION loops goes on in; if a nest's statement
+    returns, what one of those returns, unless None, the search returns.
+    The source holds only integers from the plans, fixed templates and the
+    caller's statements.
 
     With pins, a source expression, the pin is virtual: e2 runs over the
     values of pins, each a letter appended to word at q = n, so the ceiling
@@ -365,24 +360,21 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
     hoist: dict[str, str] | None = {} if pins else None
     body: list[str] = []
     for nest in nests:
-        plan, pin, at, guard = nest
+        plan, pin, _, guard = nest
         l = len(plan)
-        room = min(at) == l
         # A word too short for the nest would slice from its end.
         guards = [guard] if guard else []
-        if room and pin is None:
+        if pin is None:
             guards.append(f"{l} <= n")
-        elif room:
+        else:
             guards += [f"{pin} <= q"] * (pin > 0)
             guards += [f"q < {_plus('n', pin + 1 - l)}"] * (l - 1 > pin)
-        code = _loop_nest(nest, 0, ("", 0), state, names, int(hoist is not None), hoist)
-        if guards:
-            code = [f"if {' and '.join(guards)}:", *("    " + line for line in code)]
-        body += code
+        code = _loop_nest(nest, state, names, hoist, loops=int(hoist is not None))
+        body += [f"if {' and '.join(guards)}:", *_indent(code)] if guards else code
     if hoist is not None:
         before, after = each
         body = [*(f"{name} = {letters}" for letters, name in hoist.items()), f"for e2 in {pins}:",
-                *("    " + line for line in (*before, *body, *after))]
+                *_indent((*before, *body, *after))]
     # A virtual pin lengthens the word by one letter, at its end.
     bounds = ["e1 = n + 2", "q = n"] if hoist is not None else ["e1 = n + 1"]
     lines = [f"def search({args}):", "n = len(word)", "e0 = 0", *bounds, *setup, *body, *finish]
@@ -393,7 +385,7 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
 
 @lru_cache(maxsize=256)
 def _contains_search(sigma: Perm) -> Callable[[Perm], bool]:
-    nest = Nest(embedding_plan(sigma), None, {len(sigma): "return True"})
+    nest = Nest(embedding_plan(sigma), None, "return True")
     return compile_search([nest], "word", finish=["return False"])
 
 
@@ -402,7 +394,7 @@ def _through_search(sigma: Perm) -> Callable[[Perm, int], bool]:
     # The letter v can only play a slot j with sigma[j] - 1 letters below v
     # and l - sigma[j] above it.
     l = len(sigma)
-    nests = [Nest(embedding_plan(sigma, j), j, {l: "return True"},
+    nests = [Nest(embedding_plan(sigma, j), j, "return True",
                   guard=f"{t} <= e2 <= {_plus('n', t - l)}") for j, t in enumerate(sigma)]
     return compile_search(nests, "word, q", ["e2 = word[q]"], ["return False"])
 
@@ -412,7 +404,7 @@ def _occurrence_search(sigma: Perm) -> Callable[[Perm], list[tuple[int, ...]]]:
     l = len(sigma)
     every = tuple(range(2, l + 2))
     letters = "".join(f"e{i}, " for i in every)
-    nest = Nest(embedding_plan(sigma, None, every), None, {l: f"append(({letters}))"})
+    nest = Nest(embedding_plan(sigma, None, every), None, f"append(({letters}))")
     return compile_search([nest], "word", ["found = []", "append = found.append"],
                           ["return found"])
 

@@ -60,6 +60,34 @@ def oracle_minimal_obstructions(found):
     return sorted(a for a in found if not any(b != a and implies(a, b) for b in found))
 
 
+def oracle_obstructions(gamma, patterns, max_demand):
+    """Every obstruction of a core gamma that avoids the patterns, by
+    scanning index subsets.  For each pattern sigma and each level r whose
+    tail sigma[r:] is increasing and at most max_demand long, a subset of
+    gamma's letters that forms sigma[:r] demands, for each run of tail
+    letters t whose value neighbours in the subset are the same lo < t < hi
+    (0 and len(gamma) + 1 at the ends), as many padding letters in the gaps
+    lo .. hi - 1."""
+    found = set()
+    for sigma in patterns:
+        l = len(sigma)
+        for r in range(max(0, l - max_demand), l):
+            tail = sigma[r:]
+            if list(tail) != sorted(tail):
+                continue
+            order = sorted(range(r), key=sigma.__getitem__)
+            for sub in itertools.combinations(gamma, r):
+                if sorted(range(r), key=sub.__getitem__) != order:
+                    continue
+                demands = {}
+                for t in tail:
+                    lo = max((v for v, s in zip(sub, sigma) if s < t), default=0)
+                    hi = min((v for v, s in zip(sub, sigma) if s > t), default=len(gamma) + 1)
+                    demands[lo, hi - 1] = demands.get((lo, hi - 1), 0) + 1
+                found.add(tuple(sorted((lo, hi, d) for (lo, hi), d in demands.items())))
+    return found
+
+
 def oracle_maj(word):
     return sum(i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1])
 

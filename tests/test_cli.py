@@ -66,6 +66,22 @@ class TestExitCodes:
                                "--window", "0", "--max-nodes", "1000")
             assert code == 2 and "window must be >= 1" in err, maj
 
+    def test_short_series_is_two_before_the_column_walk(self, capsys):
+        # Three counts are too short for the default window of 3, on both
+        # paths, under a ceiling that no walk fits.
+        for algorithm in ("cores", "brute"):
+            code, _, err = run(capsys, "degree", "--patterns", "1324", "--maj", "60",
+                               "--max-n", "3", "--max-nodes", "0", "--algorithm", algorithm)
+            assert code == 2, algorithm
+            assert err == "majpat: series of length 3 is too short for window 3\n", algorithm
+
+    def test_columns_past_the_last_row_count_against_the_ceiling(self, capsys):
+        # Row 3 spans m = 0 .. 3; the 999,997 columns past it cost a node
+        # each before any walk, so nothing is written.
+        code, out, err = run(capsys, "table", "--max-n", "3", "--max-maj", "1000000",
+                             "--max-nodes", "100")
+        assert code == 3 and out == "" and "search node budget" in err
+
     def test_failed_witness_self_check_is_one(self, capsys, monkeypatch):
         monkeypatch.setattr(majpat.asymptotics, "co_layered",
                             lambda positions, length: tuple(range(1, length + 1)))

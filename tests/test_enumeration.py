@@ -58,6 +58,7 @@ from oracles import (
     oracle_cores,
     oracle_last_two_patterns,
     oracle_minimal_obstructions,
+    oracle_obstructions,
     oracle_occurrences,
     oracle_rows_by_deletion,
 )
@@ -363,9 +364,9 @@ class TestForbiddenSites:
         # The site search's plan pins slot l - 2 and reads below and above,
         # the window of slot l - 1, at the end: a head slot is dead iff no
         # later head step and neither below nor above reads its entry.  The
-        # obstruction search places the head sigma[:l - 1] and records the
-        # levels r >= l - slope(sigma): a head slot is dead iff no later head
-        # step and no recorded level's demands read it.
+        # obstruction search places sigma[:r] in one nest per recorded level
+        # r >= l - slope(sigma): a slot is dead iff no later step of that
+        # nest and no demand of that level reads it.
         nests = []
         compile_search = majpat.enumeration.compile_search
 
@@ -385,16 +386,18 @@ class TestForbiddenSites:
                     assert dead == (r + 3 not in read | {below, above}), (sigma, r)
                 nests.clear()
                 _obstruction_search(sigma)
-                [(steps, _, at, _)] = nests
-                levels = range(l - slope(sigma), l)
-                assert len(steps) == l - 1 and sorted(at) == list(levels), sigma
-                # Layout (0, k + 1, slots 0 .. l - 2); a tail letter's demand
-                # reads its value neighbours among the embedded slots.
-                demands = {i for r in levels for t in sigma[r:]
-                           for i in value_neighbours(sigma, range(r), t)}
-                for r, (_, _, dead) in enumerate(steps):
-                    read = {i for lo, hi, _ in steps[r + 1:] for i in (lo, hi)}
-                    assert dead == (r + 2 not in read | demands), (sigma, r)
+                assert [len(steps) for steps, *_ in nests] == \
+                    list(range(l - slope(sigma), l)), sigma
+                for steps, pin, _, guard in nests:
+                    r = len(steps)
+                    assert pin is None and guard == f"first <= {r}", (sigma, r)
+                    assert [s[:2] for s in steps] == [s[:2] for s in embedding_plan(sigma)[:r]]
+                    # Layout (0, k + 1, slots 0 .. r - 1); a tail letter's
+                    # demand reads its value neighbours among the embedded slots.
+                    demands = {i for t in sigma[r:] for i in value_neighbours(sigma, range(r), t)}
+                    for j, (_, _, dead) in enumerate(steps):
+                        read = {i for lo, hi, _ in steps[j + 1:] for i in (lo, hi)}
+                        assert dead == (j + 2 not in read | demands), (sigma, r, j)
         _obstruction_search.cache_clear()
 
 
@@ -532,6 +535,17 @@ class TestMajTable:
             with pytest.raises(ResourceLimitError):
                 maj_table(8, 10, ps, parallelism=parallelism, max_nodes=total - 1)
 
+    def test_columns_past_the_last_row_cost_one_node_each(self):
+        # Row 4 spans m = 0 .. 6.  The walks spend 32 nodes on brute, 33 on
+        # cores and 65 on both, and the three columns past row 4 cost one
+        # node each, once per run.
+        ps = PatternSet.of("1324")
+        for algorithm, spend in (("brute", 32), ("cores", 33), ("both", 65)):
+            for max_maj, total in ((6, spend), (9, spend + 3)):
+                maj_table(4, max_maj, ps, algorithm=algorithm, max_nodes=total)
+                with pytest.raises(ResourceLimitError):
+                    maj_table(4, max_maj, ps, algorithm=algorithm, max_nodes=total - 1)
+
     def test_csv_json_round_trip(self):
         t = maj_table(5, 4, PatternSet.of("132"))
         again = MajTable.from_json_obj(json.loads(t.to_json()))
@@ -609,14 +623,16 @@ class TestParallelSplit:
     def test_split_is_exact_for_every_degree(self, monkeypatch, text):
         # A deep frontier can take a small table whole or leave fewer nodes
         # than shares.  At every degree the rows are the serial ones, the
-        # serial spend T (one node per counted permutation) passes and T - 1
-        # stops the run.
+        # serial spend T (one node per counted permutation, and one per m
+        # past the last row's span, as at max_n 1 and 2 with max_maj 3)
+        # passes and T - 1 stops the run.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         ps = PatternSet.from_text(text)
         for max_n in range(1, 9):
-            for max_maj in (max_n * (max_n - 1) // 2, 3):
+            span = max_n * (max_n - 1) // 2
+            for max_maj in (span, 3):
                 rows = maj_table(max_n, max_maj, ps).rows
-                spend = sum(map(sum, rows))
+                spend = sum(map(sum, rows)) + max(0, max_maj - span)
                 for parallelism in (1, 2, 3):
                     case = (max_n, max_maj, parallelism)
                     split = maj_table(max_n, max_maj, ps, parallelism=parallelism,
@@ -956,6 +972,28 @@ class TestObstructions:
                     (gamma, c)
                 outcomes.add(met)
         assert outcomes == {False, True}
+
+    def test_searches_find_what_the_subset_scan_lists(self, monkeypatch):
+        # The obstructions the searches record, before the minimal ones are
+        # kept, on every avoider of length <= 6 at each max_demand up to
+        # the longest pattern's length.
+        seen = []
+        minimal = majpat.enumeration._minimal_obstructions
+
+        def recorded(found):
+            seen.append(set(found))
+            return minimal(found)
+
+        monkeypatch.setattr(majpat.enumeration, "_minimal_obstructions", recorded)
+        for text in OBSTRUCTION_SETS:
+            ps = PatternSet.from_text(text)
+            for k in range(0, 7):
+                for gamma in oracle_avoiders(k, ps.patterns):
+                    for max_demand in range(1, ps.max_len + 1):
+                        seen.clear()
+                        _obstructions(gamma, ps.patterns, max_demand)
+                        assert seen == [oracle_obstructions(gamma, ps.patterns, max_demand)], \
+                            (text, gamma, max_demand)
 
     def test_minimal_obstructions_match_all_pairs_filter(self, monkeypatch):
         # The sorted single pass keeps what comparing every pair keeps, on

@@ -71,6 +71,12 @@ CORPUS = [
     ("table", "--patterns", "21345", "--max-n", "8", "--algorithm", "both"),
     ("degree", "--patterns", "21345", "--maj", "8"),
     ("degree", "--patterns", "21345", "--maj", "8", "--max-n", "14"),
+    # An increasing pattern, whose level-0 obstruction nest places no slot,
+    # and the 24-letter pattern, whose obstruction nests go on in inner
+    # functions.
+    ("degree", "--patterns", "12345", "--maj", "8"),
+    ("degree", "--patterns", ",".join(str(v) for v in (2, 1, *range(3, 25))) + ";",
+     "--maj", "3"),
     # A magnitude-3 set, whose witness is max_length_core.
     ("degree", "--patterns", "1243", "--maj", "6"),
     ("cores", "--patterns", "1324", "--maj", "7"),
