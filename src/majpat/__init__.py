@@ -20,7 +20,6 @@ from .perms import (
     magnitude,
     maj_plus,
     major_index,
-    occurrences,
     order_pattern,
     parse_perm,
     set_magnitude,
@@ -34,7 +33,6 @@ from .decomp import (
     compose,
     decompose,
     format_profile,
-    parse_profile,
 )
 from .poly import Polynomial
 from .enumeration import (
@@ -90,7 +88,6 @@ __all__ = [
     "generate_avoiders", "insert", "largest_triangular_index",
     "limit_probability", "magnitude", "magnitude_two_core", "maj_plus",
     "maj_table", "major_count_series", "major_index", "max_length_core",
-    "monotone_injection", "occurrences", "order_pattern", "parse_perm",
-    "parse_profile", "predicted_degree", "set_magnitude", "slope", "tail",
-    "verify_monotonicity",
+    "monotone_injection", "order_pattern", "parse_perm", "predicted_degree",
+    "set_magnitude", "slope", "tail", "verify_monotonicity",
 ]

@@ -28,20 +28,6 @@ class CoreDecomposition(NamedTuple):
     profile: Profile
 
 
-def parse_profile(text: str) -> Profile:
-    """Parse the parenthesized comma form, e.g. "(2,3,0,1)"."""
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise InvalidInputError(f"bad profile text {text!r}")
-    try:
-        coords = tuple(int(tok) for tok in text[1:-1].split(","))
-    except ValueError as exc:
-        raise InvalidInputError(f"bad profile text {text!r}") from exc
-    if any(c < 0 for c in coords):
-        raise InvalidInputError(f"profile coordinates must be non-negative: {text!r}")
-    return coords
-
-
 def format_profile(a: Profile) -> str:
     return "(" + ",".join(str(c) for c in a) + ")"
 

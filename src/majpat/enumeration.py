@@ -534,24 +534,6 @@ class MajTable(NamedTuple):
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2)
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> "MajTable":
-        try:
-            patterns = PatternSet.of(*obj["patterns"])
-            max_n, max_maj = int(obj["max_n"]), int(obj["max_maj"])
-            numbers = [int(r["n"]) for r in obj["rows"]]
-            rows = tuple(tuple(int(c) for c in r["counts"]) for r in obj["rows"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"bad table JSON: {exc}") from exc
-        # Rows n = 1 .. max_n in order, row n with columns 0 .. min(max_maj, n(n - 1)/2).
-        if max_n < 1 or max_maj < 0 or len(rows) != max_n \
-                or numbers != list(range(1, max_n + 1)) \
-                or any(len(row) != min(max_maj, _triangle(n)) + 1
-                       for n, row in enumerate(rows, start=1)):
-            raise InvalidInputError(
-                f"bad table JSON: rows do not match max_n={max_n}, max_maj={max_maj}")
-        return MajTable(patterns, max_n, max_maj, rows)
-
     def to_csv(self) -> str:
         header = "n," + ",".join(str(m) for m in range(self.max_maj + 1))
         lines = [header]
@@ -560,22 +542,6 @@ class MajTable(NamedTuple):
             cells += [""] * (self.max_maj + 1 - len(row))
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def rows_from_csv(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """Parse the CSV emission back into (max_maj, ragged rows)."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("n,"):
-            raise InvalidInputError("bad table CSV: missing header")
-        max_maj = len(lines[0].split(",")) - 2
-        rows = []
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            try:
-                rows.append(tuple(int(c) for c in cells[1:] if c != ""))
-            except ValueError as exc:
-                raise InvalidInputError(f"bad table CSV: {exc}") from exc
-        return max_maj, tuple(rows)
 
 
 def maj_table(max_n: int, max_maj: int, patterns: PatternSet, *,

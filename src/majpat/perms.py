@@ -29,17 +29,17 @@ and the entry that tells them apart is never read.  What a question does
 with an embedding is one statement the compiled function runs once per
 embedding, with every slot placed: `contains` and `avoids` return at the
 first one, unpinned; `contains_through` and `contains_ending_at_last` pin
-one slot to a given letter and return at the first one; `occurrences`
-collects them all.  The prefix-tree masks and the core obstructions of the
-enumeration module compile their own statements, because they read the
-embeddings of the pattern's prefixes: a mask's nest places the plan's head,
-every slot but the last, and the obstructions take one nest per prefix they
-record, each with its own plan.  A pin may be virtual, a loop over the
-values of a letter appended to the word: the word's letters are read in
-their own values, a letter x below the pin v iff x < v, so one call makes
-the sites of every child of a node, to push the children or to count them
-without building one.  The masks use only the virtual pin.  Each compiled
-search is cached with its pattern and built on first use.
+one slot to a given letter and return at the first one.  The prefix-tree
+masks and the core obstructions of the enumeration module compile their
+own statements, because they read the embeddings of the pattern's
+prefixes: a mask's nest places the plan's head, every slot but the last,
+and the obstructions take one nest per prefix they record, each with its
+own plan.  A pin may be virtual, a loop over the values of a letter
+appended to the word: the word's letters are read in their own values, a
+letter x below the pin v iff x < v, so one call makes the sites of every
+child of a node, to push the children or to count them without building
+one.  The masks use only the virtual pin.  Each compiled search is cached
+with its pattern and built on first use.
 """
 from __future__ import annotations
 
@@ -321,16 +321,18 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
 
     The function takes args, among them the word, binds n = len(word), the
     floor e0 = 0 and the ceiling e1 = n + 1, runs the setup lines, then each
-    nest in turn, then the finish lines.  A nest places every slot of its
-    plan, left to right, where its guard holds, and runs its statement once
-    per placement of them all; the plan is an embedding_plan or a head of
-    one, its slots 0 .. h - 1.  The pinned slot, if any, is the letter e2 at
-    the 0-based position q, which the setup binds.  Every other slot is one
-    `for` over the letters after the last placed one, binding e<i> for its
-    entry i in the plan's layout (and p<i>, the position after it, when the
-    next slot starts there), with one test of the slot's window.  A slot
-    stops where it leaves one letter for each later slot of the plan,
-    before the pin or before the end.
+    nest in turn, then the finish lines, unless a last nest that places no
+    slot and has no guard returns first.  A nest places every slot of its
+    plan, left to right, where its guard holds and the word has room for
+    them, and runs its statement once per placement of them all; the plan
+    is an embedding_plan or a head of one, its slots 0 .. h - 1.  The
+    pinned slot, if any, is the letter e2 at the 0-based position q, which
+    the setup binds.  Every other slot is one `for` over the letters after
+    the last placed one, binding e<i> for its entry i in the plan's layout
+    (and p<i>, the position after it, when the next slot starts there),
+    with one test of the slot's window.  A slot stops where it leaves one
+    letter for each later slot of the plan, before the pin or before the
+    end.
 
     A dead slot breaks after the subtree of its first fitting letter (see
     the module docstring); where that subtree is a returning statement
@@ -365,7 +367,7 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
         # A word too short for the nest would slice from its end.
         guards = [guard] if guard else []
         if pin is None:
-            guards.append(f"{l} <= n")
+            guards += [f"{l} <= n"] * (l > 0)
         else:
             guards += [f"{pin} <= q"] * (pin > 0)
             guards += [f"q < {_plus('n', pin + 1 - l)}"] * (l - 1 > pin)
@@ -375,6 +377,9 @@ def compile_search(nests: Sequence[Nest], args: str, setup: Sequence[str] = (),
         before, after = each
         body = [*(f"{name} = {letters}" for letters, name in hoist.items()), f"for e2 in {pins}:",
                 *_indent((*before, *body, *after))]
+    if body[-1:] and body[-1].startswith("return"):
+        # A finish straight after a return would never be reached.
+        finish = ()
     # A virtual pin lengthens the word by one letter, at its end.
     bounds = ["e1 = n + 2", "q = n"] if hoist is not None else ["e1 = n + 1"]
     lines = [f"def search({args}):", "n = len(word)", "e0 = 0", *bounds, *setup, *body, *finish]
@@ -397,25 +402,6 @@ def _through_search(sigma: Perm) -> Callable[[Perm, int], bool]:
     nests = [Nest(embedding_plan(sigma, j), j, "return True",
                   guard=f"{t} <= e2 <= {_plus('n', t - l)}") for j, t in enumerate(sigma)]
     return compile_search(nests, "word, q", ["e2 = word[q]"], ["return False"])
-
-
-@lru_cache(maxsize=256)
-def _occurrence_search(sigma: Perm) -> Callable[[Perm], list[tuple[int, ...]]]:
-    l = len(sigma)
-    every = tuple(range(2, l + 2))
-    letters = "".join(f"e{i}, " for i in every)
-    nest = Nest(embedding_plan(sigma, None, every), None, f"append(({letters}))")
-    return compile_search([nest], "word", ["found = []", "append = found.append"],
-                          ["return found"])
-
-
-def occurrences(pi: Perm, sigma: Perm) -> list[tuple[int, ...]]:
-    """All index sets I (1-based, increasing) with pi[I] order-isomorphic to sigma.
-
-    >>> occurrences((3, 1, 4, 2), (2, 1))
-    [(1, 2), (1, 4), (3, 4)]
-    """
-    return [tuple(pi.index(v) + 1 for v in letters) for letters in _occurrence_search(sigma)(pi)]
 
 
 def contains(pi: Perm, sigma: Perm) -> bool:

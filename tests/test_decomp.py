@@ -10,7 +10,6 @@ from majpat.decomp import (
     compose,
     decompose,
     format_profile,
-    parse_profile,
 )
 from majpat.errors import InvalidInputError
 from majpat.perms import contains, descents, maj_plus, major_index
@@ -138,9 +137,4 @@ class TestCoLayered:
 
 
 def test_profile_text_forms():
-    assert parse_profile("(2,3,0,1)") == (2, 3, 0, 1)
     assert format_profile((2, 3, 0, 1)) == "(2,3,0,1)"
-    with pytest.raises(InvalidInputError):
-        parse_profile("2,3")
-    with pytest.raises(InvalidInputError):
-        parse_profile("(1,-2)")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import majpat.enumeration
 import majpat.perms
 from majpat.errors import InvalidInputError
 from majpat.perms import (
@@ -22,7 +23,6 @@ from majpat.perms import (
     magnitude,
     maj_plus,
     major_index,
-    occurrences,
     order_pattern,
     parse_perm,
     set_magnitude,
@@ -94,7 +94,6 @@ class TestContains:
             n = len(pi)
             for s in sigmas:
                 want = oracle_occurrences(pi, s)
-                assert occurrences(pi, s) == want, (pi, s)
                 assert contains(pi, s) == bool(want), (pi, s)
                 assert contains_ending_at_last(pi, s) == (
                     not s or any(occ[-1] == n for occ in want)), (pi, s)
@@ -113,28 +112,17 @@ class TestContains:
         words += [tuple(range(1, 26)), tuple(range(25, 0, -1))]
         for pi in words:
             want = oracle_occurrences(pi, sigma)
-            assert occurrences(pi, sigma) == want, pi
             assert contains(pi, sigma) == oracle_contains(pi, sigma) == bool(want), pi
             used = set(itertools.chain.from_iterable(want))
             for k in range(1, 26):
                 assert contains_through(pi, sigma, k) == (k in used), (pi, k)
         assert [contains(pi, sigma) for pi in words] == [True] * 5 + [False] * 2
 
-    def test_occurrences_are_exactly_the_witnessing_subsets(self):
-        pi = (3, 8, 7, 1, 2, 4, 5, 6, 9)
-        sigma = (1, 3, 2)
-        got = set(occurrences(pi, sigma))
-        want = set()
-        for idx in itertools.combinations(range(len(pi)), 3):
-            if order_pattern(tuple(pi[i] for i in idx)) == sigma:
-                want.add(tuple(i + 1 for i in idx))
-        assert got == want
-
     def test_dead_slots_are_those_nothing_reads(self):
         # For every pattern of length <= 6 and every pin, a slot is dead iff
         # its entry is read neither by the step of a slot placed after it
         # nor at the end: nothing read (the yes/no questions), the pinned
-        # site plan's last step, or every entry (occurrences).
+        # site plan's last step, or every entry.
         for sigma in perms_upto(6):
             l = len(sigma)
             for pin in (None, *range(l)):
@@ -176,6 +164,21 @@ class TestContains:
                     if isinstance(block, list):
                         returns = [i for i, s in enumerate(block) if isinstance(s, ast.Return)]
                         assert not returns or returns[0] == len(block) - 1, source
+
+    def test_no_guard_is_always_true(self, monkeypatch):
+        # A nest that places no slot fits every word, so the obstruction
+        # sources for every pattern of length <= 5 never test 0 <= n.
+        sources = []
+
+        def capture(source, namespace):
+            sources.append(source)
+            exec(source, namespace)
+
+        monkeypatch.setattr(majpat.perms, "exec", capture, raising=False)
+        for sigma in perms_upto(5):
+            majpat.enumeration._obstruction_search.__wrapped__(sigma)
+        assert len(sources) == 154
+        assert not [source for source in sources if " 0 <= n" in source]
 
     @pytest.mark.parametrize("k", [0, 4])
     def test_through_rejects_positions_outside(self, k):
@@ -253,8 +256,9 @@ class TestInsert:
 
     def test_new_occurrences_pass_through_inserted_position(self):
         # For an avoider, every occurrence created by an insertion must use
-        # the inserted position.  Exhaustive over n <= 7 for the length-3
-        # patterns and two length-4 representatives.
+        # the inserted position, since one that missed it would lie in pi: the
+        # child contains sigma iff it does through k.  Exhaustive over n <= 7
+        # for the length-3 patterns and two length-4 representatives.
         sigmas = list(itertools.permutations((1, 2, 3))) + [(1, 3, 2, 4), (3, 4, 1, 2)]
         for sigma in sigmas:
             for n in range(0, 8):
@@ -264,8 +268,8 @@ class TestInsert:
                     for k in range(1, n + 2):
                         for l in range(1, n + 2):
                             child = insert(pi, k, l)
-                            for occ in occurrences(child, sigma):
-                                assert k in occ, (pi, k, l, sigma, occ)
+                            through = contains_through(child, sigma, k)
+                            assert contains(child, sigma) == through, (pi, k, l, sigma)
 
     def test_descent_set_preserved_by_slope_respecting_insertions(self):
         # All descents before k, letter at most pi_k, and the inserted letter

@@ -10,11 +10,11 @@ diff.
 SRC is a directory holding the `majpat` package, such as the `src`
 directory of a checkout.  Each PATTERNS argument is one pattern set, in the
 syntax of `--patterns` ("" for the empty set).  For each member of a set the
-tool compiles its `contains`, `contains_through`, `occurrences` and
-obstruction searches, and then whatever the set's mask searches compile,
-reached through one small `maj_table` and one `column_counts`.  Each source
-is printed once, under a line naming what compiled it; a search that an
-earlier argument already compiled is cached and not printed again.
+tool compiles its `contains`, `contains_through` and obstruction searches,
+and then whatever the set's mask searches compile, reached through one
+small `maj_table` and one `column_counts`.  Each source is printed once,
+under a line naming what compiled it; a search that an earlier argument
+already compiled is cached and not printed again.
 """
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ def main(argv: list[str]) -> int:
             for label[0], search in (
                     (f"contains {name}", lambda: perms.contains(word, sigma)),
                     (f"contains_through {name}", lambda: perms.contains_through(word, sigma, 1)),
-                    (f"occurrences {name}", lambda: perms.occurrences(word, sigma)),
                     (f"obstructions {name}", lambda: enumeration._obstruction_search(sigma))):
                 search()
         label[0] = f"masks {text!r}"
