@@ -3,9 +3,8 @@ Command-line surface.
 
 Exit codes: 0 success, 1 verification or verdict failure, 2 invalid input,
 3 resource ceiling exceeded (nodes, memory or recursion depth).  Each
-subcommand accepts only the flags it reads.  MAJPAT_MAX_NODES sets the
-default node ceiling, one for the whole run, and MAJPAT_PARALLELISM the
-default --parallelism of the commands that take it.
+subcommand accepts only the flags it reads.  --max-nodes sets one node
+ceiling for the whole run.
 """
 from __future__ import annotations
 
@@ -19,13 +18,12 @@ from .enumeration import (
     _triangle,
     core_set,
     maj_table,
-    parallelism_default,
 )
 from .decomp import format_profile
 from .errors import InvalidInputError, MajpatError, ResourceLimitError, VerificationError
 from .monotone import verify_monotonicity
 from .oeis import diff_triangle, read_integer_file, rows_holding
-from .perms import format_perm, maj_plus
+from .perms import format_perm
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -41,10 +39,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _parallelism(args: argparse.Namespace) -> int:
-    return parallelism_default() if args.parallelism is None else args.parallelism
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     patterns = PatternSet.from_text(args.patterns)
     max_maj = args.max_maj
@@ -52,7 +46,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         max_maj = _triangle(args.max_n)
     table = maj_table(
         args.max_n, max_maj, patterns,
-        algorithm=args.algorithm, parallelism=_parallelism(args), max_nodes=args.max_nodes,
+        algorithm=args.algorithm, parallelism=args.parallelism, max_nodes=args.max_nodes,
     )
     _emit(args, table.to_csv() if args.format == "csv" else table.to_json() + "\n")
     return EXIT_OK
@@ -93,7 +87,7 @@ def cmd_cores(args: argparse.Namespace) -> int:
             "cores": [
                 {
                     "core": format_perm(g),
-                    "maj_plus": maj_plus(g),
+                    "maj_plus": found.m,
                     "minimal_profiles": profiles,
                 }
                 for g, profiles in zip(cores, witnesses)
@@ -101,7 +95,7 @@ def cmd_cores(args: argparse.Namespace) -> int:
         }
         _emit(args, json.dumps(obj, indent=2) + "\n")
         return EXIT_OK
-    lines = [f"{format_perm(g) or '(empty)'}  maj+={maj_plus(g)}  "
+    lines = [f"{format_perm(g) or '(empty)'}  maj+={found.m}  "
              f"minimal-profiles: {' '.join(profiles)}" for g, profiles in zip(cores, witnesses)]
     _emit(args, "\n".join(lines) + ("\n" if lines else ""))
     return EXIT_OK
@@ -113,7 +107,7 @@ def cmd_check_oeis(args: argparse.Namespace) -> int:
     max_n = min(args.max_n, rows_holding(len(reference)))
     table = maj_table(
         max_n, _triangle(max_n), PatternSet(),
-        algorithm=args.algorithm, parallelism=_parallelism(args), max_nodes=args.max_nodes,
+        algorithm=args.algorithm, parallelism=args.parallelism, max_nodes=args.max_nodes,
     )
     diff = diff_triangle(table, reference, args.max_n)
     if diff.mismatch is not None:
@@ -161,12 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
         if algorithms:
             p.add_argument("--algorithm", choices=list(algorithms), default=algorithms[0])
         if parallelism:
-            p.add_argument("--parallelism", type=int, default=None,
+            p.add_argument("--parallelism", type=int, default=1,
                            help="shares of the exhaustive search, walked by at most as many "
-                                "processes as processors (default MAJPAT_PARALLELISM or 1)")
+                                "processes as processors (default 1)")
         p.add_argument("--max-nodes", type=int, default=None,
-                       help="search node ceiling for the whole run "
-                            "(default MAJPAT_MAX_NODES or builtin)")
+                       help="search node ceiling for the whole run (default 10^8)")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
 
     p = sub.add_parser("table", help="emit the counts table")

@@ -88,24 +88,6 @@ from .poly import Polynomial, ZERO
 DEFAULT_MAX_NODES = 100_000_000
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"environment variable {name}={raw!r} is not an integer") from exc
-
-
-def max_nodes_default() -> int:
-    return _env_int("MAJPAT_MAX_NODES", DEFAULT_MAX_NODES)
-
-
-def parallelism_default() -> int:
-    return _env_int("MAJPAT_PARALLELISM", 1)
-
-
 class PatternSet:
     """A deduplicated finite set of nonempty patterns, sorted for determinism.
     Equal and hashed by value; not a tuple, since it iterates its patterns."""
@@ -191,7 +173,7 @@ class _Budget:
     __slots__ = ("limit", "left")
 
     def __init__(self, limit: int | None):
-        self.limit = limit if limit is not None else max_nodes_default()
+        self.limit = limit if limit is not None else DEFAULT_MAX_NODES
         if self.limit < 0:
             raise InvalidInputError(f"node ceiling must be non-negative, got {self.limit}")
         self.left = self.limit
@@ -199,9 +181,7 @@ class _Budget:
     def spend(self, amount: int = 1) -> None:
         self.left -= amount
         if self.left < 0:
-            raise ResourceLimitError(
-                "search node budget exceeded; raise --max-nodes / MAJPAT_MAX_NODES"
-            )
+            raise ResourceLimitError("search node budget exceeded; raise --max-nodes")
 
 
 @lru_cache(maxsize=64)
@@ -931,7 +911,8 @@ def column_counts(m: int, patterns: PatternSet, *, n_max: int | None = None,
     return _fill_columns(patterns, (m,), n_max, _Budget(max_nodes))[m]
 
 
-def core_polynomial(gamma: Perm, patterns: PatternSet) -> tuple[Polynomial, int]:
+def core_polynomial(gamma: Perm, patterns: PatternSet, *,
+                    max_nodes: int | None = None) -> tuple[Polynomial, int]:
     """The eventual polynomial of the fixed-core counts, with its exact onset.
 
     The per-signature term C(n - k - |c| + s - 1, s - 1) (s = saturated
@@ -942,7 +923,7 @@ def core_polynomial(gamma: Perm, patterns: PatternSet) -> tuple[Polynomial, int]
     polynomial with onset 0.
     """
     gamma = check_perm(gamma)
-    counts = _core_counts(gamma, patterns, _Budget(None))
+    counts = _core_counts(gamma, patterns, _Budget(max_nodes))
     return counts.eventual_polynomial(0, f"core {format_perm(gamma) or '(empty)'}")
 
 

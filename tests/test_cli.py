@@ -100,16 +100,8 @@ class TestExitCodes:
             assert [code for code, _, _ in results] == [want, want], limit
             assert results[0][1] == results[1][1]
 
-    def test_bad_parallelism_env_is_two(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAJPAT_PARALLELISM", "x")
-        code, _, err = run(capsys, "table", "--max-n", "3")
-        assert code == 2 and "MAJPAT_PARALLELISM" in err and err.count("\n") == 1
-
-    def test_negative_node_ceiling_is_two(self, capsys, monkeypatch):
+    def test_negative_node_ceiling_is_two(self, capsys):
         code, _, err = run(capsys, "table", "--max-n", "3", "--max-nodes", "-5")
-        assert code == 2 and "node ceiling" in err and err.count("\n") == 1
-        monkeypatch.setenv("MAJPAT_MAX_NODES", "-1")
-        code, _, err = run(capsys, "cores", "--maj", "3")
         assert code == 2 and "node ceiling" in err and err.count("\n") == 1
 
     def test_deep_core_is_three_with_one_line(self, capsys):
@@ -456,7 +448,11 @@ class TestCheckOeis:
             diff_triangle(table, [1, 1, 1, 1], 5)
 
 
-def test_env_override_for_max_nodes(capsys, monkeypatch):
-    monkeypatch.setenv("MAJPAT_MAX_NODES", "40")
-    code, _, err = run(capsys, "table", "--max-n", "9")
-    assert code == 3
+def test_environment_sets_no_run_value(capsys, monkeypatch):
+    # Only --max-nodes and --parallelism set the ceiling and the shares.
+    monkeypatch.delenv("MAJPAT_MAX_NODES", raising=False)
+    monkeypatch.delenv("MAJPAT_PARALLELISM", raising=False)
+    plain = run(capsys, "table", "--max-n", "5")
+    monkeypatch.setenv("MAJPAT_MAX_NODES", "1")
+    monkeypatch.setenv("MAJPAT_PARALLELISM", "x")
+    assert run(capsys, "table", "--max-n", "5") == plain and plain[0] == 0

@@ -1072,10 +1072,9 @@ class TestEventualPolynomial:
         with pytest.raises(InvalidInputError, match="not a permutation"):
             core_polynomial(gamma, PatternSet.of("1324"))
 
-    def test_core_polynomial_obeys_the_node_ceiling(self, monkeypatch):
-        monkeypatch.setenv("MAJPAT_MAX_NODES", "1")
+    def test_core_polynomial_obeys_the_node_ceiling(self):
         with pytest.raises(ResourceLimitError):
-            core_polynomial((3, 1, 2), PatternSet.of("1324"))
+            core_polynomial((3, 1, 2), PatternSet.of("1324"), max_nodes=1)
 
 
 class TestSeries:
