@@ -4,7 +4,8 @@ Command-line surface.
 Exit codes: 0 success, 1 verification or verdict failure, 2 invalid input,
 3 resource ceiling exceeded (nodes, memory or recursion depth).  Each
 subcommand accepts only the flags it reads.  --max-nodes sets one node
-ceiling for the whole run.
+ceiling for the whole run.  Each command writes to out: sys.stdout, or the
+--output file, opened and truncated before any work, as by a redirection.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .enumeration import (
     core_set,
     maj_table,
 )
-from .decomp import format_profile
 from .errors import InvalidInputError, MajpatError, ResourceLimitError, VerificationError
 from .monotone import verify_monotonicity
 from .oeis import diff_triangle, read_integer_file, rows_holding
@@ -31,15 +31,7 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace, out) -> int:
     patterns = PatternSet.from_text(args.patterns)
     max_maj = args.max_maj
     if max_maj is None:
@@ -48,20 +40,25 @@ def cmd_table(args: argparse.Namespace) -> int:
         args.max_n, max_maj, patterns,
         algorithm=args.algorithm, parallelism=args.parallelism, max_nodes=args.max_nodes,
     )
-    _emit(args, table.to_csv() if args.format == "csv" else table.to_json() + "\n")
+    if args.format == "csv":
+        out.write(table.to_csv())
+    else:
+        json.dump(table.to_json_obj(), out, indent=2)
+        out.write("\n")
     return EXIT_OK
 
 
-def cmd_degree(args: argparse.Namespace) -> int:
+def cmd_degree(args: argparse.Namespace, out) -> int:
     report = degree_report(
         args.maj, PatternSet.from_text(args.patterns), n_max=args.max_n,
         window=args.window, algorithm=args.algorithm, max_nodes=args.max_nodes,
     )
-    _emit(args, json.dumps(report.to_json_obj(), indent=2) + "\n")
+    json.dump(report.to_json_obj(), out, indent=2)
+    out.write("\n")
     return EXIT_FAILED if report.verdict is Verdict.MISMATCH else EXIT_OK
 
 
-def cmd_verify_monotonic(args: argparse.Namespace) -> int:
+def cmd_verify_monotonic(args: argparse.Namespace, out) -> int:
     patterns = PatternSet.from_text(args.patterns)
     if len(patterns) != 1:
         raise InvalidInputError(
@@ -70,17 +67,21 @@ def cmd_verify_monotonic(args: argparse.Namespace) -> int:
         )
     (sigma,) = patterns
     report = verify_monotonicity(sigma, args.n, args.max_maj, max_nodes=args.max_nodes)
-    _emit(args, json.dumps(report.to_json_obj(), indent=2) + "\n")
+    json.dump(report.to_json_obj(), out, indent=2)
+    out.write("\n")
     return EXIT_OK if report.verified else EXIT_FAILED
 
 
-def cmd_cores(args: argparse.Namespace) -> int:
+def _unit_profiles(k: int, sites: int) -> list[str]:
+    """The unit profiles e_{s-1} of a core of length k, one per set bit s of its sites."""
+    return [f"({'0,' * (s - 1)}1{',0' * (k + 1 - s)})" for s in range(1, k + 2) if sites >> s & 1]
+
+
+def cmd_cores(args: argparse.Namespace, out) -> int:
     patterns = PatternSet.from_text(args.patterns)
     found = core_set(args.maj, patterns, max_nodes=args.max_nodes)
-    cores = found.cores
-    witnesses = [[format_profile(p) for p in profiles] for profiles in found.profiles]
     if args.format == "json":
-        obj = {
+        json.dump({
             "schema": 1,
             "maj": args.maj,
             "patterns": patterns.texts(),
@@ -88,20 +89,20 @@ def cmd_cores(args: argparse.Namespace) -> int:
                 {
                     "core": format_perm(g),
                     "maj_plus": found.m,
-                    "minimal_profiles": profiles,
+                    "minimal_profiles": _unit_profiles(len(g), sites),
                 }
-                for g, profiles in zip(cores, witnesses)
+                for g, sites in zip(found.cores, found.sites)
             ],
-        }
-        _emit(args, json.dumps(obj, indent=2) + "\n")
+        }, out, indent=2)
+        out.write("\n")
         return EXIT_OK
-    lines = [f"{format_perm(g) or '(empty)'}  maj+={found.m}  "
-             f"minimal-profiles: {' '.join(profiles)}" for g, profiles in zip(cores, witnesses)]
-    _emit(args, "\n".join(lines) + ("\n" if lines else ""))
+    for g, sites in zip(found.cores, found.sites):
+        out.write(f"{format_perm(g) or '(empty)'}  maj+={found.m}  "
+                  f"minimal-profiles: {' '.join(_unit_profiles(len(g), sites))}\n")
     return EXIT_OK
 
 
-def cmd_check_oeis(args: argparse.Namespace) -> int:
+def cmd_check_oeis(args: argparse.Namespace, out) -> int:
     reference = read_integer_file(args.file)
     # The rows past the file's last entry are not computed, only counted as unmatched.
     max_n = min(args.max_n, rows_holding(len(reference)))
@@ -112,13 +113,13 @@ def cmd_check_oeis(args: argparse.Namespace) -> int:
     diff = diff_triangle(table, reference, args.max_n)
     if diff.mismatch is not None:
         n, m, ours, theirs = diff.mismatch
-        _emit(args, f"MISMATCH at (n={n}, m={m}): computed {ours}, file has {theirs}\n")
+        out.write(f"MISMATCH at (n={n}, m={m}): computed {ours}, file has {theirs}\n")
         return EXIT_FAILED
     if diff.missing_cells:
-        _emit(args, f"file too short: {diff.missing_cells} cells unmatched after "
-                    f"{diff.matched} matches\n")
+        out.write(f"file too short: {diff.missing_cells} cells unmatched after "
+                  f"{diff.matched} matches\n")
         return EXIT_FAILED
-    _emit(args, f"match: {diff.matched} entries\n")
+    out.write(f"match: {diff.matched} entries\n")
     return EXIT_OK
 
 
@@ -194,7 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    if args.output is None:
+        return COMMANDS[args.command](args, sys.stdout)
+    with open(args.output, "w", encoding="utf-8") as out:
+        return COMMANDS[args.command](args, out)
 
 
 def main(argv=None) -> int:

@@ -56,7 +56,6 @@ cross-checked between independent routes.
 """
 from __future__ import annotations
 
-import json
 import os
 import pickle
 from collections import Counter
@@ -65,7 +64,6 @@ from math import comb
 from operator import itemgetter
 from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
-from .decomp import Profile
 from .errors import InvalidInputError, ResourceLimitError, VerificationError
 from .perms import (
     Nest,
@@ -511,9 +509,6 @@ class MajTable(NamedTuple):
             "rows": [{"n": i + 1, "counts": list(row)} for i, row in enumerate(self.rows)],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2)
-
     def to_csv(self) -> str:
         header = "n," + ",".join(str(m) for m in range(self.max_maj + 1))
         lines = [header]
@@ -869,31 +864,24 @@ def _core_rows(patterns: PatternSet, max_n: int, maj_cap: int,
 
 class CoreSet(NamedTuple):
     """All distinct cores of avoiders with a given extended major index, each
-    with its minimal avoiding profiles (the admissible unit profiles)."""
+    with its admissible unit profiles as sites: bit s stands for e_{s-1}."""
 
     m: int
-    patterns: PatternSet
     cores: tuple[Perm, ...]
-    profiles: tuple[tuple[Profile, ...], ...]
-
-
-def _unit_profiles(k: int, sites: int) -> tuple[Profile, ...]:
-    """The unit profiles e_{s-1} of the set bits s of sites, by increasing s."""
-    return tuple(tuple(int(j == s - 1) for j in range(k + 1))
-                 for s in range(1, k + 2) if sites >> s & 1)
+    sites: tuple[int, ...]
 
 
 def core_set(m: int, patterns: PatternSet, *, max_nodes: int | None = None) -> CoreSet:
     """All cores gamma with maj_plus(gamma) = m admissible for the pattern set,
-    with their unit profiles read off the walk's masks.  The node ceiling
+    with their unit-profile sites read off the walk's masks.  The node ceiling
     bounds the walk.
     """
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")
     found = sorted((len(gamma), gamma, sites) for gamma, mp, sites
                    in _cores(patterns, m, m, _Budget(max_nodes)) if mp == m)
-    return CoreSet(m, patterns, tuple(gamma for _, gamma, _ in found),
-                   tuple(_unit_profiles(k, sites) for k, _, sites in found))
+    return CoreSet(m, tuple(gamma for _, gamma, _ in found),
+                   tuple(sites for _, _, sites in found))
 
 
 def column_counts(m: int, patterns: PatternSet, *, n_max: int | None = None,

@@ -129,6 +129,34 @@ class TestExitCodes:
         assert code == 0 and json.loads(out)["maj"] == 7
         assert maxrss < 40 * 1024  # kilobytes
 
+    def test_missing_output_directory_is_two_before_the_walk(self, capsys, tmp_path):
+        # The output is opened before any work: the walk would exceed its
+        # ceiling (exit 3), but the path is refused first.
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "table", "--patterns", "1324", "--max-n", "10",
+                             "--max-nodes", "1", "--output", str(target))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(target) in err
+
+    def test_failed_run_leaves_its_output_empty(self, capsys, tmp_path):
+        # As with a shell redirection, the output is created before the walk
+        # that then exceeds its ceiling.
+        target = tmp_path / "x"
+        code, out, _ = run(capsys, "table", "--patterns", "1324", "--max-n", "10",
+                           "--max-nodes", "1", "--output", str(target))
+        assert code == 3 and out == "" and target.read_text() == ""
+
+    def test_cores_listing_holds_no_copy_of_its_output(self, tmp_path):
+        # The m = 19 column of 1324 has 8,961 cores; each line is formatted
+        # from the core's sites as it is written.  The output goes to a
+        # file, since the stdout pipe is read only after the child exits.
+        target = tmp_path / "c.txt"
+        code, maxrss, out, err = peak_rss("cores", "--patterns", "1324", "--maj", "19",
+                                          "--output", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text().count("  maj+=19  ") == 8961
+        assert maxrss < 30 * 1024  # kilobytes
+
     def test_out_of_memory_is_three_with_one_line(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -264,10 +292,19 @@ class TestTable:
         assert obj["rows"][6]["counts"][5] == 20
 
     def test_output_file(self, capsys, tmp_path):
-        target = tmp_path / "t.csv"
-        code, out, _ = run(capsys, "table", "--max-n", "3", "--output", str(target))
-        assert code == 0 and out == ""
-        assert target.read_text().startswith("n,")
+        # Each command writes to --output exactly the bytes it prints without it.
+        target = tmp_path / "out"
+        for argv in (("table", "--max-n", "3"),
+                     ("table", "--patterns", "1324", "--max-n", "5", "--format", "json"),
+                     ("degree", "--patterns", "1324", "--maj", "3"),
+                     ("verify-monotonic", "--patterns", "2134", "--n", "4"),
+                     ("cores", "--patterns", "1324", "--maj", "5"),
+                     ("cores", "--patterns", "1324", "--maj", "5", "--format", "json"),
+                     ("check-oeis", "--file", DATA, "--max-n", "4")):
+            code, printed, _ = run(capsys, *argv)
+            assert code == 0 and printed, argv
+            assert run(capsys, *argv, "--output", str(target)) == (0, "", ""), argv
+            assert target.read_bytes() == printed.encode(), argv
 
     def test_pattern_longer_than_one_function_of_loops(self, capsys):
         # Every permutation of length <= 5 avoids a 24-letter pattern, whose

@@ -40,7 +40,6 @@ from majpat.enumeration import (
     _obstruction_search,
     _obstructions,
     _triangle,
-    _unit_profiles,
     _walk,
     _zero_rows,
 )
@@ -549,7 +548,7 @@ class TestMajTable:
         # Each emission, parsed here, gives back the table's cells: JSON one
         # object per row, CSV one line per row with blanks past its last column.
         t = maj_table(5, 4, PatternSet.of("132"))
-        obj = json.loads(t.to_json())
+        obj = json.loads(json.dumps(t.to_json_obj(), indent=2))
         assert obj == t.to_json_obj()
         assert (obj["patterns"], obj["max_n"], obj["max_maj"]) == (["132"], 5, 4)
         assert [r["n"] for r in obj["rows"]] == [1, 2, 3, 4, 5]
@@ -712,18 +711,25 @@ class TestComplementSymmetry:
                 (text, n)
 
 
-def minimal_avoiding_profiles(gamma, patterns):
-    """The admissible unit profiles of a core (the minimal avoiding witnesses),
-    e_i before e_j for i < j, found through the core's obstructions."""
+def obstruction_sites(gamma, patterns):
+    """The bit set of a core's admissible unit profiles, bit i + 1 for e_i,
+    found through the core's obstructions."""
     if not avoids(gamma, patterns.patterns):
-        return ()
+        return 0
     k = len(gamma)
     obstructions = _obstructions(gamma, patterns.patterns, 1)
     # With room for one letter every obstruction is a single demand
     # (lo, hi, 1), which e_i meets iff lo <= i <= hi.
     blocked = {i for ((lo, hi, _),) in obstructions for i in range(lo, hi + 1)}
-    sites = sum(1 << i + 1 for i in range(gamma[k - 1] if k else 1) if i not in blocked)
-    return _unit_profiles(k, sites)
+    return sum(1 << i + 1 for i in range(gamma[k - 1] if k else 1) if i not in blocked)
+
+
+def minimal_avoiding_profiles(gamma, patterns):
+    """The admissible unit profiles of a core (the minimal avoiding witnesses),
+    e_i before e_j for i < j, found through the core's obstructions."""
+    k, sites = len(gamma), obstruction_sites(gamma, patterns)
+    return tuple(tuple(int(j == i) for j in range(k + 1))
+                 for i in range(k + 1) if sites >> i + 1 & 1)
 
 
 class TestCores:
@@ -897,14 +903,14 @@ class TestCores:
             assert budget.limit - budget.left == int(text != "1"), text
 
     def test_core_set_profiles_match_obstruction_route(self):
-        # core_set reads each core's unit profiles off its walk mask;
-        # minimal_avoiding_profiles finds them through obstructions.
+        # core_set reads each core's unit-profile sites off its walk mask;
+        # obstruction_sites finds them through obstructions.
         for text in OBSTRUCTION_SETS:
             ps = PatternSet.from_text(text)
             for m in range(0, 10):
                 found = core_set(m, ps)
-                want = tuple(minimal_avoiding_profiles(g, ps) for g in found.cores)
-                assert found.profiles == want, (text, m)
+                want = tuple(obstruction_sites(g, ps) for g in found.cores)
+                assert found.sites == want, (text, m)
 
     def test_negative_major_index_is_invalid(self):
         with pytest.raises(InvalidInputError):

@@ -5,8 +5,7 @@ and report every command whose stdout, stderr or exit code differs.
 
 Each argument is a directory holding the `majpat` package, such as the
 `src` directory of a checkout.  Exits 0 when the two trees agree on every
-command and 1 otherwise.  `MAJPAT_*` variables are cleared first, so both
-trees run on their defaults.
+command and 1 otherwise.
 """
 from __future__ import annotations
 
@@ -160,9 +159,12 @@ CORPUS = [
     ("check-oeis", "--file", A008302, "--max-n", "1"),
     ("check-oeis", "--file", A008302, "--max-n", "12", "--max-nodes", "10000"),
     ("check-oeis", "--file", A008302, "--max-n", "6", "--algorithm", "both", "--parallelism", "2"),
-    # Invalid input.
+    # Invalid input, and an output path in a missing directory, refused
+    # before a walk that would exceed its ceiling.
     ("table", "--max-n", "4", "--patterns", "120"),
     ("table", "--max-n", "0"),
+    ("table", "--patterns", "1324", "--max-n", "10", "--max-nodes", "1",
+     "--output", "/nonexistent/x"),
 ]
 
 
@@ -191,8 +193,6 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    for key in [k for k in os.environ if k.startswith("MAJPAT_")]:
-        del os.environ[key]
     runs = []
     for src in argv:
         start = time.perf_counter()
