@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .asymptotics import Verdict, degree_report
@@ -197,6 +198,9 @@ def run(argv) -> int:
     args = build_parser().parse_args(argv)
     if args.output is None:
         return COMMANDS[args.command](args, sys.stdout)
+    # Opening the output truncates it, so it must not be the file check-oeis reads.
+    if "file" in args and os.path.exists(args.output) and os.path.samefile(args.file, args.output):
+        raise InvalidInputError(f"--output {args.output} is the --file it would truncate")
     with open(args.output, "w", encoding="utf-8") as out:
         return COMMANDS[args.command](args, out)
 

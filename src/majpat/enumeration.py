@@ -45,8 +45,8 @@ Two independent computation paths are provided and cross-checked:
   n_max - 1 and n_max - 2 have room for one or two padding letters: the
   core walk stops two letters short, and each node there reads their
   avoiding signatures off its own mask and its children's, through a
-  virtual pin.  Of these, only the root of a one-row table takes the
-  signature walk.
+  virtual pin, into exact cells of those two rows, with no cap.  Of these,
+  only the root of a one-row table takes the signature walk.
 
 Both paths thus read the same masks, through the same compiled counter, for
 the permutations of length n_max whose last descent is at n_max - 1 or
@@ -213,9 +213,8 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[..., None], 
     falling children (the ranks up to the last letter, and the empty word's
     one child) if falling and the rising ones if rising, by increasing rank.
     It returns, for the falling children and then the rising ones, how many
-    there are, their rising clear sites and their falling clear sites, and
-    last how many falling children have site v + 1 clear.  Only sources, if
-    given, gets the child words, by maj.
+    there are, their rising clear sites and their falling clear sites.  Only
+    sources, if given, gets the child words, by maj.
     """
     root = 0
     nests = []
@@ -234,7 +233,7 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[..., None], 
     inherit = ["if parent >> e2 & 1:", "    continue",
                "mask = (parent & ((1 << e2 + 1) - 1)) | ((parent >> e2) << e2 + 1)"]
     child = "relabel(shift[e2]) if e2 <= n else (*word, e2)"
-    sums = "fell, fell_up, fell_down, rose, rose_up, rose_down, same"
+    sums = "fell, fell_up, fell_down, rose, rose_up, rose_down"
     expand = compile_search(
         nests, "word, parent, mj, falling, push, relabel, shift", setup, (), "mask",
         "range(n + 1, 0 if falling else last, -1)",
@@ -249,7 +248,7 @@ def _forbidden_sites(sigs: tuple[Perm, ...]) -> tuple[int, Callable[..., None], 
           "clear = ~mask & full", "falls = (clear & ((2 << e2) - 1)).bit_count()",
           "rises = clear >> e2 + 1", "if e2 > last:", "    rose += 1",
           "    rose_up += rises.bit_count()", "    rose_down += falls", "    continue",
-          "fell += 1", "fell_up += rises.bit_count()", "fell_down += falls", "same += rises & 1"]))
+          "fell += 1", "fell_up += rises.bit_count()", "fell_down += falls"]))
     return root, expand, count
 
 
@@ -350,7 +349,7 @@ def _brute_fill(rows: list[list[int]], sites: tuple[int, Callable, Callable],
             if descents:
                 rows[n][mj + n] += descents
         elif n == max_n - 2:
-            fell, fell_up, fell_down, rose, rose_up, rose_down, _ = count(
+            fell, fell_up, fell_down, rose, rose_up, rose_down = count(
                 word, mask, mj, mj + n <= maj_cap, True, sources,
                 sources is not None and itemgetter(*word, 0), shift)
             row, leaves = rows[n], rows[n + 1]
@@ -708,8 +707,8 @@ class SignatureCounts:
     eventual polynomial and its onset all come from this one object, which
     holds the pattern set and its cap (or any larger one, set before the
     first core).  Built with a size budget, the counts are exact only up to
-    that length.  No cell is written with zero, so every key of hist is a
-    nonzero cell.
+    that length; a table's last two rows are exact cells (`_core_children`),
+    so the counts hold only up to its last row.  No cell is written with zero.
     """
 
     def __init__(self, patterns: PatternSet):
@@ -801,27 +800,21 @@ def _core_children(count: Callable[..., tuple[int, ...]], columns: dict[int, Sig
     two letters short of the last row, read by count (from
     `_forbidden_sites`), and return the nodes spent, one per child and
     signature.  A falling w is the unit e_{v-1} in column k + maj, and its
-    rising sites the pairs, 2e_{v-1} at v + 1 and e_{v-1} + e_{t-2} at
-    t > v + 1.  Each w's falling sites are its units, in column 2k + 1 + maj
-    if it falls and k + 1 + maj if not.  The counter leaves out the
-    children whose columns are not wanted."""
+    rising sites t the pairs e_{v-1} + e_{t-2}.  Each w's falling sites are
+    its units, in column 2k + 1 + maj if it falls and k + 1 + maj if not.
+    No later row is read, so each is an exact cell (k + 1 or k + 2, 0) and
+    no cap is read.  The counter leaves out unwanted columns' children."""
     k = len(word)
     own, fall, rise = (columns.get(c) for c in (k + mj, 2 * k + 1 + mj, k + 1 + mj))
-    units, pairs, down, rose, _, up, same = count(
+    units, pairs, down, rose, _, up = count(
         word, mask, mj, own is not None or fall is not None, rise is not None)
     spent = units + rose
     if own is not None and units:
-        spent += pairs
-        hist, cap = own.hist, own.cap
-        hist[k + 1, int(cap == 1)] += units
-        if same and cap >= 2:  # with cap 1, 2e_{v-1} is the unit e_{v-1}
-            hist[k + 2, int(cap == 2)] += same
-        if pairs > same:
-            hist[k + 2, 2 if cap == 1 else 0] += pairs - same
-    for counts, units in ((fall, down), (rise, up)):
-        if counts is not None and units:
-            spent += units
-            counts.hist[k + 2, int(counts.cap == 1)] += units
+        own.hist[k + 1, 0] += units
+    for counts, found in ((own, pairs), (fall, down), (rise, up)):
+        if counts is not None and found:
+            spent += found
+            counts.hist[k + 2, 0] += found
     return spent
 
 
@@ -889,8 +882,9 @@ def column_counts(m: int, patterns: PatternSet, *, n_max: int | None = None,
     """The signature counts of every core of the m-column.
 
     With n_max, only the cores and signatures that reach lengths up to n_max
-    are walked, and the counts are exact up to n_max.  One node ceiling
-    covers the core tree and the signature walks.
+    are walked, and rows n_max - 1 and n_max are exact cells, so the counts
+    hold only up to n_max.  One node ceiling covers the core tree and the
+    signature walks.
     """
     if m < 0:
         raise InvalidInputError(f"major index must be non-negative, got {m}")

@@ -432,6 +432,20 @@ class TestCheckOeis:
         code, _, err = run(capsys, "check-oeis", "--file", "/nonexistent", "--max-n", "3")
         assert code == 2
 
+    def test_output_that_is_the_file_is_refused(self, capsys, tmp_path):
+        # Opening --output truncates it, so the file it would read is refused
+        # before that, by its own path and through a symlink, and left whole.
+        ref = tmp_path / "ref.txt"
+        with open(DATA, "rb") as fh:
+            data = fh.read()
+        ref.write_bytes(data)
+        (tmp_path / "link.txt").symlink_to(ref)
+        for output in ("ref.txt", "link.txt"):
+            code, out, err = run(capsys, "check-oeis", "--file", str(ref), "--max-n", "4",
+                                 "--output", str(tmp_path / output))
+            assert (code, out, err.count("\n")) == (2, "", 1), output
+            assert "--file" in err and ref.read_bytes() == data, output
+
     def test_bfile_two_column_form(self, capsys, tmp_path):
         bfile = tmp_path / "b.txt"
         rows = [1, 1, 1, 1, 2, 2, 1]

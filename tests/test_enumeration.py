@@ -252,7 +252,6 @@ class TestForbiddenSites:
         # inherited site added.
         _, expand, count = sites
         n = len(word)
-        cap = patterns.cap
         last = word[-1] if n else 1
         bare = {child: own for child, _, own in cls.expanded(expand, word, mj, 0)}
         children = []
@@ -261,19 +260,17 @@ class TestForbiddenSites:
             inherited = (mask & ((1 << v + 1) - 1)) | ((mask >> v) << v + 1)
             assert got == inherited | bare[child], (word, mask, v)
             rising, falling = _clear_sites(child, got)
-            children.append((child, cm, v <= last, rising.bit_count(), falling.bit_count(),
-                             rising >> v + 1 & 1))
+            children.append((child, cm, v <= last, rising.bit_count(), falling.bit_count()))
         assert [c for c, *_ in children] == [c for c in bare if not mask >> c[-1] & 1]
         # The sums, over the falling children, the rising ones, both or none.
         for reads in itertools.product((False, True), repeat=2):
-            want = [0] * 7
-            for _, _, falls, up, down, same in children:
+            want = [0] * 6
+            for _, _, falls, up, down in children:
                 if reads[not falls]:
                     i = 3 * (not falls)
                     want[i] += 1
                     want[i + 1] += up
                     want[i + 2] += down
-                    want[6] += same if falls else 0
             assert count(word, mask, mj, *reads) == tuple(want), (word, mask, reads)
         # _brute_fill at the full cap, and at caps that cut the node's
         # falling children, every grandchild's descent, or a falling child's
@@ -282,7 +279,7 @@ class TestForbiddenSites:
             rows, spend, sources = _zero_rows(n + 2, maj_cap), 0, {}
             if n:
                 rows[n - 1][mj] = 1
-            for child, cm, _, up, down, _ in children:
+            for child, cm, _, up, down in children:
                 if cm <= maj_cap:
                     down *= cm + n < maj_cap
                     rows[n][cm] += 1
@@ -298,28 +295,27 @@ class TestForbiddenSites:
                 assert got == rows and collect in (None, sources), (word, mask, maj_cap)
         # _core_children: a falling child's unit and pairs go to the node's
         # column, and each child's falling sites to its own column, 2k + 1 +
-        # maj or k + 1 + maj.  Each of the three columns is present or absent.
+        # maj or k + 1 + maj, all as exact cells (length, 0) of the last two
+        # rows.  Each of the three columns is present or absent.
         columns = (n + mj, 2 * n + 1 + mj, n + 1 + mj)
         for present in itertools.product((False, True), repeat=3):
             # At the root, the children's two columns are one.
             want = {c: Counter() for c, on in zip(columns, present) if on}
             own, fall, rise = (c if c in want else None for c in columns)
             spend = 0
-            for _, _, falls, up, down, same in children:
+            for _, _, falls, up, down in children:
                 if falls and own is None and fall is None or not falls and rise is None:
                     continue
                 spend += 1
                 if falls and own is not None:
                     spend += up
-                    want[own][n + 1, int(cap == 1)] += 1
-                    if same and cap >= 2:
-                        want[own][n + 2, int(cap == 2)] += same
-                    if up > same:
-                        want[own][n + 2, 2 if cap == 1 else 0] += up - same
+                    want[own][n + 1, 0] += 1
+                    if up:
+                        want[own][n + 2, 0] += up
                 column = fall if falls else rise
                 if column is not None and down:
                     spend += down
-                    want[column][n + 2, int(cap == 1)] += down
+                    want[column][n + 2, 0] += down
             got = {c: SignatureCounts(patterns) for c in want}
             assert _core_children(count, got, word, mj, mask) == spend, (word, present)
             for c, counts in got.items():
@@ -827,10 +823,11 @@ class TestCores:
         # A table counts the signatures of each core one or two letters
         # short of its last row from masks: the units _cores reads off its
         # mask, and the pairs the counter reads off the masks of its
-        # children.  The profiles, count_by_core and add_core (the
-        # obstruction and signature-walk route) must give the same units
-        # and, per column, the same histogram cells, with no zero cell: for
-        # full ranges of columns and for each column alone.
+        # children.  The profiles and count_by_core must give the same units.
+        # Per column, those cores' cells must be exact cells (n, 0) holding
+        # count_by_core's counts (the obstruction route) up to the last row,
+        # and every other core's cells add_core's (the signature walk), with
+        # no zero cell: for full ranges of columns and for each column alone.
         for text in CORE_SETS:
             ps = PatternSet.from_text(text)
             for gamma, _, sites in _cores(ps, 21, 6, _Budget(None)):
@@ -840,7 +837,15 @@ class TestCores:
             for n_max, ceiling in [(n, c) for n in range(1, 9) for c in (n * (n - 1) // 2, 4)]:
                 want = {mp: SignatureCounts(ps) for mp in range(ceiling + 1)}
                 for gamma, mp, _ in _cores(ps, ceiling, n_max - 1, _Budget(None)):
-                    want[mp].add_core(gamma, _Budget(None), n_max - len(gamma))
+                    k = len(gamma)
+                    # The root of a one-row table takes the signature walk.
+                    if k < n_max - 2 or n_max == 1:
+                        want[mp].add_core(gamma, _Budget(None), n_max - k)
+                        continue
+                    for n in range(k + 1, n_max + 1):
+                        found = count_by_core(gamma, n, ps)
+                        if found:
+                            want[mp].hist[n, 0] += found
                 # The empty word, the empty core's zero signature, sits in
                 # cell (0, 0), which no row reads and the mask reads skip.
                 for counts in want.values():
@@ -1086,7 +1091,7 @@ class TestEventualPolynomial:
 class TestSeries:
     def test_paths_agree(self):
         # Every last row n_max, and tables capped below their triangle.
-        for text, m in [("1324", 3), ("132;231", 6), ("", 2)]:
+        for text, m in [("1324", 3), ("132;231", 6), ("", 2), ("12", 6), ("21", 0)]:
             ps = PatternSet.from_text(text)
             for n_max in range(1, 9):
                 assert major_count_series(m, ps, n_max, algorithm="cores") == \

@@ -45,10 +45,18 @@ CORPUS = [
     ("table", "--patterns", "3412,1324", "--max-n", "8", "--algorithm", "cores"),
     ("table", "--patterns", "1324", "--max-n", "8", "--max-maj", "12", "--algorithm", "both"),
     ("table", "--patterns", "1432", "--max-n", "9", "--algorithm", "cores"),
-    # A cap-2 set: its cores' same-gap pairs are read off masks.
+    # A cap-2 set: its cores' pairs, two letters in one gap included, are read off masks.
     ("table", "--patterns", "21", "--max-n", "8", "--algorithm", "both"),
     ("table", "--patterns", "132,213", "--max-n", "9", "--algorithm", "both",
      "--parallelism", "2"),
+    # Cap-1 and cap-2 sets through the core path with a last row: the cells
+    # its nodes two letters short count from masks, under a ceiling too.
+    ("table", "--max-n", "7", "--algorithm", "cores"),
+    ("table", "--max-n", "7", "--algorithm", "cores", "--max-nodes", "2000"),
+    ("table", "--patterns", "12", "--max-n", "8", "--algorithm", "cores"),
+    ("table", "--patterns", "21", "--max-n", "8", "--max-maj", "12", "--algorithm", "cores"),
+    ("degree", "--patterns", "21", "--maj", "4", "--max-n", "9"),
+    ("degree", "--maj", "3", "--max-n", "8"),
     # A length-1 and a length-2 pattern through both paths: the searches that
     # expand and count a node's children place no head letter.
     ("table", "--patterns", "1", "--max-n", "3", "--algorithm", "both"),
